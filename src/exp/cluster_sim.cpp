@@ -86,7 +86,9 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
   job_resident_machines_.assign(n, 0);
   job_resident_valid_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    SimJob& job = jobs_.emplace_back(rng_.fork());
+    // The seed is the draw rng_.fork() would make; the engine itself is built
+    // lazily (SimJob::noise_rng).
+    SimJob& job = jobs_.emplace_back(rng_.next_u64());
     job.spec = workload[i];
     job.spec.id = static_cast<core::JobId>(i);
     if (config_.model_error_injection > 0.0) {
@@ -221,7 +223,7 @@ void ClusterSim::refresh_alpha(SimJob& job, bool initialize) {
 // Job pipeline
 
 double ClusterSim::comm_half_duration(SimJob& job) {
-  return 0.5 * job.spec.t_net * job.noise.lognormal_noise(config_.subtask_noise_cv);
+  return 0.5 * job.spec.t_net * job.noise_rng().lognormal_noise(config_.subtask_noise_cv);
 }
 
 double ClusterSim::comp_duration(SimJob& job) {
@@ -259,7 +261,7 @@ double ClusterSim::comp_duration(SimJob& job) {
     extra += model_raw / config_.machine_spec.disk_bytes_per_sec +
              model_raw * spill_model_.params().deserialize_sec_per_byte;
   }
-  return (base * gc + extra) * job.noise.lognormal_noise(config_.subtask_noise_cv);
+  return (base * gc + extra) * job.noise_rng().lognormal_noise(config_.subtask_noise_cv);
 }
 
 void ClusterSim::start_iteration(SimJob& job) {
@@ -390,6 +392,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
   if (job.iterations_done >= job.spec.iterations) {
     job.state = core::JobState::kFinished;
     job.finish_time = sim_.now();
+    job.noise.reset();  // no subtask draws after the last iteration
     summary_.jobs.push_back(JobOutcome{job.spec.id, arrivals_[job.spec.id], job.finish_time});
     auto it = std::find(g.members.begin(), g.members.end(), job.spec.id);
     if (it != g.members.end()) g.members.erase(it);
@@ -591,18 +594,15 @@ void ClusterSim::reindex_job(SimJob& job) {
   const core::JobId id = job.spec.id;
   const bool waiting = job.arrived && job.state == core::JobState::kWaiting;
   if (waiting != job.in_waiting_index) {
-    const auto it = std::lower_bound(waiting_ids_.begin(), waiting_ids_.end(), id);
-    // The submit-ordered twin: (submit_time, id) is a total order, so the
-    // lower_bound position is the unique insert/erase point.
-    const auto sit = std::lower_bound(
+    // (submit_time, id) is a total order, so the lower_bound position is the
+    // unique insert/erase point.
+    const auto it = std::lower_bound(
         waiting_by_submit_.begin(), waiting_by_submit_.end(), id,
         [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
     if (waiting) {
-      waiting_ids_.insert(it, id);
-      waiting_by_submit_.insert(sit, id);
+      waiting_by_submit_.insert(it, id);
     } else {
-      waiting_ids_.erase(it);
-      waiting_by_submit_.erase(sit);
+      waiting_by_submit_.erase(it);
     }
     job.in_waiting_index = waiting;
   }
@@ -770,11 +770,10 @@ void ClusterSim::on_job_arrival(SimJob& job) {
 }
 
 void ClusterSim::maybe_start_profiling() {
-  // Waiting jobs, oldest first.
-  std::vector<SimJob*> waiting = waiting_jobs_by_submit();
-  if (waiting.empty()) return;
+  if (waiting_by_submit_.empty()) return;
 
-  if (live_groups().empty() && pending_regroup_ == std::nullopt) {
+  const auto groups = live_groups();
+  if (groups.empty() && pending_regroup_ == std::nullopt) {
     // No groups at all (startup, or everything drained between arrivals):
     // profile the backlog in naive bootstrap groups.
     bootstrap_profiling();
@@ -782,13 +781,17 @@ void ClusterSim::maybe_start_profiling() {
   }
 
   // Steady state: profile into the group with the fewest machines (or the
-  // one already profiling), up to the concurrency cap (§IV-B1).
-  std::size_t profiling_now = profiling_count_;
-
-  auto groups = live_groups();
-  if (groups.empty()) return;
-  for (SimJob* job : waiting) {
-    if (profiling_now >= config_.max_profiling_jobs) break;
+  // one already profiling), up to the concurrency cap (§IV-B1). Only the
+  // oldest cap - profiling_count_ waiting jobs can be admitted, so the cost
+  // is O(cap), not O(backlog). Snapshot them before placing: set_state
+  // erases each admitted job from waiting_by_submit_.
+  if (profiling_count_ >= config_.max_profiling_jobs || groups.empty()) return;
+  const std::size_t admit = std::min(config_.max_profiling_jobs - profiling_count_,
+                                     waiting_by_submit_.size());
+  const std::vector<core::JobId> oldest(waiting_by_submit_.begin(),
+                                        waiting_by_submit_.begin() + admit);
+  for (core::JobId job_id : oldest) {
+    SimJob& job = jobs_[job_id];
     GroupRun* target = nullptr;
     for (GroupRun* g : groups) {
       bool has_profiling = false;
@@ -801,9 +804,8 @@ void ClusterSim::maybe_start_profiling() {
       if (target == nullptr || g->machines < target->machines) target = g;
     }
     if (target == nullptr) break;
-    set_state(*job, core::JobState::kProfiling);
-    place_job_in_group(*job, *target, /*with_migration_delay=*/true);
-    ++profiling_now;
+    set_state(job, core::JobState::kProfiling);
+    place_job_in_group(job, *target, /*with_migration_delay=*/true);
   }
 }
 
@@ -870,7 +872,7 @@ void ClusterSim::expand_groups_with_free_machines() {
   // machines shrink COMP (Eq. 2), shortening the remaining groups' cycles.
   if (config_.grouping != GroupingPolicy::kHarmony) return;
   if (pending_regroup_ || free_machines_ == 0) return;
-  if (!waiting_ids_.empty() || paused_count_ > 0 || profiled_ungrouped_count_ > 0)
+  if (!waiting_by_submit_.empty() || paused_count_ > 0 || profiled_ungrouped_count_ > 0)
     return;  // backlog exists: machines belong to new groups instead
 
   // A grant changes only the winner's marginal gain, so compute each group's
@@ -1013,7 +1015,7 @@ void ClusterSim::on_job_profiled(SimJob& job) {
     // Wait until the whole initial batch has profiles, then run Algorithm 1
     // over everything. (Arrived jobs in kWaiting are exactly the waiting
     // index; kProfiling implies arrived.)
-    const bool all_profiled = waiting_ids_.empty() && profiling_count_ == 0;
+    const bool all_profiled = waiting_by_submit_.empty() && profiling_count_ == 0;
     if (all_profiled) run_initial_harmony_schedule();
     return;  // keeps iterating in its bootstrap group meanwhile
   }
@@ -1415,8 +1417,9 @@ void ClusterSim::sample_utilization() {
                  groups_desc.c_str());
   }
   if (running_jobs > 0) {
-    concurrent_jobs_samples_.add(static_cast<double>(running_jobs));
-    concurrent_groups_samples_.add(static_cast<double>(running_groups));
+    concurrent_jobs_sum_ += static_cast<double>(running_jobs);
+    concurrent_groups_sum_ += static_cast<double>(running_groups);
+    ++concurrency_windows_;
   }
   // Sampled once per window rather than per event so the hot loop stays clean.
   static obs::HistogramMetric& queue_depth =
@@ -1470,8 +1473,18 @@ RunSummary ClusterSim::run() {
   return summary_;
 }
 
-double ClusterSim::avg_concurrent_jobs() const { return concurrent_jobs_samples_.mean(); }
-double ClusterSim::avg_concurrent_groups() const { return concurrent_groups_samples_.mean(); }
+// Same left fold from 0.0 and the same division SampleSet::mean() performs,
+// so the means are bit-identical to averaging stored samples.
+double ClusterSim::avg_concurrent_jobs() const {
+  return concurrency_windows_ > 0
+             ? concurrent_jobs_sum_ / static_cast<double>(concurrency_windows_)
+             : 0.0;
+}
+double ClusterSim::avg_concurrent_groups() const {
+  return concurrency_windows_ > 0
+             ? concurrent_groups_sum_ / static_cast<double>(concurrency_windows_)
+             : 0.0;
+}
 
 AlphaStats ClusterSim::alpha_stats() const {
   AlphaStats st;

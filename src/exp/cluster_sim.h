@@ -323,15 +323,15 @@ class ClusterSim {
   mutable std::vector<std::uint32_t> job_resident_machines_;
   mutable std::vector<std::uint8_t> job_resident_valid_;
 
-  // Job-state indexes, maintained by reindex_job(). The id-sorted lists
-  // reproduce the iteration order of a jobs_ scan (ids are pool indices), so
-  // downstream sorts see the identical input sequence.
-  std::vector<core::JobId> waiting_ids_;  // arrived && kWaiting
-  // Same membership as waiting_ids_, kept sorted by (submit_time, id) — the
-  // pinned scheduling order — via ordered insert/erase in reindex_job. This
-  // replaces the per-scheduling-pass sort that dominated large-cluster runs.
+  // Job-state indexes, maintained by reindex_job().
+  // Arrived && kWaiting, kept sorted by (submit_time, id) — the pinned
+  // scheduling order — via ordered insert/erase in reindex_job. This replaces
+  // the per-scheduling-pass sort that dominated large-cluster runs.
   std::vector<core::JobId> waiting_by_submit_;
-  std::vector<core::JobId> idle_ids_;     // kProfiled || kPaused
+  // kProfiled || kPaused, id-sorted: reproduces the iteration order of a
+  // jobs_ scan (ids are pool indices), so downstream sorts see the identical
+  // input sequence.
+  std::vector<core::JobId> idle_ids_;
   std::size_t profiling_count_ = 0;
   std::size_t paused_count_ = 0;
   std::size_t profiled_ungrouped_count_ = 0;
@@ -347,8 +347,11 @@ class ClusterSim {
   PredictionErrors prediction_errors_;
   SampleSet group_dops_;
   SampleSet group_sizes_;
-  SampleSet concurrent_jobs_samples_;
-  SampleSet concurrent_groups_samples_;
+  // Streaming concurrency means: running sums over the utilization windows
+  // that had a running job, plus the count of those windows.
+  double concurrent_jobs_sum_ = 0.0;
+  double concurrent_groups_sum_ = 0.0;
+  std::size_t concurrency_windows_ = 0;
   SampleSet alpha_samples_;
   SampleSet iteration_walls_;
   RunSummary summary_;

@@ -4,6 +4,7 @@
 // public surface — include only from exp/ implementation files.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -36,7 +37,11 @@ struct ClusterSim::SimJob {
   // Systematic profile-error factors for Fig. 13a (1.0 = exact).
   double err_cpu = 1.0;
   double err_net = 1.0;
-  Rng noise;
+  // Subtask-noise stream: seeded at construction (the one draw Rng::fork
+  // makes), built on the first subtask draw and released at finish, so only
+  // live jobs hold an engine.
+  std::uint64_t noise_seed = 0;
+  std::unique_ptr<Rng> noise;
 
   // Index memberships maintained by ClusterSim::reindex_job. They mirror the
   // predicates the event handlers used to evaluate with whole-pool scans.
@@ -47,7 +52,12 @@ struct ClusterSim::SimJob {
   bool counted_profiled_ungrouped = false;
   bool counted_finished = false;
 
-  explicit SimJob(Rng rng) : noise(rng) {}
+  explicit SimJob(std::uint64_t seed) : noise_seed(seed) {}
+
+  Rng& noise_rng() {
+    if (!noise) noise = std::make_unique<Rng>(noise_seed);
+    return *noise;
+  }
 };
 
 struct ClusterSim::GroupRun {

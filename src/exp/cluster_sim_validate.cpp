@@ -99,6 +99,8 @@ check::ValidationReport ClusterSim::validate_state() const {
       HARMONY_VALIDATE(v, j.finish_time >= arrivals_[id])
           << check::job(id) << "finish time " << j.finish_time
           << " precedes submit time " << arrivals_[id];
+      HARMONY_VALIDATE(v, j.noise == nullptr)
+          << check::job(id) << "finished job still holds its noise engine";
     }
     HARMONY_VALIDATE(v, alpha >= 0.0 && alpha <= 1.0)
         << check::job(id) << "disk ratio out of range: alpha = " << alpha
@@ -174,21 +176,14 @@ check::ValidationReport ClusterSim::validate_state() const {
         j.state == core::JobState::kProfiled && j.group == nullptr;
     finished += j.state == core::JobState::kFinished;
   }
-  HARMONY_VALIDATE(v, waiting_ids_ == want_waiting)
-      << "waiting index (" << waiting_ids_.size()
-      << " ids) diverges from a from-scratch rebuild (" << want_waiting.size()
-      << " ids): bad index entry";
-  {
-    // The submit-ordered twin must be the same membership, sorted by the
-    // pinned (submit_time, id) total order.
-    std::vector<core::JobId> want_by_submit = want_waiting;
-    std::sort(want_by_submit.begin(), want_by_submit.end(),
-              [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
-    HARMONY_VALIDATE(v, waiting_by_submit_ == want_by_submit)
-        << "submit-ordered waiting index (" << waiting_by_submit_.size()
-        << " ids) diverges from the waiting set re-sorted by (submit, id): "
-        << "bad index entry or broken tie-break order";
-  }
+  // The waiting index must hold exactly the waiting set, sorted by the pinned
+  // (submit_time, id) total order.
+  std::sort(want_waiting.begin(), want_waiting.end(),
+            [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
+  HARMONY_VALIDATE(v, waiting_by_submit_ == want_waiting)
+      << "waiting index (" << waiting_by_submit_.size()
+      << " ids) diverges from a from-scratch rebuild sorted by (submit, id) ("
+      << want_waiting.size() << " ids): bad index entry or broken tie-break order";
   HARMONY_VALIDATE(v, idle_ids_ == want_idle)
       << "idle index (" << idle_ids_.size()
       << " ids) diverges from a from-scratch rebuild (" << want_idle.size()
@@ -273,12 +268,14 @@ void ClusterSim::maybe_validate() {
 void ClusterSim::corrupt_for_test(Corruption kind) {
   switch (kind) {
     case Corruption::kBadIndexEntry: {
-      // Insert a job that is not waiting into the waiting index.
+      // Insert a job that is not waiting into the waiting index, at its
+      // submit-order position.
       for (const SimJob& j : jobs_) {
         if (j.in_waiting_index) continue;
-        const auto it =
-            std::lower_bound(waiting_ids_.begin(), waiting_ids_.end(), j.spec.id);
-        waiting_ids_.insert(it, j.spec.id);
+        const auto it = std::lower_bound(
+            waiting_by_submit_.begin(), waiting_by_submit_.end(), j.spec.id,
+            [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
+        waiting_by_submit_.insert(it, j.spec.id);
         return;
       }
       break;

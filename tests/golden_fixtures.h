@@ -103,11 +103,17 @@ struct SimCase {
   std::vector<double> arrivals;
 };
 
+// The 80-job catalog, tiled past 80 jobs (ClusterSim reassigns the ids),
+// with iteration counts capped at max_iters.
 inline std::vector<exp::WorkloadSpec> capped_catalog(std::size_t n, std::size_t max_iters) {
-  auto catalog = exp::make_catalog(2021);
-  catalog.resize(n);
-  for (auto& s : catalog) s.iterations = std::min(s.iterations, max_iters);
-  return catalog;
+  const auto catalog = exp::make_catalog(2021);
+  std::vector<exp::WorkloadSpec> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(catalog[i % catalog.size()]);
+    out.back().iterations = std::min(out.back().iterations, max_iters);
+  }
+  return out;
 }
 
 inline std::vector<SimCase> sim_cases() {
@@ -132,6 +138,19 @@ inline std::vector<SimCase> sim_cases() {
     c.arrivals = exp::poisson_arrivals(c.workload.size(), 120.0, 9);
     cases.push_back(std::move(c));
   }
+  {
+    // A waiting backlog far deeper than max_profiling_jobs: arrivals every
+    // ~2 s outpace hour-long jobs, so profiling admission runs against
+    // hundreds of queued jobs.
+    SimCase c;
+    c.name = "harmony_400jobs_40machines_backlog";
+    c.config = exp::ClusterSimConfig::harmony();
+    c.config.machines = 40;
+    c.config.seed = 5;
+    c.workload = capped_catalog(400, 6);
+    c.arrivals = exp::poisson_arrivals(c.workload.size(), 2.0, 13);
+    cases.push_back(std::move(c));
+  }
   return cases;
 }
 
@@ -146,6 +165,8 @@ struct SimGolden {
   std::uint64_t oom_events = 0;
   std::uint64_t jobs_completed = 0;
   double sum_finish_times = 0.0;  // order-independent digest of every JCT
+  double avg_concurrent_jobs = 0.0;
+  double avg_concurrent_groups = 0.0;
 };
 
 inline SimGolden run_sim_case(const SimCase& c) {
@@ -161,6 +182,8 @@ inline SimGolden run_sim_case(const SimCase& c) {
   g.oom_events = s.oom_events;
   g.jobs_completed = s.jobs.size();
   for (const exp::JobOutcome& j : s.jobs) g.sum_finish_times += j.finish_time;
+  g.avg_concurrent_jobs = sim.avg_concurrent_jobs();
+  g.avg_concurrent_groups = sim.avg_concurrent_groups();
   return g;
 }
 

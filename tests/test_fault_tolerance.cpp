@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 
 #include "harmony/executor.h"
 #include "harmony/runtime.h"
 #include "ml/mlr.h"
+#include "scratch_dir.h"
 
 namespace harmony::core {
 namespace {
@@ -18,8 +18,7 @@ std::shared_ptr<ml::MlrApp> small_mlr(std::uint64_t seed) {
 LocalRuntime::Params test_params(std::size_t machines) {
   LocalRuntime::Params p;
   p.machines = machines;
-  p.checkpoint_dir =
-      (std::filesystem::temp_directory_path() / "harmony-ft-test-ckpt").string();
+  p.checkpoint_dir = tests::scratch_dir("ft-ckpt").string();
   return p;
 }
 

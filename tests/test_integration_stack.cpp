@@ -4,7 +4,6 @@
 // ground truth, and scheduler/regrouper interplay on catalog-shaped pools.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 
 #include "exp/workload.h"
@@ -15,6 +14,7 @@
 #include "harmony/spill_manager.h"
 #include "ml/lasso.h"
 #include "ml/mlr.h"
+#include "scratch_dir.h"
 
 namespace harmony {
 namespace {
@@ -29,6 +29,7 @@ TEST(IntegrationStack, MeasuredProfilesFeedTheScheduler) {
   core::LocalRuntime::Params params;
   params.machines = 2;
   params.nic_bytes_per_sec = 400e6;
+  params.checkpoint_dir = tests::scratch_dir("integ-ckpt").string();
   core::LocalRuntime rt(params);
 
   core::RuntimeJobConfig big;
@@ -59,8 +60,7 @@ TEST(IntegrationStack, MeasuredProfilesFeedTheScheduler) {
 TEST(IntegrationStack, RuntimeCheckpointReadableByStore) {
   // The runtime's pause checkpoint is a plain CheckpointStore file; an
   // external reader (e.g. a migration target) can load it directly.
-  const auto dir = std::filesystem::temp_directory_path() / "harmony-integ-ckpt";
-  std::filesystem::remove_all(dir);
+  const auto dir = tests::scratch_dir("integ-ckpt");
   core::LocalRuntime::Params params;
   params.machines = 2;
   params.checkpoint_dir = dir.string();

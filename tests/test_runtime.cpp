@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <thread>
 
@@ -8,6 +7,7 @@
 #include "ml/lasso.h"
 #include "ml/mlr.h"
 #include "ml/nmf.h"
+#include "scratch_dir.h"
 
 namespace harmony::core {
 namespace {
@@ -21,8 +21,7 @@ LocalRuntime::Params test_params(std::size_t machines, ExecutionMode mode) {
   LocalRuntime::Params p;
   p.machines = machines;
   p.mode = mode;
-  p.checkpoint_dir =
-      (std::filesystem::temp_directory_path() / "harmony-test-ckpt").string();
+  p.checkpoint_dir = tests::scratch_dir("runtime-ckpt").string();
   return p;
 }
 

@@ -301,16 +301,22 @@ TEST_P(ClusterSimCorruption, InjectedCorruptionTripsItsValidator) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllKinds, ClusterSimCorruption,
-    ::testing::Values(
-        CorruptionCase{exp::ClusterSim::Corruption::kBadIndexEntry, "index"},
-        CorruptionCase{exp::ClusterSim::Corruption::kOverAllocatedMachine,
-                       "machine conservation"},
-        CorruptionCase{exp::ClusterSim::Corruption::kSkewedSpillAlpha,
-                       "disk ratio out of range"},
-        CorruptionCase{exp::ClusterSim::Corruption::kBrokenMembership,
-                       "bidirectional"}));
+// gtest names each case by dumping the parameter's bytes, padding included.
+// Built as temporaries (::testing::Values), the first case's padding held
+// stale stack bytes -- half of an ASLR-randomised address -- so its name
+// changed from build to build. A static table's padding is zero-initialised
+// and ValuesIn copies the table bytewise, so the kind and padding bytes that
+// lead each name are fixed.
+const CorruptionCase kCorruptionCases[] = {
+    {exp::ClusterSim::Corruption::kBadIndexEntry, "index"},
+    {exp::ClusterSim::Corruption::kOverAllocatedMachine,
+     "machine conservation"},
+    {exp::ClusterSim::Corruption::kSkewedSpillAlpha, "disk ratio out of range"},
+    {exp::ClusterSim::Corruption::kBrokenMembership, "bidirectional"},
+};
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, ClusterSimCorruption,
+                         ::testing::ValuesIn(kCorruptionCases));
 
 TEST(ClusterSimValidate, PostRunCorruptionCaughtByDirectCall) {
   exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();

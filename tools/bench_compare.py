@@ -17,10 +17,18 @@ against the committed baseline, failing on significant slowdowns.
         the result) when a slowdown is intentional or a benchmark changed
         meaning.
 
+    bench_compare.py --scaling [REPORT]
+        Check that simulator cost per event stays flat as job count grows:
+        exit 1 if any BM_ClusterSimThroughput row's events_per_sec is below
+        half that of the 1000-job row for the same queue kind. REPORT
+        defaults to bench/results/BENCH_sim_throughput.json.
+
 The baseline stores, per benchmark name, the real_time in its time_unit —
-timing only, no context, so HISTORY.json diffs stay readable. Reports whose
-top level carries a "harmony_metrics" member (attach_metrics_snapshot) are
-handled like any other: only the "benchmarks" array is read.
+timing only, no context, so HISTORY.json diffs stay readable. A report run
+with --benchmark_repetitions carries one row per repetition plus aggregates;
+the "median" aggregate then stands for the benchmark. Reports whose top level
+carries a "harmony_metrics" member (attach_metrics_snapshot) are handled like
+any other: only the "benchmarks" array is read.
 
 Timings on shared CI runners are noisy; 15% is deliberately loose. It will
 not catch a 5% drift, but it catches the accidental O(n^2) — and the
@@ -33,6 +41,23 @@ import os
 import sys
 
 BASELINE_NAME = "HISTORY.json"
+SCALING_REPORT = os.path.join("bench", "results", "BENCH_sim_throughput.json")
+SCALING_FAMILY = "BM_ClusterSimThroughput"
+SCALING_BASE_JOBS = 1000
+SCALING_MIN_RATIO = 0.5
+
+
+def load_report(path):
+    """The "benchmarks" array of one google-benchmark JSON report."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise SystemExit(f"bench_compare: cannot read {path}: {e}")
+    benchmarks = doc.get("benchmarks")
+    if not isinstance(benchmarks, list):
+        raise SystemExit(f"bench_compare: {path} has no 'benchmarks' array")
+    return benchmarks
 
 
 def load_reports(results_dir):
@@ -40,36 +65,38 @@ def load_reports(results_dir):
     for name in sorted(os.listdir(results_dir)):
         if not name.endswith(".json") or name == BASELINE_NAME:
             continue
-        path = os.path.join(results_dir, name)
-        try:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise SystemExit(f"bench_compare: cannot read {path}: {e}")
-        benchmarks = doc.get("benchmarks")
-        if not isinstance(benchmarks, list):
-            raise SystemExit(f"bench_compare: {path} has no 'benchmarks' array")
-        yield name, benchmarks
+        yield name, load_report(os.path.join(results_dir, name))
+
+
+def representative_rows(benchmarks):
+    """{benchmark name: the row that stands for it}.
+
+    That is the "median" aggregate when the report has repetitions (the
+    per-repetition rows and the other aggregates would double-count), else
+    the benchmark's iteration row.
+    """
+    rows = {}
+    medians = {}
+    for bm in benchmarks:
+        if "real_time" not in bm:
+            continue
+        if bm.get("run_type", "iteration") == "iteration":
+            if bm.get("name") is not None:
+                rows[bm["name"]] = bm
+        elif bm.get("aggregate_name") == "median" and bm.get("run_name") is not None:
+            medians[bm["run_name"]] = bm
+    rows.update(medians)
+    return rows
 
 
 def collect(results_dir):
     """{report file: {benchmark name: {"real_time": t, "time_unit": u}}}."""
     history = {}
     for report, benchmarks in load_reports(results_dir):
-        entry = {}
-        for bm in benchmarks:
-            # Aggregate rows (mean/median/stddev) would double-count; keep
-            # plain iteration rows only.
-            if bm.get("run_type", "iteration") != "iteration":
-                continue
-            name = bm.get("name")
-            if name is None or "real_time" not in bm:
-                continue
-            entry[name] = {
-                "real_time": bm["real_time"],
-                "time_unit": bm.get("time_unit", "ns"),
-            }
-        history[report] = entry
+        history[report] = {
+            name: {"real_time": bm["real_time"], "time_unit": bm.get("time_unit", "ns")}
+            for name, bm in representative_rows(benchmarks).items()
+        }
     return history
 
 
@@ -150,6 +177,45 @@ def check(results_dir, threshold):
     return 0
 
 
+def scaling(report_path):
+    """Fails unless every simulator-throughput row keeps at least
+    SCALING_MIN_RATIO of the 1000-job row's events/s for its queue kind."""
+    # Row names are BM_ClusterSimThroughput/<queue kind>/<jobs>/<machines>[/...].
+    by_kind = {}
+    for name, bm in representative_rows(load_report(report_path)).items():
+        parts = name.split("/")
+        if parts[0] != SCALING_FAMILY or len(parts) < 4 or "events_per_sec" not in bm:
+            continue
+        by_kind.setdefault(parts[1], []).append((int(parts[2]), name, bm["events_per_sec"]))
+    if not by_kind:
+        print(f"bench_compare: FAIL — {report_path} has no {SCALING_FAMILY} "
+              "rows with events_per_sec")
+        return 1
+
+    failures = []
+    for kind, rows in sorted(by_kind.items()):
+        base = [eps for jobs, _, eps in rows if jobs == SCALING_BASE_JOBS]
+        if not base:
+            failures.append(f"queue kind {kind}: no {SCALING_BASE_JOBS}-job row")
+            continue
+        for jobs, name, eps in sorted(rows):
+            ratio = eps / base[0]
+            line = (f"{name}  {eps / 1e6:.3g}M events/s = {ratio:.2f}x the "
+                    f"{SCALING_BASE_JOBS}-job row")
+            print(f"  {line}")
+            if ratio < SCALING_MIN_RATIO:
+                failures.append(line)
+    if failures:
+        print(f"bench_compare: FAIL — cost per event grows with job count "
+              f"(below {SCALING_MIN_RATIO:g}x the {SCALING_BASE_JOBS}-job row):")
+        for line in failures:
+            print(f"  {line}")
+        return 1
+    print(f"bench_compare: OK — events/s within {1 / SCALING_MIN_RATIO:g}x of the "
+          f"{SCALING_BASE_JOBS}-job row at every scale")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Aggregate bench/results/*.json and track regressions.")
@@ -158,12 +224,17 @@ def main():
                       help="compare results against the committed baseline")
     mode.add_argument("--update", action="store_true",
                       help="rewrite the baseline from the current results")
+    mode.add_argument("--scaling", nargs="?", const=SCALING_REPORT, metavar="REPORT",
+                      help="check that events/s stays flat as job count grows "
+                           f"(default report: {SCALING_REPORT})")
     parser.add_argument("--results", default="bench/results",
                         help="results directory (default: bench/results)")
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="allowed real_time regression fraction "
                              "(default: 0.15)")
     args = parser.parse_args()
+    if args.scaling is not None:
+        return scaling(args.scaling)
     if not os.path.isdir(args.results):
         raise SystemExit(f"bench_compare: no such directory: {args.results}")
     if args.update:
