@@ -4,8 +4,12 @@
 // number for the DES-core work (calendar queue + event arena + SoA job
 // state): the 100k-machine row is the configuration the overhaul targets.
 //
-// Arrivals are poisson: batch arrivals funnel everything through the
-// scheduler at t=0 and measure scheduling, not the event loop.
+// BM_ClusterSimThroughput arrivals are poisson: batch arrivals funnel
+// everything through the scheduler at t=0 and measure scheduling, not the
+// event loop. BM_ClusterSimBatch is that other row: it times the scheduling
+// calls (Algorithm 1, the regroup rules and the idle-pool views they read),
+// and stays outside the BM_ClusterSimThroughput family that
+// `tools/bench_compare.py --scaling` gates.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -65,7 +69,38 @@ void BM_ClusterSimThroughput(benchmark::State& state) {
                  std::to_string(machines) + " machines");
 }
 
+// Table I tiled to n jobs at full length, all submitted at t=0, on the
+// default event queue: the perfbench replay-batch setting at a smaller scale.
+void BM_ClusterSimBatch(benchmark::State& state) {
+  const auto jobs = static_cast<std::size_t>(state.range(0));
+  const auto machines = static_cast<std::size_t>(state.range(1));
+  auto workload = exp::make_catalog();
+  for (std::size_t i = 0; workload.size() < jobs; ++i) workload.push_back(workload[i]);
+  workload.resize(jobs);
+  const auto arrivals = exp::batch_arrivals(jobs);
+  std::uint64_t events = 0;
+  std::size_t sched_calls = 0;
+  for (auto _ : state) {
+    exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
+    config.machines = machines;
+    exp::ClusterSim sim(config, workload, arrivals);
+    auto summary = sim.run();
+    benchmark::DoNotOptimize(summary.makespan);
+    events += sim.events_fired();
+    sched_calls += sim.sched_invocations();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["events_per_sec"] =
+      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
+  state.counters["sched_calls"] = benchmark::Counter(
+      static_cast<double>(sched_calls), benchmark::Counter::kAvgIterations);
+  state.SetLabel(std::to_string(jobs) + " jobs / " + std::to_string(machines) +
+                 " machines / batch");
+}
+
 }  // namespace
+
+BENCHMARK(BM_ClusterSimBatch)->Args({2000, 1000})->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_ClusterSimThroughput)
     ->Args({0, 1000, 100})

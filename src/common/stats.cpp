@@ -30,9 +30,4 @@ void OnlineStats::merge(const OnlineStats& other) noexcept {
   max_ = std::max(max_, other.max_);
 }
 
-double relative_error(double actual, double reference, double eps) noexcept {
-  const double denom = std::max(std::abs(reference), eps);
-  return std::abs(actual - reference) / denom;
-}
-
 }  // namespace harmony

@@ -533,6 +533,7 @@ void ClusterSim::park_job(SimJob& job, core::JobState state) {
   job.group = nullptr;
   job.state = state;
   set_alpha(job.spec.id, 0.0);
+  set_model_spilled(job.spec.id, false);
   reindex_job(job);
 
   if (g->stopping && g->active_members == 0) {
@@ -585,36 +586,33 @@ void ClusterSim::dissolve_group(GroupRun& group) {
 // groups_ scan (groups_ never shrinks — dissolved groups stay for late no-op
 // events). The indexes below maintain those answers incrementally, keyed off
 // the same predicates, so the per-event cost tracks the live population
-// instead of everything ever created. The id-sorted lists reproduce the exact
-// iteration order of a jobs_ scan (ids are pool indices), which keeps every
-// downstream std::sort input sequence — and therefore its tie permutation —
-// identical to the scan-based code.
+// instead of everything ever created. The waiting and idle lists are kept in
+// the pinned (submit_time, id) order, the order every scheduling pass reads
+// them in, so reading them is a gather rather than a sort.
+
+void ClusterSim::update_submit_index(std::vector<core::JobId>& index, core::JobId id,
+                                     bool member) {
+  const auto it = std::lower_bound(
+      index.begin(), index.end(), id,
+      [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
+  if (member) {
+    index.insert(it, id);
+  } else {
+    index.erase(it);
+  }
+}
 
 void ClusterSim::reindex_job(SimJob& job) {
   const core::JobId id = job.spec.id;
   const bool waiting = job.arrived && job.state == core::JobState::kWaiting;
   if (waiting != job.in_waiting_index) {
-    // (submit_time, id) is a total order, so the lower_bound position is the
-    // unique insert/erase point.
-    const auto it = std::lower_bound(
-        waiting_by_submit_.begin(), waiting_by_submit_.end(), id,
-        [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
-    if (waiting) {
-      waiting_by_submit_.insert(it, id);
-    } else {
-      waiting_by_submit_.erase(it);
-    }
+    update_submit_index(waiting_by_submit_, id, waiting);
     job.in_waiting_index = waiting;
   }
   const bool idle =
       job.state == core::JobState::kProfiled || job.state == core::JobState::kPaused;
   if (idle != job.in_idle_index) {
-    const auto it = std::lower_bound(idle_ids_.begin(), idle_ids_.end(), id);
-    if (idle) {
-      idle_ids_.insert(it, id);
-    } else {
-      idle_ids_.erase(it);
-    }
+    update_submit_index(idle_by_submit_, id, idle);
     job.in_idle_index = idle;
   }
   const bool profiling = job.state == core::JobState::kProfiling;
@@ -679,7 +677,7 @@ void ClusterSim::dissolve_emptied_groups(bool skip_stopping) {
 // ---------------------------------------------------------------------------
 // Scheduling — shared helpers
 
-core::SchedJob ClusterSim::sched_view(const SimJob& job) {
+core::SchedJob ClusterSim::sched_view(const SimJob& job) const {
   core::JobProfile p;
   if (config_.grouping == GroupingPolicy::kHarmony) {
     const auto measured = profiler_.profile(job.spec.id);
@@ -694,18 +692,9 @@ core::SchedJob ClusterSim::sched_view(const SimJob& job) {
 }
 
 std::vector<core::SchedJob> ClusterSim::idle_sched_jobs() const {
-  std::vector<const SimJob*> idle;
-  idle.reserve(idle_ids_.size());
-  for (core::JobId id : idle_ids_) idle.push_back(&jobs_[id]);
-  // Same pinned (submit_time, id) total order as the waiting index. idle_ids_
-  // is id-sorted, so ties land in id order deterministically.
-  std::sort(idle.begin(), idle.end(), [this](const SimJob* a, const SimJob* b) {
-    return submit_order_less(a->spec.id, b->spec.id);
-  });
   std::vector<core::SchedJob> out;
-  out.reserve(idle.size());
-  auto* self = const_cast<ClusterSim*>(this);
-  for (const SimJob* job : idle) out.push_back(self->sched_view(*job));
+  out.reserve(idle_by_submit_.size());
+  for (core::JobId id : idle_by_submit_) out.push_back(sched_view(jobs_[id]));
   return out;
 }
 
@@ -718,7 +707,7 @@ std::vector<core::RunningGroup> ClusterSim::running_groups_view() const {
     rg.machines = g->machines;
     for (core::JobId id : g->members) {
       if (jobs_[id].state == core::JobState::kRunning)
-        rg.jobs.push_back(self->sched_view(jobs_[id]));
+        rg.jobs.push_back(sched_view(jobs_[id]));
     }
     if (!rg.jobs.empty()) out.push_back(std::move(rg));
   }

@@ -234,7 +234,9 @@ class ClusterSim {
   void try_schedule_isolated();
   void try_schedule_naive();
   void run_initial_harmony_schedule();
-  core::SchedJob sched_view(const SimJob& job);
+  core::SchedJob sched_view(const SimJob& job) const;
+  // Idle (profiled or paused) jobs in submit order: a gather over the
+  // idle_by_submit_ index, with no per-call sort.
   std::vector<core::SchedJob> idle_sched_jobs() const;
   std::vector<core::RunningGroup> running_groups_view() const;
 
@@ -252,6 +254,10 @@ class ClusterSim {
     if (arrivals_[a] != arrivals_[b]) return arrivals_[a] < arrivals_[b];
     return a < b;
   }
+  // Inserts `id` into (member) or erases it from (!member) an index kept in
+  // submit order. The order is total, so the lower_bound position is the
+  // unique insert/erase point.
+  void update_submit_index(std::vector<core::JobId>& index, core::JobId id, bool member);
   // Waiting jobs in submit order (the order every scheduling pass uses);
   // materialized from the incrementally sorted waiting_by_submit_ index, so
   // no per-call sort.
@@ -323,15 +329,13 @@ class ClusterSim {
   mutable std::vector<std::uint32_t> job_resident_machines_;
   mutable std::vector<std::uint8_t> job_resident_valid_;
 
-  // Job-state indexes, maintained by reindex_job().
-  // Arrived && kWaiting, kept sorted by (submit_time, id) — the pinned
-  // scheduling order — via ordered insert/erase in reindex_job. This replaces
-  // the per-scheduling-pass sort that dominated large-cluster runs.
+  // Job-state indexes, maintained by reindex_job(). Both are kept in the
+  // pinned (submit_time, id) scheduling order by ordered insert/erase
+  // (update_submit_index), so no scheduling pass sorts them.
+  // Arrived && kWaiting.
   std::vector<core::JobId> waiting_by_submit_;
-  // kProfiled || kPaused, id-sorted: reproduces the iteration order of a
-  // jobs_ scan (ids are pool indices), so downstream sorts see the identical
-  // input sequence.
-  std::vector<core::JobId> idle_ids_;
+  // kProfiled || kPaused: the idle pool every Algorithm 1 / regroup call sees.
+  std::vector<core::JobId> idle_by_submit_;
   std::size_t profiling_count_ = 0;
   std::size_t paused_count_ = 0;
   std::size_t profiled_ungrouped_count_ = 0;

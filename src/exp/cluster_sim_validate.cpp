@@ -165,7 +165,7 @@ check::ValidationReport ClusterSim::validate_state() const {
   std::size_t want_paused = 0;
   std::size_t want_profiled_ungrouped = 0;
   std::size_t finished = 0;
-  for (const SimJob& j : jobs_) {  // ids are pool indices, so this is id-sorted
+  for (const SimJob& j : jobs_) {
     if (j.arrived && j.state == core::JobState::kWaiting)
       want_waiting.push_back(j.spec.id);
     if (j.state == core::JobState::kProfiled || j.state == core::JobState::kPaused)
@@ -176,18 +176,21 @@ check::ValidationReport ClusterSim::validate_state() const {
         j.state == core::JobState::kProfiled && j.group == nullptr;
     finished += j.state == core::JobState::kFinished;
   }
-  // The waiting index must hold exactly the waiting set, sorted by the pinned
+  // Both indexes must hold exactly their job sets, sorted by the pinned
   // (submit_time, id) total order.
-  std::sort(want_waiting.begin(), want_waiting.end(),
-            [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
+  const auto by_submit = [this](core::JobId a, core::JobId b) {
+    return submit_order_less(a, b);
+  };
+  std::sort(want_waiting.begin(), want_waiting.end(), by_submit);
+  std::sort(want_idle.begin(), want_idle.end(), by_submit);
   HARMONY_VALIDATE(v, waiting_by_submit_ == want_waiting)
       << "waiting index (" << waiting_by_submit_.size()
       << " ids) diverges from a from-scratch rebuild sorted by (submit, id) ("
       << want_waiting.size() << " ids): bad index entry or broken tie-break order";
-  HARMONY_VALIDATE(v, idle_ids_ == want_idle)
-      << "idle index (" << idle_ids_.size()
-      << " ids) diverges from a from-scratch rebuild (" << want_idle.size()
-      << " ids): bad index entry";
+  HARMONY_VALIDATE(v, idle_by_submit_ == want_idle)
+      << "idle index (" << idle_by_submit_.size()
+      << " ids) diverges from a from-scratch rebuild sorted by (submit, id) ("
+      << want_idle.size() << " ids): bad index entry or broken tie-break order";
   HARMONY_VALIDATE(v, profiling_count_ == want_profiling)
       << "profiling counter " << profiling_count_ << " != recount " << want_profiling;
   HARMONY_VALIDATE(v, paused_count_ == want_paused)
@@ -272,10 +275,7 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
       // submit-order position.
       for (const SimJob& j : jobs_) {
         if (j.in_waiting_index) continue;
-        const auto it = std::lower_bound(
-            waiting_by_submit_.begin(), waiting_by_submit_.end(), j.spec.id,
-            [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
-        waiting_by_submit_.insert(it, j.spec.id);
+        update_submit_index(waiting_by_submit_, j.spec.id, /*member=*/true);
         return;
       }
       break;

@@ -5,33 +5,18 @@
 namespace harmony::core {
 
 void Profiler::record(JobId job, std::size_t machines, double t_cpu, double t_net) {
+  if (job == kNoJob) throw std::invalid_argument("Profiler: no job id");
   if (machines == 0) throw std::invalid_argument("Profiler: zero machines");
   if (t_cpu < 0.0 || t_net < 0.0) throw std::invalid_argument("Profiler: negative time");
-  auto [it, inserted] = entries_.try_emplace(job, params_.ema_alpha);
-  Entry& e = it->second;
+  if (job >= entries_.size()) entries_.resize(job + std::size_t{1}, Entry(params_.ema_alpha));
+  Entry& e = entries_[job];
   e.cpu_work.add(t_cpu * static_cast<double>(machines));
   e.t_net.add(t_net);
   ++e.samples;
 }
 
-bool Profiler::has_profile(JobId job) const { return entries_.contains(job); }
-
-bool Profiler::is_profiled(JobId job) const {
-  auto it = entries_.find(job);
-  return it != entries_.end() && it->second.samples >= params_.min_samples;
+void Profiler::forget(JobId job) {
+  if (job < entries_.size()) entries_[job] = Entry(params_.ema_alpha);
 }
-
-std::optional<JobProfile> Profiler::profile(JobId job) const {
-  auto it = entries_.find(job);
-  if (it == entries_.end() || it->second.samples == 0) return std::nullopt;
-  return JobProfile{it->second.cpu_work.value(), it->second.t_net.value()};
-}
-
-std::size_t Profiler::sample_count(JobId job) const {
-  auto it = entries_.find(job);
-  return it == entries_.end() ? 0 : it->second.samples;
-}
-
-void Profiler::forget(JobId job) { entries_.erase(job); }
 
 }  // namespace harmony::core

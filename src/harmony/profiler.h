@@ -10,7 +10,7 @@
 
 #include <cstddef>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/stats.h"
 #include "harmony/job.h"
@@ -30,16 +30,26 @@ class Profiler {
 
   // Records one iteration's measurements for `job` while it ran on
   // `machines` machines: total COMP seconds and total COMM seconds.
+  // Storage is dense by JobId (callers number their jobs 0..n-1), so it
+  // grows to the largest id recorded; kNoJob is rejected.
   void record(JobId job, std::size_t machines, double t_cpu, double t_net);
 
-  bool has_profile(JobId job) const;
+  // Ids never recorded (or forgotten, or past the largest recorded id) read
+  // as having no profile.
+  bool has_profile(JobId job) const { return sample_count(job) > 0; }
   // Ready once min_samples iterations have been folded in.
-  bool is_profiled(JobId job) const;
+  bool is_profiled(JobId job) const { return sample_count(job) >= params_.min_samples; }
 
   // DoP-invariant profile (cpu_work = T_cpu * m from Eq. 2).
-  std::optional<JobProfile> profile(JobId job) const;
+  std::optional<JobProfile> profile(JobId job) const {
+    if (!has_profile(job)) return std::nullopt;
+    const Entry& e = entries_[job];
+    return JobProfile{e.cpu_work.value(), e.t_net.value()};
+  }
 
-  std::size_t sample_count(JobId job) const;
+  std::size_t sample_count(JobId job) const {
+    return job < entries_.size() ? entries_[job].samples : 0;
+  }
   void forget(JobId job);
 
  private:
@@ -47,11 +57,11 @@ class Profiler {
     MovingAverage cpu_work;
     MovingAverage t_net;
     std::size_t samples = 0;
-    Entry(double alpha) : cpu_work(alpha), t_net(alpha) {}
+    explicit Entry(double alpha) : cpu_work(alpha), t_net(alpha) {}
   };
 
   Params params_;
-  std::unordered_map<JobId, Entry> entries_;
+  std::vector<Entry> entries_;  // by JobId; samples == 0 means no profile
 };
 
 }  // namespace harmony::core

@@ -93,16 +93,22 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
 
   // (2) A bunch (pair) of idle jobs whose *sums* match the finished job:
   // total iteration time within 5 % and summed comp/comm ratio within 5 %.
+  // The scan is quadratic in the idle pool, so each job's T_cpu at this DoP
+  // is computed once, and the ratio (a division) only for pairs whose
+  // iteration time already matches.
   const double target_itr = finished.profile.t_itr(dop);
   const double target_ratio = finished.profile.comp_ratio(dop);
+  std::vector<double> t_cpu(idle.size());
+  for (std::size_t i = 0; i < idle.size(); ++i) t_cpu[i] = idle[i].profile.t_cpu(dop);
   for (std::size_t a = 0; a < idle.size(); ++a) {
     for (std::size_t b = a + 1; b < idle.size(); ++b) {
-      const double sum_cpu = idle[a].profile.t_cpu(dop) + idle[b].profile.t_cpu(dop);
+      const double sum_cpu = t_cpu[a] + t_cpu[b];
       const double sum_net = idle[a].profile.t_net + idle[b].profile.t_net;
       const double sum_itr = sum_cpu + sum_net;
+      // Negated <= rather than >: a NaN error must reject the pair.
+      if (!(relative_error(sum_itr, target_itr) <= params_.similarity)) continue;
       const double ratio = sum_itr > 0.0 ? sum_cpu / sum_itr : 0.0;
-      if (relative_error(sum_itr, target_itr) <= params_.similarity &&
-          relative_error(ratio, target_ratio) <= params_.similarity) {
+      if (relative_error(ratio, target_ratio) <= params_.similarity) {
         action.kind = RegroupAction::Kind::kReplace;
         action.group_index = group_index;
         action.replacements = {idle[a], idle[b]};

@@ -9,6 +9,7 @@
 #include "json_mini.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "scratch_dir.h"
 
 namespace harmony::obs {
 namespace {
@@ -289,9 +290,7 @@ TEST(MetricsRegistryTest, BenchReportAttachKeepsJsonValid) {
   reg.reset();
   reg.counter("attach.counter").add(9);
 
-  const std::string path =
-      (::testing::TempDir().empty() ? std::string("/tmp/") : ::testing::TempDir()) +
-      "harmony_bench_attach_test.json";
+  const std::string path = (tests::scratch_dir("bench-attach") / "report.json").string();
   {
     std::ofstream out(path, std::ios::trunc);
     out << "{\n\"benchmarks\": [{\"name\": \"BM_Fake\", \"real_time\": 1.0}]\n}\n";
@@ -314,9 +313,10 @@ TEST(MetricsRegistryTest, BenchReportAttachRejectsMissingFile) {
 
 namespace {
 
+// Per test (and per process): ctest -j runs the cases that share this
+// fixture in parallel.
 std::string attach_fixture_path() {
-  return (::testing::TempDir().empty() ? std::string("/tmp/") : ::testing::TempDir()) +
-         "harmony_bench_attach_edge.json";
+  return (tests::scratch_dir("bench-attach") / "report.json").string();
 }
 
 std::string write_and_attach(const std::string& content, bool* ok) {

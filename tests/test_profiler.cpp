@@ -71,6 +71,52 @@ TEST(Profiler, RejectsBadInputs) {
   EXPECT_THROW(p.record(1, 1, 1.0, -1.0), std::invalid_argument);
 }
 
+TEST(Profiler, RecordRejectsNoJob) {
+  Profiler p;
+  EXPECT_THROW(p.record(kNoJob, 1, 1.0, 1.0), std::invalid_argument);
+  EXPECT_FALSE(p.has_profile(kNoJob));
+}
+
+TEST(Profiler, IdPastLastRecordedReadsEmpty) {
+  Profiler p(Profiler::Params{0.3, 1});
+  p.record(2, 1, 1.0, 1.0);
+  for (const JobId id : {JobId{3}, JobId{1000}, kNoJob}) {
+    EXPECT_FALSE(p.has_profile(id)) << id;
+    EXPECT_FALSE(p.is_profiled(id)) << id;
+    EXPECT_FALSE(p.profile(id).has_value()) << id;
+    EXPECT_EQ(p.sample_count(id), 0u) << id;
+  }
+}
+
+TEST(Profiler, HighIdLeavesLowerIdsEmpty) {
+  Profiler p;
+  p.record(50, 2, 3.0, 1.0);
+  for (JobId id = 0; id < 50; ++id) {
+    EXPECT_FALSE(p.has_profile(id)) << id;
+    EXPECT_FALSE(p.profile(id).has_value()) << id;
+    EXPECT_EQ(p.sample_count(id), 0u) << id;
+  }
+  ASSERT_TRUE(p.profile(50).has_value());
+  EXPECT_DOUBLE_EQ(p.profile(50)->cpu_work, 6.0);
+  EXPECT_EQ(p.sample_count(50), 1u);
+}
+
+TEST(Profiler, ForgetThenRecordRestartsMovingAverage) {
+  Profiler p(Profiler::Params{0.5, 1});
+  p.record(1, 1, 10.0, 1.0);
+  p.record(1, 1, 20.0, 1.0);
+  ASSERT_DOUBLE_EQ(p.profile(1)->cpu_work, 15.0);
+  p.forget(1);
+  EXPECT_EQ(p.sample_count(1), 0u);
+  // The first sample after forget() is the whole estimate, not a blend with
+  // the forgotten 15.0.
+  p.record(1, 1, 40.0, 4.0);
+  ASSERT_TRUE(p.profile(1).has_value());
+  EXPECT_DOUBLE_EQ(p.profile(1)->cpu_work, 40.0);
+  EXPECT_DOUBLE_EQ(p.profile(1)->t_net, 4.0);
+  EXPECT_EQ(p.sample_count(1), 1u);
+}
+
 TEST(Profiler, TracksMultipleJobsIndependently) {
   Profiler p;
   p.record(1, 2, 4.0, 1.0);

@@ -331,6 +331,42 @@ TEST(ClusterSimValidate, PostRunCorruptionCaughtByDirectCall) {
   EXPECT_TRUE(report.mentions("bad index entry")) << report.to_string();
 }
 
+// A parked job (paused or waiting out a regroup) has α = 0, so its model-spill
+// flag must be cleared too. Table I tiled to 400 jobs on 40 machines under
+// 2 s Poisson arrivals parks model-spilled jobs (the first is job 366).
+TEST(ClusterSimValidate, ParkedJobClearsModelSpill) {
+  exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
+  config.machines = 40;
+  config.validate = true;
+  auto workload = exp::make_catalog();
+  for (std::size_t i = 0; workload.size() < 400; ++i) workload.push_back(workload[i % 80]);
+  exp::ClusterSim sim(config, workload,
+                      exp::poisson_arrivals(workload.size(), 2.0, config.seed));
+  const auto summary = sim.run();
+  EXPECT_EQ(summary.jobs.size(), 400u);
+  EXPECT_GT(sim.validations_run(), 0u);
+}
+
+// Every arrival generator emits sorted times, so submit order normally equals
+// id order. Reversed arrivals with a block of equal timestamps make the two
+// differ (and exercise the id tie-break), so the submit-ordered waiting and
+// idle indexes are checked against a sorted rebuild at every regroup.
+TEST(ClusterSimValidate, SubmitOrderUnlikeIdOrderStaysClean) {
+  exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
+  config.machines = 24;
+  config.validate = true;
+  auto workload = small_workload(40);
+  auto arrivals = exp::poisson_arrivals(workload.size(), 120.0, 5);
+  std::reverse(arrivals.begin(), arrivals.end());
+  const double tie = arrivals[15];
+  std::fill(arrivals.begin() + 10, arrivals.begin() + 20, tie);
+  exp::ClusterSim sim(config, workload, arrivals);
+  const auto summary = sim.run();
+  EXPECT_EQ(summary.jobs.size(), workload.size());
+  EXPECT_GT(sim.validations_run(), 0u);
+  EXPECT_TRUE(sim.validate_state().ok()) << sim.validate_state().to_string();
+}
+
 TEST(ClusterSimValidate, ValidationOffRunsNoPasses) {
   exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
   config.machines = 24;
