@@ -1,8 +1,8 @@
 // End-to-end simulator throughput (google-benchmark): full ClusterSim runs
 // under the Harmony policy at increasing scale, reporting DES throughput as
 // events/sec and simulated-seconds per wall-second. This is the headline
-// number for the DES-core work (calendar queue + event arena + SoA job
-// state): the 100k-machine row is the configuration the overhaul targets.
+// number for the DES core (event heap + event arena + SoA job state): the
+// 100k-job row is the largest configuration it targets.
 //
 // BM_ClusterSimThroughput arrivals are poisson: batch arrivals funnel
 // everything through the scheduler at t=0 and measure scheduling, not the
@@ -41,10 +41,8 @@ std::vector<exp::WorkloadSpec> tiled_workload(std::size_t n) {
 }
 
 void BM_ClusterSimThroughput(benchmark::State& state) {
-  const auto kind = state.range(0) == 0 ? sim::EventQueueKind::kBinaryHeap
-                                        : sim::EventQueueKind::kCalendar;
-  const auto jobs = static_cast<std::size_t>(state.range(1));
-  const auto machines = static_cast<std::size_t>(state.range(2));
+  const auto jobs = static_cast<std::size_t>(state.range(0));
+  const auto machines = static_cast<std::size_t>(state.range(1));
   const auto workload = tiled_workload(jobs);
   const auto arrivals = exp::poisson_arrivals(jobs, 2.0, 5);
   std::uint64_t events = 0;
@@ -52,7 +50,6 @@ void BM_ClusterSimThroughput(benchmark::State& state) {
   for (auto _ : state) {
     exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
     config.machines = machines;
-    config.event_queue = kind;
     exp::ClusterSim sim(config, workload, arrivals);
     auto summary = sim.run();
     benchmark::DoNotOptimize(summary.makespan);
@@ -64,13 +61,12 @@ void BM_ClusterSimThroughput(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
   state.counters["sim_sec_per_wall"] =
       benchmark::Counter(sim_seconds, benchmark::Counter::kIsRate);
-  state.SetLabel((kind == sim::EventQueueKind::kCalendar ? "calendar" : "heap") +
-                 std::string(" / ") + std::to_string(jobs) + " jobs / " +
-                 std::to_string(machines) + " machines");
+  state.SetLabel(std::to_string(jobs) + " jobs / " + std::to_string(machines) +
+                 " machines");
 }
 
-// Table I tiled to n jobs at full length, all submitted at t=0, on the
-// default event queue: the perfbench replay-batch setting at a smaller scale.
+// Table I tiled to n jobs at full length, all submitted at t=0: the
+// perfbench replay-batch setting at a smaller scale.
 void BM_ClusterSimBatch(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   const auto machines = static_cast<std::size_t>(state.range(1));
@@ -103,15 +99,12 @@ void BM_ClusterSimBatch(benchmark::State& state) {
 BENCHMARK(BM_ClusterSimBatch)->Args({2000, 1000})->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_ClusterSimThroughput)
-    ->Args({0, 1000, 100})
-    ->Args({1, 1000, 100})
-    ->Args({0, 10000, 1000})
-    ->Args({1, 10000, 1000})
+    ->Args({1000, 100})
+    ->Args({10000, 1000})
     ->Unit(benchmark::kMillisecond);
 
-BENCHMARK(BM_ClusterSimThroughput)  // the 100k-machine target, one pass each
-    ->Args({0, 100000, 10000})
-    ->Args({1, 100000, 10000})
+BENCHMARK(BM_ClusterSimThroughput)  // the 100k-job target, one pass
+    ->Args({100000, 10000})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

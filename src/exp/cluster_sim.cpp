@@ -71,7 +71,6 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
       naive_(baselines::NaiveScheduler::Params{config.naive_jobs_per_group}),
       profiler_(core::Profiler::Params{0.3, config.profiling_iterations}),
       rng_(config.seed),
-      sim_(config.event_queue),
       free_machines_(config.machines),
       timeline_(config.util_sample_window_sec) {
   if (arrivals_.size() != workload.size())

@@ -62,11 +62,6 @@ struct ClusterSimConfig {
   bool spill_enabled = true;
 
   std::uint64_t seed = 1;
-  // Event-queue implementation for the underlying simulator. Both produce
-  // bit-identical runs (the golden-determinism tests pin this); the binary
-  // heap is kept as the O(log n) reference, the calendar queue is the O(1)
-  // amortized default.
-  sim::EventQueueKind event_queue = sim::EventQueueKind::kCalendar;
   double subtask_noise_cv = 0.03;
   // Interference penalty for contended execution (per extra concurrent task).
   double contention_penalty = 0.08;

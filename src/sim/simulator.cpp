@@ -1,35 +1,43 @@
 #include "sim/simulator.h"
 
-#include <vector>
+#include <algorithm>
 
 namespace harmony::sim {
 
+namespace {
+
+// std::*_heap comparator for a min-heap over (time, seq).
+struct NodeAfter {
+  bool operator()(const EventNode& a, const EventNode& b) const noexcept {
+    return node_before(b, a);
+  }
+};
+
+}  // namespace
+
 void Simulator::push_node(const EventNode& n) {
-  if (queue_kind_ == EventQueueKind::kCalendar)
-    calendar_.push(n);
-  else
-    heap_.push(n);
+  heap_.push_back(n);
+  std::push_heap(heap_.begin(), heap_.end(), NodeAfter{});
 }
 
+// Pops the minimum node, live or orphan (the caller filters orphans).
 bool Simulator::pop_node(EventNode& out) {
-  if (queue_kind_ == EventQueueKind::kCalendar) return calendar_.pop_min(out);
-  return heap_.pop_min(out);
-}
-
-std::size_t Simulator::queue_nodes() const noexcept {
-  return queue_kind_ == EventQueueKind::kCalendar ? calendar_.size() : heap_.size();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), NodeAfter{});
+  out = heap_.back();
+  heap_.pop_back();
+  return true;
 }
 
 void Simulator::maybe_compact() {
   // Lazy deletion leaves the cancelled node behind; sweep the orphans out
   // once they outnumber the live events (the +64 floor avoids thrashing tiny
   // queues). Pop order is unaffected — survivors keep their (time, seq) keys.
-  if (queue_nodes() > 2 * arena_.live() + 64) {
-    if (queue_kind_ == EventQueueKind::kCalendar)
-      calendar_.compact(arena_);
-    else
-      heap_.compact(arena_);
-  }
+  if (heap_.size() <= 2 * arena_.live() + 64) return;
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [&](const EventNode& n) { return !arena_.is_live(n.slot, n.gen); }),
+              heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), NodeAfter{});
 }
 
 void Simulator::cancel(EventId id) {
@@ -61,47 +69,18 @@ void Simulator::run(std::uint64_t max_events) {
   while (n < max_events && step()) ++n;
 }
 
-void Simulator::run_until(double t) {
-  EventNode node;
-  while (pop_node(node)) {
-    if (!arena_.is_live(node.slot, node.gen)) continue;  // drop orphans cheaply
-    if (node.time > t) {
-      // Went one past the horizon: re-insert. The node keeps its (time, seq)
-      // key, so FIFO order within its instant is preserved.
-      push_node(node);
-      break;
-    }
-    if (!arena_.begin_fire(node.slot, node.gen)) continue;
-    HARMONY_DCHECK(node.time >= now_)
-        << "event " << node.seq << " fires at " << node.time << " but clock is at "
-        << now_;
-    now_ = node.time;
-    ++fired_;
-    arena_.fire_and_release(node.slot);
-  }
-  if (t > now_) now_ = t;
-}
-
 void Simulator::validate(check::Validation& v) const {
   // Brute-force recount of queue nodes per live event, and the true minimum
-  // over live pending events — on whichever queue implementation is active.
+  // over live pending events.
   std::vector<std::uint8_t> node_count(arena_.slots(), 0);
   std::size_t live_nodes = 0;
   const EventNode* min_live = nullptr;
-  EventNode min_copy{};
-  auto visit = [&](const EventNode& n) {
-    if (!arena_.is_live(n.slot, n.gen)) return;  // orphan of a cancelled event
+  for (const EventNode& n : heap_) {
+    if (!arena_.is_live(n.slot, n.gen)) continue;  // orphan of a cancelled event
     ++node_count[n.slot];
     ++live_nodes;
-    if (min_live == nullptr || node_before(n, *min_live)) {
-      min_copy = n;
-      min_live = &min_copy;
-    }
-  };
-  if (queue_kind_ == EventQueueKind::kCalendar)
-    calendar_.for_each(visit);
-  else
-    heap_.for_each(visit);
+    if (min_live == nullptr || node_before(n, *min_live)) min_live = &n;
+  }
 
   HARMONY_VALIDATE(v, live_nodes == arena_.live())
       << "arena holds " << arena_.live() << " live events but the queue holds nodes for "
@@ -115,24 +94,28 @@ void Simulator::validate(check::Validation& v) const {
         << "clock " << now_ << " ran past pending event " << min_live->seq << " at "
         << min_live->time << " (event-queue pops would be non-monotonic)";
   }
-  if (queue_kind_ == EventQueueKind::kCalendar)
-    calendar_.validate_structure(v);
-  else
-    heap_.validate_structure(v);
+  for (std::size_t i = 1; i < heap_.size(); ++i) {
+    const EventNode& parent = heap_[(i - 1) / 2];
+    const EventNode& child = heap_[i];
+    HARMONY_VALIDATE(v, !node_before(child, parent))
+        << "heap property violated between nodes " << (i - 1) / 2 << " and " << i
+        << " (times " << parent.time << " vs " << child.time << ")";
+  }
 }
 
 void Simulator::corrupt_queue_order_for_test() {
-  if (queue_kind_ == EventQueueKind::kCalendar)
-    calendar_.corrupt_order_for_test();
-  else
-    heap_.corrupt_order_for_test();
+  if (heap_.size() < 2) return;
+  // Swap the root (minimum) with the maximum: the max on top is guaranteed to
+  // order after at least one of its children.
+  std::size_t max_i = 0;
+  for (std::size_t i = 1; i < heap_.size(); ++i)
+    if (node_before(heap_[max_i], heap_[i])) max_i = i;
+  std::swap(heap_[0], heap_[max_i]);
 }
 
 void Simulator::corrupt_queue_duplicate_for_test() {
-  if (queue_kind_ == EventQueueKind::kCalendar)
-    calendar_.push_duplicate_for_test();
-  else
-    heap_.push_duplicate_for_test();
+  if (heap_.empty()) return;
+  push_node(heap_.front());
 }
 
 }  // namespace harmony::sim

@@ -8,21 +8,21 @@
 //
 // Internally an event is two pieces: the callback payload lives in an
 // EventArena slot (slab storage, no per-event heap allocation) and a 24-byte
-// EventNode in the priority queue carries (time, seq, arena handle). Two
-// queue implementations are selectable at construction — a binary heap (the
-// reference) and a calendar queue (O(1) amortized, the default) — with an
-// identical pop order: earliest time first, then scheduling order. The
-// golden-determinism tests pin that both produce bit-identical runs.
+// EventNode in a binary min-heap carries (time, seq, arena handle). Pop order
+// is earliest time first, then scheduling order; the golden runs and the
+// randomized order test in test_sim.cpp pin it. Cancellation never touches
+// the heap: a node whose generation no longer matches its arena slot is an
+// orphan, dropped when popped or swept out when orphans pile up.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "check/check.h"
 #include "sim/event_arena.h"
-#include "sim/event_queue.h"
 
 namespace harmony::sim {
 
@@ -31,19 +31,27 @@ namespace harmony::sim {
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEvent = 0;
 
-enum class EventQueueKind : std::uint8_t { kBinaryHeap, kCalendar };
+struct EventNode {
+  double time = 0.0;
+  std::uint64_t seq = 0;  // global scheduling order: the same-instant tie-break
+  std::uint32_t slot = 0;
+  std::uint32_t gen = 0;
+};
+
+// Strict total pop order: earliest time first, then scheduling order.
+inline bool node_before(const EventNode& a, const EventNode& b) noexcept {
+  if (a.time != b.time) return a.time < b.time;
+  return a.seq < b.seq;
+}
 
 class Simulator {
  public:
-  explicit Simulator(EventQueueKind queue = EventQueueKind::kCalendar)
-      : queue_kind_(queue) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   // Current simulated time in seconds.
   double now() const noexcept { return now_; }
-
-  EventQueueKind queue_kind() const noexcept { return queue_kind_; }
 
   // Schedules `cb` (any void() callable; captured state moves into the event
   // arena) at absolute time `t` (must be >= now). Events scheduled for the
@@ -74,9 +82,6 @@ class Simulator {
   // would otherwise spin forever).
   void run(std::uint64_t max_events = UINT64_MAX);
 
-  // Runs events with time <= t, then advances the clock to exactly t.
-  void run_until(double t);
-
   bool empty() const noexcept { return arena_.live() == 0; }
   std::uint64_t events_fired() const noexcept { return fired_; }
   // Live (non-cancelled) pending events; observability samples this as the
@@ -84,21 +89,19 @@ class Simulator {
   std::size_t pending() const noexcept { return arena_.live(); }
   // Queue nodes including cancelled orphans awaiting a pop or a compaction;
   // bounded at 2 * pending() + a constant (see cancel()).
-  std::size_t queue_nodes() const noexcept;
+  std::size_t queue_nodes() const noexcept { return heap_.size(); }
 
   // Deep validator: cross-checks the incrementally maintained queue state
   // against a brute-force scan — every live event has exactly one queue node,
   // the queue minimum over live events is >= the clock (pops are therefore
-  // time-monotonic), and the active implementation's structural invariants
-  // (heap property / calendar bucket placement) hold.
+  // time-monotonic), and the heap property holds.
   void validate(check::Validation& v) const;
 
   // Test-only corruption hook: forces the clock to `t` without draining the
   // queue, so validate() can demonstrate detection of a non-monotonic state.
   void corrupt_clock_for_test(double t) noexcept { now_ = t; }
-  // Test-only corruption hooks for the queue structure: misorder a node
-  // (heap-property / bucket-placement breakage) or duplicate one (recount
-  // breakage).
+  // Test-only corruption hooks for the heap: misorder a node (heap-property
+  // breakage) or duplicate one (recount breakage).
   void corrupt_queue_order_for_test();
   void corrupt_queue_duplicate_for_test();
 
@@ -107,9 +110,7 @@ class Simulator {
   bool pop_node(EventNode& out);
   void maybe_compact();
 
-  EventQueueKind queue_kind_;
-  BinaryHeapQueue heap_;
-  CalendarQueue calendar_;
+  std::vector<EventNode> heap_;  // min-heap by node_before
   EventArena arena_;
 
   double now_ = 0.0;

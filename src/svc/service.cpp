@@ -77,7 +77,6 @@ Service::Service(ServiceConfig config, std::vector<exp::WorkloadSpec> catalog)
       full_(config_.scheduler),
       placement_(config_.incremental, config_.machines),
       queue_(config_.admission, config_.queue_capacity),
-      sim_(config_.event_queue),
       rng_(config_.seed) {
   HARMONY_CHECK(!catalog_.empty()) << "service needs a non-empty job catalog";
   HARMONY_CHECK(config_.machines > 0) << "service needs machines";

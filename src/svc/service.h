@@ -57,7 +57,6 @@ struct ServiceConfig {
   std::size_t queue_capacity = 1024;
 
   std::uint64_t seed = 1;
-  sim::EventQueueKind event_queue = sim::EventQueueKind::kCalendar;
 
   // Per-arrival lognormal jitter applied to the catalog profile (cv), so an
   // unbounded stream does not repeat 80 identical jobs forever.

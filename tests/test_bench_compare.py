@@ -36,22 +36,19 @@ def median(name, events_per_sec, real_time=100.0):
 
 
 def throughput_report(eps_by_args):
-    """{"<kind>/<jobs>/<machines>": events/s} -> one BM_ClusterSimThroughput row each."""
+    """{"<jobs>/<machines>": events/s} -> one BM_ClusterSimThroughput row each."""
     return [row(f"BM_ClusterSimThroughput/{args}", eps) for args, eps in eps_by_args.items()]
 
 
-# The committed report before profiling admission became O(cap): the
-# 100k-job rows ran at a quarter of the 1000-job rows' events/s.
+# The committed heap rows before profiling admission became O(cap): the
+# 100k-job row ran at a quarter of the 1000-job row's events/s.
 GROWING_COST = throughput_report({
-    "0/1000/100": 4335262.2, "1/1000/100": 4062402.7,
-    "0/10000/1000": 3089730.7, "1/10000/1000": 2434565.1,
-    "0/100000/10000/iterations:1": 1072077.4, "1/100000/10000/iterations:1": 1061845.6,
+    "1000/100": 4335262.2, "10000/1000": 3089730.7,
+    "100000/10000/iterations:1": 1072077.4,
 })
 
 FLAT_COST = throughput_report({
-    "0/1000/100": 4.4e6, "1/1000/100": 4.0e6,
-    "0/10000/1000": 4.1e6, "1/10000/1000": 3.9e6,
-    "0/100000/10000/iterations:1": 3.6e6, "1/100000/10000/iterations:1": 3.3e6,
+    "1000/100": 4.4e6, "10000/1000": 4.1e6, "100000/10000/iterations:1": 3.6e6,
 })
 
 
@@ -75,8 +72,7 @@ class BenchCompareTest(unittest.TestCase):
         rc, out = self.run_tool("--scaling", self.write("r.json", GROWING_COST))
         self.assertEqual(rc, 1, out)
         self.assertIn("FAIL", out)
-        self.assertIn("BM_ClusterSimThroughput/0/100000/10000/iterations:1", out)
-        self.assertIn("BM_ClusterSimThroughput/1/100000/10000/iterations:1", out)
+        self.assertIn("BM_ClusterSimThroughput/100000/10000/iterations:1", out)
 
     def test_flat_cost_per_event_passes(self):
         rc, out = self.run_tool("--scaling", self.write("r.json", FLAT_COST))
@@ -88,15 +84,8 @@ class BenchCompareTest(unittest.TestCase):
         rc, out = self.run_tool("--scaling", self.write("r.json", smoke))
         self.assertEqual(rc, 0, out)
 
-    def test_each_queue_kind_has_its_own_base_row(self):
-        # Kind 1's rows are flat against kind 1's base, though far below kind 0's.
-        report = throughput_report({"0/1000/100": 8e6, "0/100000/10000": 7e6,
-                                    "1/1000/100": 2e6, "1/100000/10000": 1.5e6})
-        rc, out = self.run_tool("--scaling", self.write("r.json", report))
-        self.assertEqual(rc, 0, out)
-
     def test_missing_base_row_fails(self):
-        report = throughput_report({"0/10000/1000": 4e6, "0/100000/10000": 4e6})
+        report = throughput_report({"10000/1000": 4e6, "100000/10000": 4e6})
         rc, out = self.run_tool("--scaling", self.write("r.json", report))
         self.assertEqual(rc, 1, out)
         self.assertIn("no 1000-job row", out)
@@ -107,11 +96,11 @@ class BenchCompareTest(unittest.TestCase):
 
     def test_median_aggregate_stands_for_repetitions(self):
         # Five repetitions whose last one is an outlier: the median wins.
-        name = "BM_ClusterSimThroughput/0/100000/10000/iterations:1"
+        name = "BM_ClusterSimThroughput/100000/10000/iterations:1"
         reps = [row(name, eps, real_time=t, repetition_index=i)
                 for i, (eps, t) in enumerate([(4e6, 100.0), (4.1e6, 98.0), (3.9e6, 103.0),
                                               (4e6, 100.0), (1e6, 400.0)])]
-        benchmarks = (throughput_report({"0/1000/100": 4.2e6}) + reps +
+        benchmarks = (throughput_report({"1000/100": 4.2e6}) + reps +
                       [median(name, 4e6, real_time=100.0)])
         rows = bench_compare.representative_rows(benchmarks)
         self.assertEqual(rows[name]["real_time"], 100.0)

@@ -31,7 +31,7 @@ class CliTest(unittest.TestCase):
         proc = run("--help")
         self.assertEqual(proc.returncode, 0, proc.stderr)
         for flag in ("--policy", "--jobs", "--machines", "--arrival", "--seed",
-                     "--event-queue", "--validate", "--metrics",
+                     "--validate", "--metrics",
                      # service mode
                      "--service", "--duration", "--arrival-rate", "--admission",
                      "--queue-cap", "--drift",
@@ -55,8 +55,12 @@ class CliTest(unittest.TestCase):
     def test_unknown_enum_values_are_named(self):
         self.assert_named_error("bogus", "--policy", "bogus")
         self.assert_named_error("wheel", "--service", "--admission", "wheel")
-        self.assert_named_error("skiplist", "--event-queue", "skiplist")
         self.assert_named_error("uniform", "--arrival", "uniform:3")
+
+    def test_removed_event_queue_flag_is_rejected(self):
+        # The simulator has one event queue; a script that still selects one
+        # must fail loudly instead of running.
+        self.assert_named_error("--event-queue", "--event-queue", "heap")
 
     def test_missing_value_is_named(self):
         self.assert_named_error("--machines", "--machines")

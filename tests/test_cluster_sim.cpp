@@ -208,41 +208,5 @@ TEST_P(PolicySweep, AllJobsFinishExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Policies, PolicySweep, ::testing::Values(0, 1, 2));
 
-// The calendar queue is a drop-in replacement for the reference binary heap:
-// with the (time, seq) tie-break both must fire events in the same order, so
-// a full workload run has to produce bit-identical results under either.
-TEST(ClusterSim, QueueKindsProduceIdenticalRuns) {
-  auto run_with = [](sim::EventQueueKind kind, bool poisson) {
-    ClusterSimConfig config = ClusterSimConfig::harmony();
-    config.machines = 24;
-    config.event_queue = kind;
-    auto workload = small_workload(14);
-    auto arrivals = poisson ? poisson_arrivals(workload.size(), 150.0, 3)
-                            : batch_arrivals(workload.size());
-    ClusterSim sim(config, workload, arrivals);
-    RunSummary summary = sim.run();
-    return std::make_pair(std::move(summary), sim.events_fired());
-  };
-  for (const bool poisson : {false, true}) {
-    const auto [heap, heap_events] =
-        run_with(sim::EventQueueKind::kBinaryHeap, poisson);
-    const auto [cal, cal_events] =
-        run_with(sim::EventQueueKind::kCalendar, poisson);
-    EXPECT_EQ(heap_events, cal_events);
-    EXPECT_EQ(heap.makespan, cal.makespan);
-    EXPECT_EQ(heap.mean_jct(), cal.mean_jct());
-    EXPECT_EQ(heap.regroup_events, cal.regroup_events);
-    EXPECT_EQ(heap.oom_events, cal.oom_events);
-    EXPECT_EQ(heap.avg_util.cpu, cal.avg_util.cpu);
-    EXPECT_EQ(heap.avg_util.net, cal.avg_util.net);
-    ASSERT_EQ(heap.jobs.size(), cal.jobs.size());
-    for (std::size_t i = 0; i < heap.jobs.size(); ++i) {
-      EXPECT_EQ(heap.jobs[i].job, cal.jobs[i].job);
-      EXPECT_EQ(heap.jobs[i].submit_time, cal.jobs[i].submit_time);
-      EXPECT_EQ(heap.jobs[i].finish_time, cal.jobs[i].finish_time);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace harmony::exp

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "check/check.h"
+#include "common/rng.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 
@@ -65,18 +69,6 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(fired_at, 3.0);
 }
 
-TEST(Simulator, RunUntilAdvancesClockExactly) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&] { ++fired; });
-  sim.schedule_at(10.0, [&] { ++fired; });
-  sim.run_until(5.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-  sim.run();
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, MaxEventsGuard) {
   Simulator sim;
   // Self-perpetuating event chain.
@@ -87,14 +79,10 @@ TEST(Simulator, MaxEventsGuard) {
 }
 
 // ---------------------------------------------------------------------------
-// Behaviour pinned across both event-queue implementations. The calendar
-// queue is the default; the binary heap is the reference — every observable
-// (fire order, clock, cancellation semantics) must be identical.
+// The event queue: pop order, cancellation, orphan compaction, validation.
 
-class QueueKinds : public ::testing::TestWithParam<EventQueueKind> {};
-
-TEST_P(QueueKinds, FireOrderAndFifoTieBreak) {
-  Simulator sim(GetParam());
+TEST(EventQueue, FireOrderAndFifoTieBreak) {
+  Simulator sim;
   std::vector<int> order;
   sim.schedule_at(2.0, [&] { order.push_back(20); });
   sim.schedule_at(1.0, [&] { order.push_back(10); });
@@ -106,10 +94,10 @@ TEST_P(QueueKinds, FireOrderAndFifoTieBreak) {
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
 }
 
-TEST_P(QueueKinds, FarFutureEventsFireInOrder) {
-  // Exercises the calendar queue's far ladder: timestamps spanning ten
-  // orders of magnitude, interleaved with near-term work.
-  Simulator sim(GetParam());
+TEST(EventQueue, FarFutureEventsFireInOrder) {
+  // Timestamps spanning ten orders of magnitude, interleaved with near-term
+  // work.
+  Simulator sim;
   std::vector<double> fired;
   for (double t : {1e9, 0.25, 3e6, 2.0, 7e4, 0.5, 1e9, 12.0})
     sim.schedule_at(t, [&fired, &sim] { fired.push_back(sim.now()); });
@@ -118,23 +106,8 @@ TEST_P(QueueKinds, FarFutureEventsFireInOrder) {
   EXPECT_EQ(fired, want);
 }
 
-TEST_P(QueueKinds, RunUntilDoesNotDisturbTieOrder) {
-  // run_until pops one event past the horizon and re-inserts it; the
-  // re-inserted node must keep its place among same-instant peers.
-  Simulator sim(GetParam());
-  std::vector<int> order;
-  sim.schedule_at(5.0, [&] { order.push_back(1); });
-  sim.schedule_at(5.0, [&] { order.push_back(2); });
-  sim.schedule_at(5.0, [&] { order.push_back(3); });
-  sim.run_until(4.0);
-  EXPECT_TRUE(order.empty());
-  EXPECT_DOUBLE_EQ(sim.now(), 4.0);
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST_P(QueueKinds, CancelledEventsNeverFire) {
-  Simulator sim(GetParam());
+TEST(EventQueue, CancelledEventsNeverFire) {
+  Simulator sim;
   int fired = 0;
   std::vector<EventId> ids;
   for (int i = 0; i < 100; ++i)
@@ -145,10 +118,10 @@ TEST_P(QueueKinds, CancelledEventsNeverFire) {
   EXPECT_TRUE(sim.empty());
 }
 
-TEST_P(QueueKinds, SelfCancelDuringFireIsNoop) {
+TEST(EventQueue, SelfCancelDuringFireIsNoop) {
   // Cancelling the event that is currently firing, from inside its own
   // callback, must be harmless (the generation already bumped).
-  Simulator sim(GetParam());
+  Simulator sim;
   int fired = 0;
   EventId id = kInvalidEvent;
   id = sim.schedule_at(1.0, [&] {
@@ -160,11 +133,11 @@ TEST_P(QueueKinds, SelfCancelDuringFireIsNoop) {
   EXPECT_TRUE(sim.empty());
 }
 
-TEST_P(QueueKinds, OrphanCompactionBoundsQueueGrowth) {
+TEST(EventQueue, OrphanCompactionBoundsQueueGrowth) {
   // Lazy deletion leaves cancelled nodes in the queue. Aggressive
   // cancel/reschedule churn must not grow the queue without bound: the
   // compaction trigger caps queue nodes at 2 * live + 64.
-  Simulator sim(GetParam());
+  Simulator sim;
   int fired = 0;
   std::vector<EventId> live;
   // A small set of survivors plus a huge churn of cancelled events.
@@ -181,19 +154,19 @@ TEST_P(QueueKinds, OrphanCompactionBoundsQueueGrowth) {
   EXPECT_EQ(fired, 8);
 }
 
-TEST_P(QueueKinds, ValidatorCleanOnBusyQueue) {
-  Simulator sim(GetParam());
+TEST(EventQueue, ValidatorCleanOnBusyQueue) {
+  Simulator sim;
   for (int i = 0; i < 500; ++i) sim.schedule_at(0.5 * i, [] {});
   for (double t : {1e7, 2e9, 5e4}) sim.schedule_at(t, [] {});
-  // Drain a prefix so calendar buckets have been consumed and rotated.
+  // Drain a prefix so the heap has been popped and re-sifted.
   sim.run(200);
   check::Validation v("sim");
   sim.validate(v);
   EXPECT_TRUE(v.report().ok()) << v.report().to_string();
 }
 
-TEST_P(QueueKinds, ValidatorDetectsClockCorruption) {
-  Simulator sim(GetParam());
+TEST(EventQueue, ValidatorDetectsClockCorruption) {
+  Simulator sim;
   sim.schedule_at(5.0, [] {});
   sim.corrupt_clock_for_test(100.0);
   check::Validation v("sim");
@@ -204,13 +177,94 @@ TEST_P(QueueKinds, ValidatorDetectsClockCorruption) {
       << report.to_string();
 }
 
-INSTANTIATE_TEST_SUITE_P(BothQueues, QueueKinds,
-                         ::testing::Values(EventQueueKind::kBinaryHeap,
-                                           EventQueueKind::kCalendar),
-                         [](const ::testing::TestParamInfo<EventQueueKind>& info) {
-                           return info.param == EventQueueKind::kCalendar ? "Calendar"
-                                                                          : "BinaryHeap";
-                         });
+// Seeded check of the pop-order contract against a brute-force model. 10k
+// events fall on a few dozen distinct instants, so most pops are
+// same-instant tie-breaks. Callbacks schedule successors at now() and later, and cancel
+// random earlier events (a no-op once those fired). Each wave ends with a
+// run of cancels big enough that orphans outnumber live events, forcing a
+// compaction; about a third of all events end up cancelled. Every pop is the
+// (time, seq) minimum and seq grows with scheduling order, so the fire order
+// must equal a stable sort by time of the events never cancelled.
+TEST(EventQueue, FireOrderMatchesStableSortUnderTiesAndCancels) {
+  enum class State : std::uint8_t { kPending, kFired, kCancelled };
+  static constexpr double kOffsets[] = {0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0};
+  static constexpr double kSuccessorDelays[] = {0.0, 0.0, 1.0, 2.5};
+  constexpr int kWaves = 5;
+  constexpr std::size_t kWaveEvents = 1600;
+  constexpr std::size_t kMaxEvents = 10000;
+
+  Simulator sim;
+  Rng rng(7);
+  std::vector<double> time_of;  // indexed by scheduling order
+  std::vector<EventId> id_of;
+  std::vector<State> state;
+  std::vector<std::size_t> fired;
+  std::size_t compactions = 0;
+
+  auto cancel = [&](std::size_t k) {
+    const std::size_t nodes = sim.queue_nodes();
+    sim.cancel(id_of[k]);
+    if (state[k] == State::kPending) state[k] = State::kCancelled;
+    if (sim.queue_nodes() < nodes) ++compactions;
+  };
+  std::function<void(double)> schedule = [&](double t) {
+    const std::size_t k = time_of.size();
+    time_of.push_back(t);
+    state.push_back(State::kPending);
+    id_of.push_back(sim.schedule_at(t, [&, k] {
+      fired.push_back(k);
+      if (state[k] == State::kPending) state[k] = State::kFired;
+      if (time_of.size() < kMaxEvents && rng.bernoulli(0.3))
+        schedule(sim.now() + kSuccessorDelays[rng.uniform_int(0, 3)]);
+      if (rng.bernoulli(0.05))
+        cancel(static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(k))));
+    }));
+  };
+  auto validate = [&] {
+    check::Validation v("sim");
+    sim.validate(v);
+    return v.report();
+  };
+
+  for (int wave = 0; wave < kWaves; ++wave) {
+    for (std::size_t i = 0; i < kWaveEvents; ++i)
+      schedule(sim.now() + kOffsets[rng.uniform_int(0, 7)]);
+    while (sim.pending() > 1000) {
+      sim.run(100);
+      const auto report = validate();
+      ASSERT_TRUE(report.ok()) << report.to_string();
+    }
+    std::vector<std::size_t> pending;
+    for (std::size_t k = 0; k < state.size(); ++k)
+      if (state[k] == State::kPending) pending.push_back(k);
+    rng.shuffle(pending);
+    for (std::size_t i = 0; i < pending.size() * 2 / 3; ++i) cancel(pending[i]);
+    const auto report = validate();
+    ASSERT_TRUE(report.ok()) << report.to_string();
+  }
+  sim.run();
+  ASSERT_TRUE(sim.empty());
+
+  std::vector<std::size_t> want;
+  for (std::size_t k = 0; k < time_of.size(); ++k)
+    if (state[k] != State::kCancelled) want.push_back(k);
+  std::stable_sort(want.begin(), want.end(),
+                   [&](std::size_t a, std::size_t b) { return time_of[a] < time_of[b]; });
+  ASSERT_EQ(fired.size(), want.size());
+  const auto diverge = std::mismatch(fired.begin(), fired.end(), want.begin());
+  EXPECT_TRUE(diverge.first == fired.end())
+      << "pop " << (diverge.first - fired.begin()) << " fired event " << *diverge.first
+      << " at t=" << time_of[*diverge.first] << ", expected event " << *diverge.second
+      << " at t=" << time_of[*diverge.second];
+
+  // The scenario exercised what it claims to.
+  const auto cancelled = static_cast<std::size_t>(
+      std::count(state.begin(), state.end(), State::kCancelled));
+  EXPECT_GE(time_of.size(), 9000u);
+  EXPECT_GT(cancelled, time_of.size() / 4);
+  EXPECT_LT(cancelled, time_of.size() / 2);
+  EXPECT_GE(compactions, 3u);
+}
 
 // ---------------------------------------------------------------------------
 

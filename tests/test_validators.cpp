@@ -206,15 +206,12 @@ TEST(ValidateSimulator, ClockAheadOfPendingEventsDetected) {
   EXPECT_FALSE(v.ok());
 }
 
-// Structural corruption of the queue itself, on both implementations: the
-// validator must understand the binary heap's ordering invariant and the
-// calendar queue's bucket-placement / far-ladder layout.
-class SimulatorQueueCorruption : public ::testing::TestWithParam<sim::EventQueueKind> {};
-
-TEST_P(SimulatorQueueCorruption, MisorderedNodeDetected) {
-  sim::Simulator s(GetParam());
+// Structural corruption of the event heap itself: the validator must catch a
+// broken heap property and a doubly queued event.
+TEST(SimulatorQueueCorruption, MisorderedNodeDetected) {
+  sim::Simulator s;
   for (int i = 0; i < 64; ++i) s.schedule_at(1.0 + i, [] {});
-  s.schedule_at(1e9, [] {});  // populate the calendar's far ladder too
+  s.schedule_at(1e9, [] {});
   s.run(8);
   {
     check::Validation clean("sim");
@@ -226,16 +223,11 @@ TEST_P(SimulatorQueueCorruption, MisorderedNodeDetected) {
   s.validate(v);
   const auto report = v.report();
   ASSERT_FALSE(report.ok());
-  if (GetParam() == sim::EventQueueKind::kBinaryHeap) {
-    EXPECT_TRUE(report.mentions("heap property")) << report.to_string();
-  } else {
-    EXPECT_TRUE(report.mentions("calendar bucket") || report.mentions("far ladder"))
-        << report.to_string();
-  }
+  EXPECT_TRUE(report.mentions("heap property")) << report.to_string();
 }
 
-TEST_P(SimulatorQueueCorruption, DuplicateNodeDetected) {
-  sim::Simulator s(GetParam());
+TEST(SimulatorQueueCorruption, DuplicateNodeDetected) {
+  sim::Simulator s;
   for (int i = 0; i < 32; ++i) s.schedule_at(1.0 + i, [] {});
   s.corrupt_queue_duplicate_for_test();
   check::Validation v("sim");
@@ -247,15 +239,6 @@ TEST_P(SimulatorQueueCorruption, DuplicateNodeDetected) {
   EXPECT_TRUE(report.mentions("expected exactly 1")) << report.to_string();
   EXPECT_TRUE(report.mentions("the queue holds nodes for")) << report.to_string();
 }
-
-INSTANTIATE_TEST_SUITE_P(BothQueues, SimulatorQueueCorruption,
-                         ::testing::Values(sim::EventQueueKind::kBinaryHeap,
-                                           sim::EventQueueKind::kCalendar),
-                         [](const ::testing::TestParamInfo<sim::EventQueueKind>& info) {
-                           return info.param == sim::EventQueueKind::kCalendar
-                                      ? "Calendar"
-                                      : "BinaryHeap";
-                         });
 
 // ---------------------------------------------------------------------------
 // ClusterSim deep state validation

@@ -20,8 +20,8 @@ against the committed baseline, failing on significant slowdowns.
     bench_compare.py --scaling [REPORT]
         Check that simulator cost per event stays flat as job count grows:
         exit 1 if any BM_ClusterSimThroughput row's events_per_sec is below
-        half that of the 1000-job row for the same queue kind. REPORT
-        defaults to bench/results/BENCH_sim_throughput.json.
+        half that of the 1000-job row. REPORT defaults to
+        bench/results/BENCH_sim_throughput.json.
 
 The baseline stores, per benchmark name, the real_time in its time_unit —
 timing only, no context, so HISTORY.json diffs stay readable. A report run
@@ -179,32 +179,31 @@ def check(results_dir, threshold):
 
 def scaling(report_path):
     """Fails unless every simulator-throughput row keeps at least
-    SCALING_MIN_RATIO of the 1000-job row's events/s for its queue kind."""
-    # Row names are BM_ClusterSimThroughput/<queue kind>/<jobs>/<machines>[/...].
-    by_kind = {}
+    SCALING_MIN_RATIO of the 1000-job row's events/s."""
+    # Row names are BM_ClusterSimThroughput/<jobs>/<machines>[/...].
+    rows = []
     for name, bm in representative_rows(load_report(report_path)).items():
         parts = name.split("/")
-        if parts[0] != SCALING_FAMILY or len(parts) < 4 or "events_per_sec" not in bm:
+        if parts[0] != SCALING_FAMILY or len(parts) < 3 or "events_per_sec" not in bm:
             continue
-        by_kind.setdefault(parts[1], []).append((int(parts[2]), name, bm["events_per_sec"]))
-    if not by_kind:
+        rows.append((int(parts[1]), name, bm["events_per_sec"]))
+    if not rows:
         print(f"bench_compare: FAIL — {report_path} has no {SCALING_FAMILY} "
               "rows with events_per_sec")
         return 1
+    base = [eps for jobs, _, eps in rows if jobs == SCALING_BASE_JOBS]
+    if not base:
+        print(f"bench_compare: FAIL — {report_path} has no {SCALING_BASE_JOBS}-job row")
+        return 1
 
     failures = []
-    for kind, rows in sorted(by_kind.items()):
-        base = [eps for jobs, _, eps in rows if jobs == SCALING_BASE_JOBS]
-        if not base:
-            failures.append(f"queue kind {kind}: no {SCALING_BASE_JOBS}-job row")
-            continue
-        for jobs, name, eps in sorted(rows):
-            ratio = eps / base[0]
-            line = (f"{name}  {eps / 1e6:.3g}M events/s = {ratio:.2f}x the "
-                    f"{SCALING_BASE_JOBS}-job row")
-            print(f"  {line}")
-            if ratio < SCALING_MIN_RATIO:
-                failures.append(line)
+    for jobs, name, eps in sorted(rows):
+        ratio = eps / base[0]
+        line = (f"{name}  {eps / 1e6:.3g}M events/s = {ratio:.2f}x the "
+                f"{SCALING_BASE_JOBS}-job row")
+        print(f"  {line}")
+        if ratio < SCALING_MIN_RATIO:
+            failures.append(line)
     if failures:
         print(f"bench_compare: FAIL — cost per event grows with job count "
               f"(below {SCALING_MIN_RATIO:g}x the {SCALING_BASE_JOBS}-job row):")

@@ -23,8 +23,6 @@
 //     --drift F                         full-reschedule drift threshold
 //                                       (default 0.10)
 //     --spill on|off                    data spill/reload     (default on)
-//     --event-queue calendar|heap       simulator event-queue implementation
-//                                       (default calendar; both bit-identical)
 //     --telemetry-out FILE              live telemetry as JSON Lines, one
 //                                       window per line (byte-deterministic)
 //     --telemetry-interval SEC          telemetry window length in sim time
@@ -90,7 +88,6 @@ void print_usage(std::FILE* out, const char* argv0) {
                "usage: %s [--policy harmony|isolated|naive] [--jobs N] [--machines M]\n"
                "          [--arrival batch|poisson:SEC|trace:SEC] [--seed S]\n"
                "          [--spill on|off] [--naive-seed S] [--error F]\n"
-               "          [--event-queue calendar|heap]\n"
                "          [--timeline] [--validate] [--trace]\n"
                "          [--chrome-trace FILE] [--metrics FILE] [--report DIR]\n"
                "          [--log-level debug|info|warn|error] [--help]\n"
@@ -98,7 +95,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "       %s --service [--duration SEC] [--arrival-rate JOBS_PER_SEC]\n"
                "          [--admission fifo|sjf] [--queue-cap N] [--drift F]\n"
                "          [--machines M] [--arrival poisson:SEC|trace:SEC] [--seed S]\n"
-               "          [--event-queue calendar|heap] [--validate] [--metrics FILE]\n"
+               "          [--validate] [--metrics FILE]\n"
                "          [--telemetry-out FILE] [--telemetry-interval SEC]\n"
                "          [--prom-out FILE] [--slo NAME=THRESHOLD]...\n"
                "          [--flight-recorder DIR]\n",
@@ -199,15 +196,6 @@ int main(int argc, char** argv) {
       config.naive_grouping_seed = std::stoull(next());
     } else if (arg == "--spill") {
       config.spill_enabled = next() == "on";
-    } else if (arg == "--event-queue") {
-      const std::string kind = next();
-      if (kind == "calendar") {
-        config.event_queue = sim::EventQueueKind::kCalendar;
-      } else if (kind == "heap") {
-        config.event_queue = sim::EventQueueKind::kBinaryHeap;
-      } else {
-        usage_error(argv[0], "unknown event queue '" + kind + "'");
-      }
     } else if (arg == "--error") {
       config.model_error_injection = std::stod(next());
     } else if (arg == "--timeline") {
@@ -288,7 +276,6 @@ int main(int argc, char** argv) {
     }
     if (machines_set) svc_config.machines = config.machines;
     svc_config.seed = config.seed;
-    svc_config.event_queue = config.event_queue;
     if (config.validate) svc_config.validate_every_events = 256;
     // Keep the equivalence validator meaningful when --drift is raised above
     // the default slack (the Service constructor requires slack > threshold).
@@ -344,27 +331,23 @@ int main(int argc, char** argv) {
     const auto err = config.model_error_injection;
     const auto trace = config.debug_trace;
     const auto validate = config.validate;
-    const auto queue = config.event_queue;
     config = exp::ClusterSimConfig::isolated();
     config.seed = seed;
     config.machines = machines;
     config.model_error_injection = err;
     config.debug_trace = trace;
     config.validate = validate;
-    config.event_queue = queue;
   } else if (policy == "naive") {
     const auto seed = config.seed;
     const auto machines = config.machines;
     const auto gseed = config.naive_grouping_seed;
     const auto trace = config.debug_trace;
     const auto validate = config.validate;
-    const auto queue = config.event_queue;
     config = exp::ClusterSimConfig::naive(gseed == 0 ? 1 : gseed);
     config.seed = seed;
     config.machines = machines;
     config.debug_trace = trace;
     config.validate = validate;
-    config.event_queue = queue;
   } else if (policy != "harmony") {
     usage_error(argv[0], "unknown policy '" + policy + "'");
   }
