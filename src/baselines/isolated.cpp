@@ -1,7 +1,5 @@
 #include "baselines/isolated.h"
 
-#include <algorithm>
-
 namespace harmony::baselines {
 
 std::size_t IsolatedScheduler::pick_dop(const core::JobProfile& profile) const {
@@ -11,27 +9,6 @@ std::size_t IsolatedScheduler::pick_dop(const core::JobProfile& profile) const {
     ++m;
   }
   return m;
-}
-
-core::ScheduleDecision IsolatedScheduler::schedule(std::span<const core::SchedJob> jobs,
-                                                   std::size_t machines) const {
-  core::ScheduleDecision decision;
-  std::size_t free = machines;
-  std::vector<core::GroupShape> shapes;
-  for (const core::SchedJob& job : jobs) {
-    if (free == 0) break;
-    const std::size_t want = pick_dop(job.profile);
-    const std::size_t granted = std::min(want, free);
-    core::GroupPlan plan;
-    plan.jobs = {job.id};
-    plan.machines = granted;
-    decision.groups.push_back(std::move(plan));
-    shapes.push_back(core::GroupShape{{job.profile}, granted});
-    free -= granted;
-    ++decision.jobs_scheduled;
-  }
-  decision.predicted_util = core::PerfModel::cluster_utilization(shapes);
-  return decision;
 }
 
 }  // namespace harmony::baselines

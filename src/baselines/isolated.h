@@ -1,14 +1,13 @@
 // Isolated baseline (§V-A): every job runs alone on a dedicated, disjoint set
 // of machines — the Optimus/SLAQ-style allocation. The policy maximizes each
 // job's CPU utilization (the quantity that actually advances training) by
-// keeping DoP low enough that COMP dominates COMM, and queues jobs FIFO when
-// machines run out.
+// keeping DoP low enough that COMP dominates COMM; exp::ClusterSim places the
+// jobs FIFO at that DoP and queues them when machines run out.
 #pragma once
 
-#include <span>
-#include <vector>
+#include <cstddef>
 
-#include "harmony/scheduler.h"
+#include "harmony/job.h"
 
 namespace harmony::baselines {
 
@@ -26,11 +25,6 @@ class IsolatedScheduler {
 
   // Largest DoP that keeps the job CPU-dominant (>= 1).
   std::size_t pick_dop(const core::JobProfile& profile) const;
-
-  // Greedily places jobs (queue order) onto `machines`; jobs that don't fit
-  // are left out of the decision (they wait). Every group holds one job.
-  core::ScheduleDecision schedule(std::span<const core::SchedJob> jobs,
-                                  std::size_t machines) const;
 
  private:
   Params params_;

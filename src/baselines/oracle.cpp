@@ -5,13 +5,6 @@
 
 namespace harmony::baselines {
 
-OracleScheduler::OracleScheduler(Params params)
-    : params_(params),
-      model_(params.model),
-      allocator_(core::Scheduler::Params{.max_swap_rounds = 64,
-                                         .growth_patience = 6,
-                                         .model = params.model}) {}
-
 core::ScheduleDecision OracleScheduler::schedule(std::span<const core::SchedJob> jobs,
                                                  std::size_t machines) const {
   if (jobs.size() > params_.max_jobs)
@@ -44,7 +37,7 @@ core::ScheduleDecision OracleScheduler::schedule(std::span<const core::SchedJob>
       for (const core::SchedJob& j : groups[g]) s.jobs.push_back(j.profile);
       shapes.push_back(std::move(s));
     }
-    const double score = model_.score(shapes);
+    const double score = core::PerfModel::score(shapes);
     if (score > best.score) {
       best.score = score;
       best.predicted_util = core::PerfModel::cluster_utilization(shapes);

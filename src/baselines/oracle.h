@@ -17,11 +17,10 @@ class OracleScheduler {
     // Refuses inputs beyond this size (Bell numbers explode; Bell(12) ≈ 4.2M
     // partitions is already seconds of work).
     std::size_t max_jobs = 12;
-    core::PerfModel::Params model;
   };
 
   OracleScheduler() : OracleScheduler(Params{}) {}
-  explicit OracleScheduler(Params params);
+  explicit OracleScheduler(Params params) : params_(params) {}
 
   core::ScheduleDecision schedule(std::span<const core::SchedJob> jobs,
                                   std::size_t machines) const;
@@ -31,7 +30,6 @@ class OracleScheduler {
 
  private:
   Params params_;
-  core::PerfModel model_;
   core::Scheduler allocator_;  // reused for its machine-allocation step
   mutable std::uint64_t examined_ = 0;
 };

@@ -73,18 +73,4 @@ double Histogram::bin_lo(std::size_t i) const {
 
 double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
 
-std::string Histogram::ascii(std::size_t width) const {
-  std::ostringstream out;
-  const std::size_t peak = counts_.empty()
-                               ? 0
-                               : *std::max_element(counts_.begin(), counts_.end());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bar =
-        peak == 0 ? 0 : counts_[i] * width / peak;
-    out << '[' << bin_lo(i) << ", " << bin_hi(i) << ") ";
-    out << std::string(bar, '#') << ' ' << counts_[i] << '\n';
-  }
-  return out.str();
-}
-
 }  // namespace harmony

@@ -47,7 +47,6 @@ class Histogram {
   const std::vector<std::size_t>& bins() const noexcept { return counts_; }
   double bin_lo(std::size_t i) const;
   double bin_hi(std::size_t i) const;
-  std::string ascii(std::size_t width = 40) const;
 
  private:
   double lo_;

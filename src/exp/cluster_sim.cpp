@@ -63,16 +63,9 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
                        std::vector<double> arrival_times)
     : config_(config),
       arrivals_(std::move(arrival_times)),
-      memory_model_(config.memory_params),
-      spill_model_(config.spill_costs),
-      scheduler_(config.scheduler),
-      regrouper_(scheduler_, config.regrouper),
-      isolated_(),
-      naive_(baselines::NaiveScheduler::Params{config.naive_jobs_per_group}),
-      profiler_(core::Profiler::Params{0.3, config.profiling_iterations}),
+      regrouper_(scheduler_),
       rng_(config.seed),
-      free_machines_(config.machines),
-      timeline_(config.util_sample_window_sec) {
+      free_machines_(config.machines) {
   if (arrivals_.size() != workload.size())
     throw std::invalid_argument("ClusterSim: arrivals/workload size mismatch");
   const std::size_t n = workload.size();
@@ -108,7 +101,7 @@ double ClusterSim::job_resident_bytes_uncached(const SimJob& job,
                                                std::size_t machines) const {
   const core::SpillCosts c =
       spill_model_.costs(job.spec.input_bytes(), job.spec.model_bytes(),
-                         job_alpha_[job.spec.id], machines, config_.machine_spec);
+                         job_alpha_[job.spec.id], machines, kMachineSpec);
   double resident = c.resident_bytes;
   if (job_model_spilled_[job.spec.id] != 0) {
     // Model spill keeps only a small working window of the model resident;
@@ -148,7 +141,7 @@ double ClusterSim::group_occupancy(const GroupRun& group) const {
   double resident = 0.0;
   for (core::JobId id : group.members)
     resident += job_resident_bytes(jobs_[id], group.machines);
-  return resident / config_.machine_spec.memory_bytes;
+  return resident / kMachineSpec.memory_bytes;
 }
 
 bool ClusterSim::fits_without_spill(const GroupRun& group, const SimJob& job) const {
@@ -156,12 +149,12 @@ bool ClusterSim::fits_without_spill(const GroupRun& group, const SimJob& job) co
   double resident = job.spec.resident_bytes(group.machines, 0.0);
   for (core::JobId id : group.members)
     resident += jobs_[id].spec.resident_bytes(group.machines, 0.0);
-  return resident <= 0.9 * config_.machine_spec.memory_bytes;
+  return resident <= 0.9 * kMachineSpec.memory_bytes;
 }
 
 void ClusterSim::place_fallback_isolated(SimJob& job) {
   if (job.group != nullptr || job.state == core::JobState::kFinished) return;
-  const std::size_t need = job.spec.min_machines_without_spill(config_.machine_spec);
+  const std::size_t need = job.spec.min_machines_without_spill(kMachineSpec);
   if (need > free_machines_) return;
   GroupRun& g = create_group({}, need);
   place_job_in_group(job, g, /*with_migration_delay=*/true);
@@ -170,7 +163,7 @@ void ClusterSim::place_fallback_isolated(SimJob& job) {
   record_group_prediction(g);
 }
 
-void ClusterSim::refresh_alpha(SimJob& job, bool initialize) {
+void ClusterSim::refresh_alpha(SimJob& job) {
   const core::JobId jid = job.spec.id;
   if (!config_.spill_enabled || job.group == nullptr) {
     set_alpha(jid, 0.0);
@@ -182,35 +175,34 @@ void ClusterSim::refresh_alpha(SimJob& job, bool initialize) {
     const double a = std::clamp(*config_.fixed_alpha, 0.0, 1.0);
     set_alpha(jid, a);
     const double share =
-        config_.machine_spec.memory_bytes /
+        kMachineSpec.memory_bytes /
         std::max<double>(1.0, static_cast<double>(job.group->members.size()));
     const core::SpillCosts at_cur = spill_model_.costs(
-        job.spec.input_bytes(), job.spec.model_bytes(), a, m, config_.machine_spec);
+        job.spec.input_bytes(), job.spec.model_bytes(), a, m, kMachineSpec);
     set_model_spilled(jid, a >= 0.999 && at_cur.resident_bytes >
-                                             config_.memory_params.gc_threshold * share);
+                                             memory_model_.params().gc_threshold * share);
     return;
   }
-  const double share = config_.machine_spec.memory_bytes /
+  const double share = kMachineSpec.memory_bytes /
                        std::max<double>(1.0, static_cast<double>(job.group->members.size()));
-  (void)initialize;
   const double prev_alpha = job_alpha_[jid];
   // α is the smallest ratio whose resident footprint fits the group's
   // current occupancy target (per-job ratios, coordinated target, §IV-C).
   const double target = job.group->occ_ctl ? job.group->occ_ctl->alpha()
-                                           : config_.alpha_floor_occupancy;
-  cluster::MemoryModelParams floor_params = config_.memory_params;
+                                           : kAlphaFloorOccupancy;
+  cluster::MemoryModelParams floor_params = memory_model_.params();
   floor_params.gc_threshold = target;
   const double alpha = core::AlphaController::initial_alpha(
       job.spec.input_bytes(), job.spec.model_bytes(), m, share, floor_params,
-      spill_model_, config_.machine_spec);
+      spill_model_, kMachineSpec);
   set_alpha(jid, alpha);
   // If even α = 1 overflows this job's share, spill model data too (§V-G:
   // "Harmony enables spill/reload of model data for those jobs").
   const core::SpillCosts at_one = spill_model_.costs(
-      job.spec.input_bytes(), job.spec.model_bytes(), 1.0, m, config_.machine_spec);
+      job.spec.input_bytes(), job.spec.model_bytes(), 1.0, m, kMachineSpec);
   set_model_spilled(jid, alpha >= 0.999 &&
                              at_one.resident_bytes >
-                                 config_.memory_params.gc_threshold * share);
+                                 memory_model_.params().gc_threshold * share);
   if (obs::Tracer::enabled() && alpha > 0.0 && alpha != prev_alpha)
     obs::Tracer::instant(obs::EventKind::kSpill, obs::ClockDomain::kSim,
                          sim_.now() * kTraceUs, job.spec.id,
@@ -222,7 +214,7 @@ void ClusterSim::refresh_alpha(SimJob& job, bool initialize) {
 // Job pipeline
 
 double ClusterSim::comm_half_duration(SimJob& job) {
-  return 0.5 * job.spec.t_net * job.noise_rng().lognormal_noise(config_.subtask_noise_cv);
+  return 0.5 * job.spec.t_net * job.noise_rng().lognormal_noise(kSubtaskNoiseCv);
 }
 
 double ClusterSim::comp_duration(SimJob& job) {
@@ -252,15 +244,15 @@ double ClusterSim::comp_duration(SimJob& job) {
 
   const core::SpillCosts costs = spill_model_.costs(
       job.spec.input_bytes(), job.spec.model_bytes(), job_alpha_[job.spec.id],
-      g.machines, config_.machine_spec);
+      g.machines, kMachineSpec);
   double extra = costs.deserialize_seconds;
   if (job_model_spilled_[job.spec.id] != 0) {
     // Model reload+deserialize rides on the compute path.
     const double model_raw = job.spec.model_bytes() / static_cast<double>(g.machines);
-    extra += model_raw / config_.machine_spec.disk_bytes_per_sec +
+    extra += model_raw / kMachineSpec.disk_bytes_per_sec +
              model_raw * spill_model_.params().deserialize_sec_per_byte;
   }
-  return (base * gc + extra) * job.noise_rng().lognormal_noise(config_.subtask_noise_cv);
+  return (base * gc + extra) * job.noise_rng().lognormal_noise(kSubtaskNoiseCv);
 }
 
 void ClusterSim::start_iteration(SimJob& job) {
@@ -334,7 +326,7 @@ void ClusterSim::begin_push(SimJob& job, double pull_duration, double comp_dur) 
     if (job_alpha_[id] > 0.0) ++spilling;
   const core::SpillCosts costs = spill_model_.costs(
       job.spec.input_bytes(), job.spec.model_bytes(), job_alpha_[job.spec.id],
-      g.machines, config_.machine_spec);
+      g.machines, kMachineSpec);
   job.reload_ready_at =
       sim_.now() + costs.reload_seconds * static_cast<double>(std::max<std::size_t>(1, spilling));
 
@@ -358,7 +350,6 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
   job.in_flight = false;
   ++job.iterations_done;
   ++job.iters_in_group;
-  ++job.profile_iterations;
 
   profiler_.record(job.spec.id, g.machines, comp_duration_s, comm_duration);
 
@@ -381,7 +372,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
       g.iters_since_alpha_update = 0;
       g.occ_ctl->observe(g.recent_walls.mean());
       for (core::JobId id : g.members) {
-        refresh_alpha(jobs_[id], /*initialize=*/false);
+        refresh_alpha(jobs_[id]);
         alpha_samples_.add(job_alpha_[id]);
       }
     }
@@ -406,8 +397,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
   }
 
   // Profiling complete?
-  if (job.state == core::JobState::kProfiling &&
-      job.profile_iterations >= config_.profiling_iterations) {
+  if (job.state == core::JobState::kProfiling && profiler_.is_profiled(job.spec.id)) {
     on_job_profiled(job);
     // The job may have been parked, or migrated into another group —
     // migration schedules its own (delayed) start, so continuing here would
@@ -443,10 +433,10 @@ ClusterSim::GroupRun& ClusterSim::create_group(const std::vector<core::JobId>& m
   } else {
     // Contended execution: concurrent steps split the capacity and pay an
     // interference penalty — the naive co-location behaviour of Fig. 5a.
-    g.cpu_shared = std::make_unique<sim::SharedResource>(sim_, tag + "-cpu", 1.0,
-                                                         config_.contention_penalty);
-    g.net_shared = std::make_unique<sim::SharedResource>(sim_, tag + "-net", 1.0,
-                                                         config_.contention_penalty);
+    g.cpu_shared =
+        std::make_unique<sim::SharedResource>(sim_, tag + "-cpu", 1.0, kContentionPenalty);
+    g.net_shared =
+        std::make_unique<sim::SharedResource>(sim_, tag + "-net", 1.0, kContentionPenalty);
   }
   active_groups_storage_.push_back(&g);
   obs::MetricsRegistry::instance().counter("sim.groups_created").add();
@@ -474,7 +464,7 @@ void ClusterSim::place_job_in_group(SimJob& job, GroupRun& group, bool with_migr
   ++group.active_members;
   if (job.state != core::JobState::kProfiling) job.state = core::JobState::kRunning;
   reindex_job(job);
-  refresh_alpha(job, /*initialize=*/true);
+  refresh_alpha(job);
   // Every co-tenant's memory share just shrank: recompute everyone's α for
   // the group's occupancy target.
   if (config_.spill_enabled && !config_.fixed_alpha) {
@@ -484,12 +474,12 @@ void ClusterSim::place_job_in_group(SimJob& job, GroupRun& group, bool with_migr
       ctl.min_step = 0.01;
       ctl.min_alpha = 0.40;   // occupancy targets, not disk ratios
       ctl.max_alpha = 0.93;   // stay under the OOM line
-      group.occ_ctl.emplace(config_.alpha_floor_occupancy, ctl);
+      group.occ_ctl.emplace(kAlphaFloorOccupancy, ctl);
     }
     for (core::JobId id : group.members) {
       SimJob& member = jobs_[id];
       if (&member == &job) continue;
-      refresh_alpha(member, /*initialize=*/false);
+      refresh_alpha(member);
     }
   }
 
@@ -514,7 +504,7 @@ double ClusterSim::migration_delay(const SimJob& job, std::size_t machines) cons
   const double m = static_cast<double>(machines);
   const double model_io = 2.0 * job.spec.model_bytes() / m;  // write + read
   const double input_io = (1.0 - job_alpha_[job.spec.id]) * job.spec.input_bytes() / m;
-  return (model_io + input_io) / config_.machine_spec.disk_bytes_per_sec;
+  return (model_io + input_io) / kMachineSpec.disk_bytes_per_sec;
 }
 
 void ClusterSim::park_job(SimJob& job, core::JobState state) {
@@ -697,8 +687,8 @@ std::vector<core::SchedJob> ClusterSim::idle_sched_jobs() const {
   return out;
 }
 
-std::vector<core::RunningGroup> ClusterSim::running_groups_view() const {
-  std::vector<core::RunningGroup> out;
+ClusterSim::RunningView ClusterSim::running_view() const {
+  RunningView out;
   auto* self = const_cast<ClusterSim*>(this);
   for (GroupRun* g : self->active_groups()) {
     if (g->dissolved || g->stopping) continue;
@@ -708,7 +698,9 @@ std::vector<core::RunningGroup> ClusterSim::running_groups_view() const {
       if (jobs_[id].state == core::JobState::kRunning)
         rg.jobs.push_back(sched_view(jobs_[id]));
     }
-    if (!rg.jobs.empty()) out.push_back(std::move(rg));
+    if (rg.jobs.empty()) continue;
+    out.groups.push_back(std::move(rg));
+    out.owners.push_back(g);
   }
   return out;
 }
@@ -718,6 +710,15 @@ std::vector<ClusterSim::GroupRun*> ClusterSim::live_groups() const {
   for (GroupRun* g : const_cast<ClusterSim*>(this)->active_groups())
     if (!g->dissolved && !g->stopping) out.push_back(g);
   return out;
+}
+
+void ClusterSim::note_regroup(const SimJob* job, const GroupRun* group) {
+  ++summary_.regroup_events;
+  obs::MetricsRegistry::instance().counter("sim.regroup_events").add();
+  if (obs::Tracer::enabled())
+    obs::Tracer::instant(obs::EventKind::kRegroup, obs::ClockDomain::kSim,
+                         sim_.now() * kTraceUs, job ? job->spec.id : obs::kNoEntity,
+                         group ? static_cast<std::uint32_t>(group->id) : obs::kNoEntity);
 }
 
 // ---------------------------------------------------------------------------
@@ -773,9 +774,9 @@ void ClusterSim::maybe_start_profiling() {
   // oldest cap - profiling_count_ waiting jobs can be admitted, so the cost
   // is O(cap), not O(backlog). Snapshot them before placing: set_state
   // erases each admitted job from waiting_by_submit_.
-  if (profiling_count_ >= config_.max_profiling_jobs || groups.empty()) return;
-  const std::size_t admit = std::min(config_.max_profiling_jobs - profiling_count_,
-                                     waiting_by_submit_.size());
+  if (profiling_count_ >= kMaxProfilingJobs || groups.empty()) return;
+  const std::size_t admit =
+      std::min(kMaxProfilingJobs - profiling_count_, waiting_by_submit_.size());
   const std::vector<core::JobId> oldest(waiting_by_submit_.begin(),
                                         waiting_by_submit_.begin() + admit);
   for (core::JobId job_id : oldest) {
@@ -851,7 +852,7 @@ void ClusterSim::schedule_on_spare_machines() {
   if (obs::Tracer::enabled())
     obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
                          sim_.now() * kTraceUs);
-  apply_decision(decision, {});
+  apply_decision(decision);
   scheduling_spare_ = false;
 }
 
@@ -914,11 +915,7 @@ void ClusterSim::begin_pending(core::ScheduleDecision decision,
   pr.decision = std::move(decision);
   pr.involved = involved;
   pending_regroup_.emplace(std::move(pr));
-  ++summary_.regroup_events;
-  obs::MetricsRegistry::instance().counter("sim.regroup_events").add();
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kRegroup, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
+  note_regroup();
   for (GroupRun* g : involved) g->stopping = true;
   for (GroupRun* g : involved)
     if (!g->dissolved && g->active_members == 0) dissolve_group(*g);
@@ -1010,52 +1007,36 @@ void ClusterSim::on_job_profiled(SimJob& job) {
 
   // Steady state (§IV-B4 arrival rule).
   const auto idle = idle_sched_jobs();
-  const auto groups_view = running_groups_view();
+  const RunningView view = running_view();
   const auto t0 = WallClock::now();
   const core::RegroupAction action =
-      regrouper_.on_job_arrival(sched_view(job), idle, groups_view);
+      regrouper_.on_job_arrival(sched_view(job), idle, view.groups);
   sched_wall_seconds_ += wall_seconds_since(t0);
   ++sched_invocations_;
   if (obs::Tracer::enabled())
     obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
                          sim_.now() * kTraceUs);
 
-  if (action.kind == core::RegroupAction::Kind::kAddToGroup) {
-    auto groups = live_groups();
-    // Map the view index back to a live group (views skip empty groups, so
-    // rebuild the same filtered list).
-    std::vector<GroupRun*> view_groups;
-    for (GroupRun* g : groups) {
-      bool has_running = false;
-      for (core::JobId id : g->members)
-        if (jobs_[id].state == core::JobState::kRunning) has_running = true;
-      if (has_running) view_groups.push_back(g);
-    }
-    if (action.group_index < view_groups.size()) {
-      GroupRun* target = view_groups[action.group_index];
-      if (job.group == target) {
-        set_state(job, core::JobState::kRunning);
-        settle_group_prediction(*target);
-        record_group_prediction(*target);
-        return;
-      }
-      if (job.group != nullptr) park_job(job, core::JobState::kProfiled);
-      // park_job may already have routed the job into a pending regroup's
-      // target group; only place it ourselves if it is still idle.
-      if (job.group == nullptr && fits_without_spill(*target, job)) {
-        ++summary_.regroup_events;
-        obs::MetricsRegistry::instance().counter("sim.regroup_events").add();
-        if (obs::Tracer::enabled())
-          obs::Tracer::instant(obs::EventKind::kRegroup, obs::ClockDomain::kSim,
-                               sim_.now() * kTraceUs, job.spec.id,
-                               static_cast<std::uint32_t>(target->id));
-        settle_group_prediction(*target);
-        place_job_in_group(job, *target, /*with_migration_delay=*/true);
-        record_group_prediction(*target);
-        maybe_validate();
-      }
+  if (action.kind == core::RegroupAction::Kind::kAddToGroup &&
+      action.group_index < view.owners.size()) {
+    GroupRun* target = view.owners[action.group_index];
+    if (job.group == target) {
+      set_state(job, core::JobState::kRunning);
+      settle_group_prediction(*target);
+      record_group_prediction(*target);
       return;
     }
+    if (job.group != nullptr) park_job(job, core::JobState::kProfiled);
+    // park_job may already have routed the job into a pending regroup's
+    // target group; only place it ourselves if it is still idle.
+    if (job.group == nullptr && fits_without_spill(*target, job)) {
+      note_regroup(&job, target);
+      settle_group_prediction(*target);
+      place_job_in_group(job, *target, /*with_migration_delay=*/true);
+      record_group_prediction(*target);
+      maybe_validate();
+    }
+    return;
   }
   // Wait: leave the profiling group and pause.
   if (job.group != nullptr) park_job(job, core::JobState::kProfiled);
@@ -1090,15 +1071,10 @@ void ClusterSim::run_initial_harmony_schedule() {
   begin_pending(std::move(decision), live_groups());
 }
 
-void ClusterSim::apply_decision(const core::ScheduleDecision& decision,
-                                const std::vector<std::size_t>& /*replaced*/) {
+void ClusterSim::apply_decision(const core::ScheduleDecision& decision) {
   // Additive application: only idle (group-less) jobs are placed; a job that
   // something else claimed in the meantime is skipped.
-  ++summary_.regroup_events;
-  obs::MetricsRegistry::instance().counter("sim.regroup_events").add();
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kRegroup, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
+  note_regroup();
   for (const core::GroupPlan& plan : decision.groups) {
     if (plan.jobs.empty() || plan.machines == 0) continue;
     const std::size_t m = std::min(plan.machines, free_machines_);
@@ -1165,8 +1141,8 @@ void ClusterSim::on_job_finished(SimJob& job) {
   }
 
   // Locate the group the job left (it may just have been dissolved).
-  const auto groups_view = running_groups_view();
-  if (groups_view.empty()) {
+  const RunningView view = running_view();
+  if (view.groups.empty()) {
     // Nothing running: restart from the idle pool if anything is left.
     schedule_on_spare_machines();
     maybe_start_profiling();
@@ -1174,21 +1150,14 @@ void ClusterSim::on_job_finished(SimJob& job) {
   }
 
   // Map the finished job's former group into the view index space.
-  std::vector<GroupRun*> view_groups;
-  for (GroupRun* g : live_groups()) {
-    bool has_running = false;
-    for (core::JobId id : g->members)
-      if (jobs_[id].state == core::JobState::kRunning) has_running = true;
-    if (has_running) view_groups.push_back(g);
-  }
   std::size_t group_index = 0;
-  for (std::size_t i = 0; i < view_groups.size(); ++i)
-    if (view_groups[i] == job.last_group) group_index = i;
+  for (std::size_t i = 0; i < view.owners.size(); ++i)
+    if (view.owners[i] == job.last_group) group_index = i;
 
   const auto idle = idle_sched_jobs();
   const auto t0 = WallClock::now();
   const core::RegroupAction action = regrouper_.on_job_finish(
-      sched_view(job), group_index, idle, groups_view, free_machines_);
+      sched_view(job), group_index, idle, view.groups, free_machines_);
   sched_wall_seconds_ += wall_seconds_since(t0);
   ++sched_invocations_;
   if (obs::Tracer::enabled())
@@ -1199,8 +1168,8 @@ void ClusterSim::on_job_finished(SimJob& job) {
     case core::RegroupAction::Kind::kNone:
       break;
     case core::RegroupAction::Kind::kReplace: {
-      if (action.group_index < view_groups.size()) {
-        GroupRun* target = view_groups[action.group_index];
+      if (action.group_index < view.owners.size()) {
+        GroupRun* target = view.owners[action.group_index];
         settle_group_prediction(*target);
         for (const core::SchedJob& r : action.replacements) {
           SimJob& repl = jobs_[r.id];
@@ -1208,12 +1177,7 @@ void ClusterSim::on_job_finished(SimJob& job) {
           if (!fits_without_spill(*target, repl)) continue;
           place_job_in_group(repl, *target, /*with_migration_delay=*/true);
         }
-        ++summary_.regroup_events;
-        obs::MetricsRegistry::instance().counter("sim.regroup_events").add();
-        if (obs::Tracer::enabled())
-          obs::Tracer::instant(obs::EventKind::kRegroup, obs::ClockDomain::kSim,
-                               sim_.now() * kTraceUs, job.spec.id,
-                               static_cast<std::uint32_t>(target->id));
+        note_regroup(&job, target);
         record_group_prediction(*target);
         maybe_validate();
       }
@@ -1225,7 +1189,7 @@ void ClusterSim::on_job_finished(SimJob& job) {
       if (sim_.now() - last_reschedule_time_ < config_.reschedule_cooldown_sec) break;
       std::vector<GroupRun*> involved;
       for (std::size_t idx : action.groups_involved)
-        if (idx < view_groups.size()) involved.push_back(view_groups[idx]);
+        if (idx < view.owners.size()) involved.push_back(view.owners[idx]);
       if (involved.empty()) break;
       last_reschedule_time_ = sim_.now();
       begin_pending(action.decision, std::move(involved));
@@ -1251,7 +1215,7 @@ void ClusterSim::try_schedule_isolated() {
     SimJob* next = &jobs_[waiting_by_submit_.front()];
 
     std::size_t m = isolated_.pick_dop(next->spec.profile());
-    m = std::max(m, next->spec.min_machines_without_spill(config_.machine_spec));
+    m = std::max(m, next->spec.min_machines_without_spill(kMachineSpec));
     m = std::min(m, config_.machines);
     if (m > free_machines_) return;  // FIFO head-of-line blocking
     GroupRun& g = create_group({}, m);
@@ -1272,11 +1236,10 @@ void ClusterSim::try_schedule_naive() {
     shuffle_rng.shuffle(waiting);
   }
 
-  const std::size_t k = std::max<std::size_t>(1, config_.naive_jobs_per_group);
   std::size_t cursor = 0;
   bool scheduled_nothing_yet = live_groups().empty();
   while (cursor < waiting.size()) {
-    const std::size_t take = std::min(k, waiting.size() - cursor);
+    const std::size_t take = std::min(kNaiveJobsPerGroup, waiting.size() - cursor);
     // All-arrived batches form full groups; a short tail only schedules when
     // nothing else will arrive to fill it (approximated: schedule anyway).
     double mem_needed = 0.0;
@@ -1290,7 +1253,7 @@ void ClusterSim::try_schedule_naive() {
     // allocation the largest of them would have received alone (Gandiva-style
     // packing), stretched only if their summed memory would OOM outright.
     const auto mem_machines = static_cast<std::size_t>(std::ceil(
-        mem_needed / (config_.naive_pack_occupancy * config_.machine_spec.memory_bytes)));
+        mem_needed / (config_.naive_pack_occupancy * kMachineSpec.memory_bytes)));
     std::size_t m = std::clamp<std::size_t>(std::max(mem_machines, compute_need), 2,
                                             config_.machines);
     if (m > free_machines_) {
@@ -1362,9 +1325,9 @@ void ClusterSim::settle_group_prediction(GroupRun& group) {
 }
 
 void ClusterSim::sample_utilization() {
-  const double window = config_.util_sample_window_sec;
-  double cpu_weighted = 0.0;
-  double net_weighted = 0.0;
+  const double window = kUtilSampleWindowSec;
+  double cpu_busy_machines = 0.0;
+  double net_busy_machines = 0.0;
   std::size_t running_jobs = 0;
   std::size_t running_groups = 0;
   for (GroupRun* g : active_groups()) {
@@ -1372,8 +1335,8 @@ void ClusterSim::sample_utilization() {
     const double cpu_now = g->cpu_busy();
     const double net_now = g->net_busy();
     const double m = static_cast<double>(g->machines);
-    cpu_weighted += m * std::min(1.0, (cpu_now - g->last_cpu_busy) / window);
-    net_weighted += m * std::min(1.0, (net_now - g->last_net_busy) / window);
+    cpu_busy_machines += m * std::min(1.0, (cpu_now - g->last_cpu_busy) / window);
+    net_busy_machines += m * std::min(1.0, (net_now - g->last_net_busy) / window);
     g->last_cpu_busy = cpu_now;
     g->last_net_busy = net_now;
     if (!g->members.empty()) {
@@ -1383,7 +1346,7 @@ void ClusterSim::sample_utilization() {
   }
   const double total = static_cast<double>(config_.machines);
   timeline_.add_sample(sim_.now(),
-                       core::Utilization{cpu_weighted / total, net_weighted / total});
+                       core::Utilization{cpu_busy_machines / total, net_busy_machines / total});
   if (config_.debug_trace) {
     std::size_t waiting = 0, paused = 0, profiled = 0, finished = 0;
     for (const SimJob& j : jobs_) {
@@ -1400,7 +1363,7 @@ void ClusterSim::sample_utilization() {
     std::fprintf(stderr,
                  "t=%7.0f cpu=%.2f net=%.2f free=%zu wait=%zu paused=%zu idleprof=%zu "
                  "done=%zu pend=%d%s\n",
-                 sim_.now(), cpu_weighted / total, net_weighted / total, free_machines_,
+                 sim_.now(), cpu_busy_machines / total, net_busy_machines / total, free_machines_,
                  waiting, paused, profiled, finished, pending_regroup_ ? 1 : 0,
                  groups_desc.c_str());
   }
@@ -1436,7 +1399,7 @@ RunSummary ClusterSim::run() {
     SimJob* j = &jobs_[i];
     sim_.schedule_at(arrivals_[i], [this, j] { on_job_arrival(*j); });
   }
-  sim_.schedule_in(config_.util_sample_window_sec, [this] { sample_utilization(); });
+  sim_.schedule_in(kUtilSampleWindowSec, [this] { sample_utilization(); });
   sim_.run(200'000'000ULL);
 
   for (GroupRun& g : groups_)

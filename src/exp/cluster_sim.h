@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "baselines/isolated.h"
-#include "baselines/naive.h"
 #include "check/check.h"
 #include "cluster/machine.h"
 #include "cluster/memory_model.h"
@@ -52,21 +51,17 @@ enum class GroupingPolicy {
   kOneGroup,  // force every job into one group over all machines (micro-benches)
 };
 
+// What a run varies. The simulated testbed and the policy constants every run
+// shares are in cluster_sim_internal.h.
 struct ClusterSimConfig {
   std::size_t machines = 100;
-  cluster::MachineSpec machine_spec;
-  cluster::MemoryModelParams memory_params;
 
   ExecModel exec = ExecModel::kPipelined;
   GroupingPolicy grouping = GroupingPolicy::kHarmony;
   bool spill_enabled = true;
 
   std::uint64_t seed = 1;
-  double subtask_noise_cv = 0.03;
-  // Interference penalty for contended execution (per extra concurrent task).
-  double contention_penalty = 0.08;
 
-  std::size_t naive_jobs_per_group = 3;
   std::uint64_t naive_grouping_seed = 0;
   // Occupancy the naive packer squeezes groups to (Gandiva packs close to the
   // OOM line; a conservative operator would stay at the GC knee, 0.65).
@@ -80,11 +75,6 @@ struct ClusterSimConfig {
   // §V-G baseline: pin every job's disk ratio instead of hill climbing.
   std::optional<double> fixed_alpha;
 
-  // Occupancy the α floor targets. Above the GC knee (0.7) but safely below
-  // the OOM line: mild GC is routinely cheaper than extra reloading, and the
-  // hill climb explores around this floor.
-  double alpha_floor_occupancy = 0.85;
-
   // Prints a one-line cluster snapshot at every utilization sample (stderr).
   bool debug_trace = false;
 
@@ -94,21 +84,12 @@ struct ClusterSimConfig {
   // results are bit-identical with it on or off.
   bool validate = false;
 
-  // Profiling iterations before a job is schedulable.
-  std::size_t profiling_iterations = 3;
   // Minimum simulated time between successive kReschedule regroups; cheap
   // kReplace repairs are always allowed (churn damping).
   double reschedule_cooldown_sec = 900.0;
-  // Concurrent jobs being profiled in steady state.
-  std::size_t max_profiling_jobs = 4;
 
-  double util_sample_window_sec = 60.0;
   // α re-optimization cadence (iterations between hill-climb observations).
   std::size_t alpha_update_every = 2;
-
-  core::Scheduler::Params scheduler;
-  core::Regrouper::Params regrouper;
-  core::SpillCostModel::Params spill_costs;
 
   // Convenience presets matching the paper's three systems.
   static ClusterSimConfig isolated();
@@ -212,7 +193,7 @@ class ClusterSim {
   double job_resident_bytes_uncached(const SimJob& job, std::size_t machines) const;
   void set_alpha(core::JobId id, double alpha);
   void set_model_spilled(core::JobId id, bool spilled);
-  void refresh_alpha(SimJob& job, bool initialize);
+  void refresh_alpha(SimJob& job);
   // When spilling is disabled, Harmony placements refuse co-locations that
   // would overflow memory outright (the operator's feasibility check the
   // spill mechanism replaces).
@@ -233,7 +214,14 @@ class ClusterSim {
   // Idle (profiled or paused) jobs in submit order: a gather over the
   // idle_by_submit_ index, with no per-call sort.
   std::vector<core::SchedJob> idle_sched_jobs() const;
-  std::vector<core::RunningGroup> running_groups_view() const;
+  // The running groups as the regrouper sees them — live, not stopping, with
+  // at least one kRunning member — and, index for index, the GroupRun behind
+  // each, so a regroup action's group index maps back to its group.
+  struct RunningView {
+    std::vector<core::RunningGroup> groups;
+    std::vector<GroupRun*> owners;
+  };
+  RunningView running_view() const;
 
   // Central state-transition point: assigns job.state and refreshes the
   // job-state indexes (waiting/idle lists, per-state counters) that replace
@@ -269,8 +257,7 @@ class ClusterSim {
   void place_job_in_group(SimJob& job, GroupRun& group, bool with_migration_delay);
   void park_job(SimJob& job, core::JobState state);
   double migration_delay(const SimJob& job, std::size_t machines) const;
-  void apply_decision(const core::ScheduleDecision& decision,
-                      const std::vector<std::size_t>& replaced_groups);
+  void apply_decision(const core::ScheduleDecision& decision);
   void maybe_start_profiling();
   // Work conservation: if unallocated machines and idle jobs exist, runs
   // Algorithm 1 over the idle pool for just those machines.
@@ -283,6 +270,10 @@ class ClusterSim {
   void begin_pending(core::ScheduleDecision decision, std::vector<GroupRun*> involved);
   void try_apply_pending();
   std::vector<GroupRun*> live_groups() const;
+  // Regroup accounting shared by every path that moves jobs between groups:
+  // the run summary, the sim.regroup_events counter and a kRegroup instant,
+  // tagged with the moved job and its target group when there is one.
+  void note_regroup(const SimJob* job = nullptr, const GroupRun* group = nullptr);
 
   // --- metrics ------------------------------------------------------------
   void sample_utilization();
@@ -296,7 +287,6 @@ class ClusterSim {
   core::Scheduler scheduler_;
   core::Regrouper regrouper_;
   baselines::IsolatedScheduler isolated_;
-  baselines::NaiveScheduler naive_;
   core::Profiler profiler_;
   Rng rng_;
 

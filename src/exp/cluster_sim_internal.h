@@ -9,11 +9,34 @@
 #include <optional>
 #include <vector>
 
+#include "cluster/machine.h"
 #include "common/stats.h"
 #include "exp/cluster_sim.h"
 #include "sim/resource.h"
 
 namespace harmony::exp {
+
+// ---------------------------------------------------------------------------
+// Constants every run shares: the simulated testbed and the fixed values of
+// the scheduling policies. The memory, spill-cost and profiler models take
+// their own defaults.
+
+// The simulated machine: the paper's m4.2xlarge testbed (§V-B).
+inline constexpr cluster::MachineSpec kMachineSpec{};
+// Lognormal noise (cv) on every simulated subtask duration.
+inline constexpr double kSubtaskNoiseCv = 0.03;
+// Interference penalty for contended execution (per extra concurrent task).
+inline constexpr double kContentionPenalty = 0.08;
+// Naive co-location degree: jobs sharing one machine pool.
+inline constexpr std::size_t kNaiveJobsPerGroup = 3;
+// Occupancy the α floor targets. Above the GC knee (0.7) but safely below the
+// OOM line: mild GC is routinely cheaper than extra reloading, and the hill
+// climb explores around this floor.
+inline constexpr double kAlphaFloorOccupancy = 0.85;
+// Concurrent jobs being profiled in steady state (§IV-B1).
+inline constexpr std::size_t kMaxProfilingJobs = 4;
+// Utilization sampling window: the paper's one-minute cadence (§V).
+inline constexpr double kUtilSampleWindowSec = 60.0;
 
 // Cold per-job record. The hot scalars the memory model reads on every
 // iteration (spill ratio, model-spill flag, submit time, resident-bytes
@@ -25,7 +48,6 @@ struct ClusterSim::SimJob {
   bool arrived = false;  // submission event has fired
   core::JobState state = core::JobState::kWaiting;
   std::size_t iterations_done = 0;
-  std::size_t profile_iterations = 0;
   std::size_t iters_in_group = 0;
   double finish_time = -1.0;
 

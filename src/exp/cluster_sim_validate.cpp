@@ -125,11 +125,9 @@ check::ValidationReport ClusterSim::validate_state() const {
   if (config_.spill_enabled && !config_.fixed_alpha) {
     for (const GroupRun& g : groups_) {
       if (g.dissolved || g.members.empty()) continue;
-      const double target =
-          g.occ_ctl ? g.occ_ctl->alpha() : config_.alpha_floor_occupancy;
-      const double bound_occ = std::max(target, config_.memory_params.gc_threshold);
-      const double share = config_.machine_spec.memory_bytes /
-                           static_cast<double>(g.members.size());
+      const double target = g.occ_ctl ? g.occ_ctl->alpha() : kAlphaFloorOccupancy;
+      const double bound_occ = std::max(target, memory_model_.params().gc_threshold);
+      const double share = kMachineSpec.memory_bytes / static_cast<double>(g.members.size());
       for (core::JobId id : g.members) {
         const SimJob& j = jobs_[id];
         if (job_model_spilled_[id] != 0) continue;

@@ -11,14 +11,12 @@
 
 namespace harmony::exp {
 
-// Windowed utilization trace; the paper samples at 1-minute intervals.
+// Windowed utilization trace; ClusterSim samples it at 1-minute intervals
+// (the paper's cadence, kUtilSampleWindowSec).
 class UtilizationTimeline {
  public:
-  explicit UtilizationTimeline(double window_sec = 60.0) : window_(window_sec) {}
-
   void add_sample(double time_sec, core::Utilization value);
 
-  double window() const noexcept { return window_; }
   const std::vector<double>& times() const noexcept { return times_; }
   const std::vector<core::Utilization>& values() const noexcept { return values_; }
 
@@ -31,7 +29,6 @@ class UtilizationTimeline {
   std::string tsv(std::size_t max_rows = 60) const;
 
  private:
-  double window_;
   std::vector<double> times_;
   std::vector<core::Utilization> values_;
 };

@@ -27,9 +27,8 @@ Contrib contributions(double sum_cpu_work, double sum_t_net, double max_t_itr,
 
 }  // namespace
 
-IncrementalScheduler::IncrementalScheduler(Params params, std::size_t total_machines)
-    : params_(params),
-      model_(params.model),
+IncrementalScheduler::IncrementalScheduler(double drift_threshold, std::size_t total_machines)
+    : drift_threshold_(drift_threshold),
       total_machines_(total_machines),
       free_machines_(total_machines),
       baseline_free_(total_machines) {
@@ -40,7 +39,7 @@ double IncrementalScheduler::score_with(double acc_cpu, double acc_net,
                                         double alloc_machines, std::size_t jobs,
                                         std::size_t groups) const {
   if (alloc_machines <= 0.0) return 0.0;
-  return model_.score_scalar(
+  return PerfModel::score_scalar(
       Utilization{acc_cpu / alloc_machines, acc_net / alloc_machines}, jobs, groups);
 }
 
@@ -188,10 +187,9 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
   HARMONY_CHECK(job_group_.count(job.id) == 0)
       << check::job(job.id) << "join of an already-placed job";
 
-  const std::size_t cap =
-      force ? 2 * params_.max_jobs_per_group : params_.max_jobs_per_group;
+  const std::size_t cap = force ? 2 * kMaxJobsPerGroup : kMaxJobsPerGroup;
 
-  // Option A: the best of up to join_probe_limit live groups with a free
+  // Option A: the best of up to kJoinProbeLimit live groups with a free
   // member slot, by modelled score delta. Every candidate is evaluated
   // re-sized to the combined balance point (the allocation full Algorithm 1
   // would give that membership), so a probe recomputes max T_itr over the
@@ -202,8 +200,7 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
   double best_score = 0.0;
   if (!groups_.empty()) {
     std::size_t probed = 0;
-    for (std::size_t step = 0; step < groups_.size() && probed < params_.join_probe_limit;
-         ++step) {
+    for (std::size_t step = 0; step < groups_.size() && probed < kJoinProbeLimit; ++step) {
       const std::size_t idx = (cursor_ + step) % groups_.size();
       const Group& g = groups_[idx];
       if (!g.live || g.jobs.size() >= cap) continue;
@@ -258,7 +255,7 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
   // state stuck under the floor instead shows drift > threshold and is
   // repaired by the full-reschedule escalation.
   const double chosen_score = take_existing ? best_score : new_score;
-  if (!force && chosen_score < peak_score_ * (1.0 - params_.drift_threshold)) {
+  if (!force && chosen_score < peak_score_ * (1.0 - drift_threshold_)) {
     return std::nullopt;
   }
 
@@ -359,9 +356,9 @@ void IncrementalScheduler::validate(check::Validation& v) const {
     HARMONY_VALIDATE(v, !g.jobs.empty())
         << check::group(i) << "live group with no members";
     HARMONY_VALIDATE(v, g.machines >= 1) << check::group(i) << "live group w/o machines";
-    HARMONY_VALIDATE(v, g.jobs.size() <= 2 * params_.max_jobs_per_group)
+    HARMONY_VALIDATE(v, g.jobs.size() <= 2 * kMaxJobsPerGroup)
         << check::group(i) << "group width " << g.jobs.size()
-        << " exceeds 2x max_jobs_per_group";
+        << " exceeds 2x kMaxJobsPerGroup";
     machines += g.machines;
     jobs += g.jobs.size();
     ++nonempty;

@@ -6,7 +6,7 @@
 // the *current* grouping as mutable state and handles a single join/leave
 // with bounded work:
 //
-//  * join: probe at most `join_probe_limit` live groups (rotating cursor, so
+//  * join: probe at most kJoinProbeLimit live groups (rotating cursor, so
 //    successive joins spread over the cluster) plus the option of opening a
 //    fresh group from the free pool, and take the choice with the best
 //    modelled score delta. Every candidate is evaluated *re-sized* to the
@@ -16,7 +16,7 @@
 //    at its founder's DoP and greedy packing could never approach full
 //    Algorithm-1 quality. A probe costs O(group members) (members ≤ 2x the
 //    member cap) off cached aggregates, so a join costs
-//    O(join_probe_limit x max_jobs_per_group) regardless of cluster size.
+//    O(kJoinProbeLimit x kMaxJobsPerGroup) regardless of cluster size.
 //  * leave: remove the job from its group and re-size the remainder to its
 //    balance point (bounded the same way); an emptied group dissolves and its
 //    machines return to the free pool.
@@ -26,7 +26,7 @@
 // probe window. drift() measures that decay: the relative drop of the
 // modelled cluster score from its peak since the last rebaseline, plus the
 // fraction of machines that have drained back to the free pool. When drift()
-// exceeds drift_threshold the caller re-runs full Algorithm 1 and adopt()s
+// exceeds the drift threshold the caller re-runs full Algorithm 1 and adopt()s
 // the result, resetting the baseline. validate_incremental_state /
 // validate_incremental_vs_full (harmony/validate.h) pin both the structural
 // invariants and the bounded gap to the full re-run.
@@ -44,22 +44,10 @@
 
 namespace harmony::core {
 
+// Groups hold at most kMaxJobsPerGroup members (scheduler.h); forced
+// re-joins after an adopt() may exceed it, never beyond 2x (validated).
 class IncrementalScheduler {
  public:
-  struct Params {
-    // Mirrors Scheduler::Params::max_jobs_per_group; forced re-joins after an
-    // adopt() may exceed it (never beyond 2x — validated).
-    std::size_t max_jobs_per_group = 6;
-    // Live groups examined per join. Bounds the per-event work; the drift
-    // trigger repairs whatever a narrow window cost in placement quality.
-    std::size_t join_probe_limit = 64;
-    // Full Algorithm-1 re-run trigger: relative score drop (or free-pool
-    // growth fraction) since the last adopt() above which the caller should
-    // reschedule from scratch.
-    double drift_threshold = 0.10;
-    PerfModel::Params model;
-  };
-
   // One live job group (exposed read-only for validators and reporting).
   struct Group {
     std::vector<SchedJob> jobs;
@@ -76,7 +64,10 @@ class IncrementalScheduler {
     double net_contrib = 0.0;
   };
 
-  IncrementalScheduler(Params params, std::size_t total_machines);
+  // `drift_threshold` is the full Algorithm-1 re-run trigger: the relative
+  // score drop (or free-pool growth fraction) since the last adopt() above
+  // which the caller should reschedule from scratch.
+  IncrementalScheduler(double drift_threshold, std::size_t total_machines);
 
   // Rebuilds the grouping from a full Algorithm-1 decision over `pool` and
   // records the new drift baseline. Pool jobs the decision did not place are
@@ -119,7 +110,7 @@ class IncrementalScheduler {
   // decay and escalates (the peak tracks the best grouping ever held, so a
   // slide from it registers even with no adopt()-quality baseline to cite).
   double drift() const;
-  bool needs_full_reschedule() const { return drift() > params_.drift_threshold; }
+  bool needs_full_reschedule() const { return drift() > drift_threshold_; }
 
   std::size_t total_machines() const noexcept { return total_machines_; }
   std::size_t free_machines() const noexcept { return free_machines_; }
@@ -134,9 +125,6 @@ class IncrementalScheduler {
   // All placed jobs in id order — the queue order a full Algorithm-1 re-run
   // expects (service ids are assigned in arrival order).
   std::vector<SchedJob> pool() const;
-
-  const Params& params() const noexcept { return params_; }
-  const PerfModel& model() const noexcept { return model_; }
 
   // Deep validator: recomputes every cached aggregate and the accumulators
   // from scratch and checks machine conservation, membership consistency and
@@ -174,9 +162,11 @@ class IncrementalScheduler {
   void resize_to_balance(Group& g);
 
   static constexpr std::uint64_t kRebuildEvery = 4096;
+  // Live groups examined per join. Bounds the per-event work; the drift
+  // trigger repairs whatever a narrow window cost in placement quality.
+  static constexpr std::size_t kJoinProbeLimit = 64;
 
-  Params params_;
-  PerfModel model_;
+  double drift_threshold_;
   std::size_t total_machines_;
   std::size_t free_machines_;
 

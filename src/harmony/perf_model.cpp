@@ -4,6 +4,19 @@
 #include <cassert>
 
 namespace harmony::core {
+namespace {
+
+// Weight of CPU utilization in the scalar score; the paper treats CPU as more
+// important than network "since CPU resources directly contribute to the job
+// progress" (§IV-B2).
+constexpr double kCpuWeight = 0.7;
+// Soft preference for fewer jobs per group ("for shorter JCTs and lower
+// memory pressure"): each extra job beyond the first costs this much of the
+// score. A tie-breaker, small enough that real utilization gains always
+// dominate at cluster scale.
+constexpr double kPerJobPenalty = 0.002;
+
+}  // namespace
 
 const char* to_string(Bound bound) noexcept {
   return bound == Bound::kCpu ? "cpu" : "net";
@@ -60,15 +73,14 @@ Utilization PerfModel::cluster_utilization(std::span<const GroupShape> groups) {
 }
 
 double PerfModel::score_scalar(const Utilization& u, std::size_t total_jobs,
-                               std::size_t total_groups) const {
-  const double util =
-      params_.cpu_weight * u.cpu + (1.0 - params_.cpu_weight) * u.net;
+                               std::size_t total_groups) {
+  const double util = kCpuWeight * u.cpu + (1.0 - kCpuWeight) * u.net;
   const double extra_jobs =
       total_jobs > total_groups ? static_cast<double>(total_jobs - total_groups) : 0.0;
-  return util - params_.per_job_penalty * extra_jobs;
+  return util - kPerJobPenalty * extra_jobs;
 }
 
-double PerfModel::score(std::span<const GroupShape> groups) const {
+double PerfModel::score(std::span<const GroupShape> groups) {
   std::size_t jobs = 0;
   std::size_t nonempty = 0;
   for (const GroupShape& g : groups) {

@@ -37,21 +37,6 @@ const char* to_string(Bound bound) noexcept;
 
 class PerfModel {
  public:
-  struct Params {
-    // Weight of CPU utilization in the scalar score; the paper treats CPU as
-    // more important than network "since CPU resources directly contribute to
-    // the job progress" (§IV-B2).
-    double cpu_weight = 0.7;
-    // Soft preference for fewer jobs per group ("for shorter JCTs and lower
-    // memory pressure"): each extra job beyond the first costs this much of
-    // the score. A tie-breaker, small enough that real utilization gains
-    // always dominate at cluster scale.
-    double per_job_penalty = 0.002;
-  };
-
-  PerfModel() : PerfModel(Params{}) {}
-  explicit PerfModel(Params params) : params_(params) {}
-
   // Eq. 1: T_g_itr = max(Σ T_cpu, Σ T_net, max_j T_j_itr).
   static double group_iteration_time(const GroupShape& group);
 
@@ -67,15 +52,10 @@ class PerfModel {
   static Utilization cluster_utilization(std::span<const GroupShape> groups);
 
   // Scalar objective the scheduler maximizes: weighted utilization minus the
-  // small-group preference penalty.
-  double score(std::span<const GroupShape> groups) const;
-  double score_scalar(const Utilization& u, std::size_t total_jobs,
-                      std::size_t total_groups) const;
-
-  const Params& params() const noexcept { return params_; }
-
- private:
-  Params params_;
+  // small-group preference penalty (weights in perf_model.cpp).
+  static double score(std::span<const GroupShape> groups);
+  static double score_scalar(const Utilization& u, std::size_t total_jobs,
+                             std::size_t total_groups);
 };
 
 }  // namespace harmony::core

@@ -11,15 +11,18 @@
 namespace harmony::core {
 namespace {
 
+// The paper's twin 5 % thresholds (§IV-B4): how close two jobs (or a job and
+// a pair) must be to count as similar, and the relative gain a larger
+// regroup decision must show before it is preferred or applied at all.
+constexpr double kSimilarity = 0.05;
+constexpr double kMinBenefit = 0.05;
+
 // Pure observation of which branch of the §IV-B rules fired; never read back.
 void count_action(const char* name) {
   obs::MetricsRegistry::instance().counter(name).add();
 }
 
 }  // namespace
-
-Regrouper::Regrouper(const Scheduler& scheduler, Params params)
-    : scheduler_(scheduler), params_(params) {}
 
 std::vector<GroupShape> Regrouper::to_shapes(std::span<const RunningGroup> groups) {
   std::vector<GroupShape> shapes;
@@ -36,7 +39,7 @@ std::vector<GroupShape> Regrouper::to_shapes(std::span<const RunningGroup> group
 bool Regrouper::similar(const JobProfile& a, const JobProfile& b, std::size_t dop) const {
   const double itr_err = relative_error(a.t_itr(dop), b.t_itr(dop));
   const double ratio_err = relative_error(a.comp_ratio(dop), b.comp_ratio(dop));
-  return itr_err <= params_.similarity && ratio_err <= params_.similarity;
+  return itr_err <= kSimilarity && ratio_err <= kSimilarity;
 }
 
 RegroupAction Regrouper::on_job_arrival(const SchedJob& new_job,
@@ -48,13 +51,13 @@ RegroupAction Regrouper::on_job_arrival(const SchedJob& new_job,
   if (!idle.empty() || groups.empty()) return action;
 
   auto shapes = to_shapes(groups);
-  const double current = scheduler_.model().score(shapes);
+  const double current = PerfModel::score(shapes);
 
   double best_score = current;
   std::size_t best_group = groups.size();
   for (std::size_t g = 0; g < groups.size(); ++g) {
     shapes[g].jobs.push_back(new_job.profile);
-    const double score = scheduler_.model().score(shapes);
+    const double score = PerfModel::score(shapes);
     shapes[g].jobs.pop_back();
     if (score > best_score) {
       best_score = score;
@@ -106,9 +109,9 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
       const double sum_net = idle[a].profile.t_net + idle[b].profile.t_net;
       const double sum_itr = sum_cpu + sum_net;
       // Negated <= rather than >: a NaN error must reject the pair.
-      if (!(relative_error(sum_itr, target_itr) <= params_.similarity)) continue;
+      if (!(relative_error(sum_itr, target_itr) <= kSimilarity)) continue;
       const double ratio = sum_itr > 0.0 ? sum_cpu / sum_itr : 0.0;
-      if (relative_error(ratio, target_ratio) <= params_.similarity) {
+      if (relative_error(ratio, target_ratio) <= kSimilarity) {
         action.kind = RegroupAction::Kind::kReplace;
         action.group_index = group_index;
         action.replacements = {idle[a], idle[b]};
@@ -120,9 +123,9 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
 
   // (3) Involve other groups, smallest-first, via Algorithm 1. We grow the
   // set of participating groups and keep the smallest decision unless a
-  // bigger one wins by more than min_benefit.
+  // bigger one wins by more than kMinBenefit.
   auto shapes = to_shapes(groups);
-  const double current_score = scheduler_.model().score(shapes);
+  const double current_score = PerfModel::score(shapes);
 
   // Order candidate partner groups by job count (the paper starts with the
   // group with the fewest jobs).
@@ -174,13 +177,13 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
         }
         candidate_shapes.push_back(std::move(s));
       }
-      const double score = scheduler_.model().score(candidate_shapes);
+      const double score = PerfModel::score(candidate_shapes);
       const std::size_t jobs_touched = pool.size();
       // Prefer fewer jobs unless the larger decision is >5 % better.
       const bool better =
           !best ||
-          (jobs_touched < best_job_count && score >= best_score * (1.0 - params_.min_benefit)) ||
-          score > best_score * (1.0 + params_.min_benefit);
+          (jobs_touched < best_job_count && score >= best_score * (1.0 - kMinBenefit)) ||
+          score > best_score * (1.0 + kMinBenefit);
       if (better) {
         RegroupAction a;
         a.kind = RegroupAction::Kind::kReschedule;
@@ -201,7 +204,7 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
 
   // Skip regrouping entirely when the expected benefit is under 5 % of U.
   if (!best ||
-      best_score - current_score < params_.min_benefit * std::max(current_score, 1e-9)) {
+      best_score - current_score < kMinBenefit * std::max(current_score, 1e-9)) {
     count_action("regrouper.finish_none");
     return action;
   }

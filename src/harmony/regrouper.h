@@ -48,14 +48,7 @@ struct RegroupAction {
 
 class Regrouper {
  public:
-  struct Params {
-    // The paper's twin 5 % thresholds.
-    double similarity = 0.05;
-    double min_benefit = 0.05;
-  };
-
-  explicit Regrouper(const Scheduler& scheduler) : Regrouper(scheduler, Params{}) {}
-  Regrouper(const Scheduler& scheduler, Params params);
+  explicit Regrouper(const Scheduler& scheduler) : scheduler_(scheduler) {}
 
   // `new_job` just finished profiling; `idle` are the other profiled/paused
   // jobs. Returns kAddToGroup or kNone.
@@ -73,14 +66,13 @@ class Regrouper {
                               std::size_t spare_machines = 0) const;
 
   // True when the two jobs are "similar": iteration time and comp/comm ratio
-  // both within the similarity threshold, at the given DoP.
+  // both within the 5 % similarity threshold, at the given DoP.
   bool similar(const JobProfile& a, const JobProfile& b, std::size_t dop) const;
 
  private:
   static std::vector<GroupShape> to_shapes(std::span<const RunningGroup> groups);
 
   const Scheduler& scheduler_;
-  Params params_;
 };
 
 }  // namespace harmony::core

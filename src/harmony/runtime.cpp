@@ -18,6 +18,13 @@ namespace harmony::core {
 using Clock = std::chrono::steady_clock;  // lint: allow-nondeterminism
 
 namespace {
+
+// Naive mode's lane widths: this many COMP and COMM subtasks may run at once
+// per machine, contending instead of taking turns (Harmony mode keeps the
+// SubtaskExecutor defaults).
+constexpr std::size_t kNaiveCpuSlots = 4;
+constexpr std::size_t kNaiveNetSlots = 4;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -60,8 +67,8 @@ LocalRuntime::LocalRuntime(Params params) : params_(params) {
   if (params_.machines == 0) throw std::invalid_argument("LocalRuntime: zero machines");
   SubtaskExecutor::Params exec_params;
   if (params_.mode == ExecutionMode::kNaive) {
-    exec_params.cpu_slots = params_.naive_cpu_slots;
-    exec_params.network_slots = params_.naive_net_slots;
+    exec_params.cpu_slots = kNaiveCpuSlots;
+    exec_params.network_slots = kNaiveNetSlots;
   }
   for (std::size_t m = 0; m < params_.machines; ++m)
     executors_.push_back(std::make_unique<SubtaskExecutor>(exec_params));

@@ -69,9 +69,6 @@ class LocalRuntime {
     std::size_t machines = 2;
     double nic_bytes_per_sec = 0.0;  // <= 0: unthrottled
     ExecutionMode mode = ExecutionMode::kHarmony;
-    // Naive mode lane widths (ignored in Harmony mode).
-    std::size_t naive_cpu_slots = 4;
-    std::size_t naive_net_slots = 4;
     // Directory for pause/migrate checkpoints; empty = "harmony-ckpt" under
     // the process's temp directory.
     std::string checkpoint_dir;

@@ -11,6 +11,14 @@
 namespace harmony::core {
 namespace {
 
+// Fine-tuning swap passes are capped to keep scheduling O(jobs^2) worst case;
+// the paper's loop runs "until there are no possible swap cases".
+constexpr std::size_t kMaxSwapRounds = 64;
+// The nj-growth loop stops after this many consecutive non-improving prefixes
+// (a strict first-dip stop is brittle when the queue orders dissimilar jobs
+// next to each other).
+constexpr std::size_t kGrowthPatience = 6;
+
 // Reusable buffers for the hot evaluate path. schedule() runs once per
 // scheduling decision but evaluates O(prefix-growth) candidates, each needing
 // the same handful of small arrays; reusing capacity across candidates (and
@@ -79,13 +87,12 @@ double segment_imbalance_at_dop(std::span<const SchedJob> jobs, const Scratch& s
 
 // Step 1 (Eq. 2 search): the n_G* minimizing Σ_j |T_cpu_j(M/n_G) − T_net_j|.
 // Ties resolve to the smallest n_G (ascending scan, strict '<').
-std::size_t pick_core(const Scheduler::Params& params, std::span<const SchedJob> jobs,
-                      std::size_t machines, Scratch& s) {
+std::size_t pick_core(std::span<const SchedJob> jobs, std::size_t machines, Scratch& s) {
   if (jobs.empty() || machines == 0) return 1;
   const std::size_t n = jobs.size();
   const std::size_t max_groups = std::min(n, machines);
   const std::size_t min_groups =
-      std::min(max_groups, (n + params.max_jobs_per_group - 1) / params.max_jobs_per_group);
+      std::min(max_groups, (n + kMaxJobsPerGroup - 1) / kMaxJobsPerGroup);
   const std::size_t range = max_groups - min_groups + 1;
 
   // Exact cost of one candidate, exactly as Algorithm 1 states it.
@@ -194,8 +201,8 @@ std::size_t pick_core(const Scheduler::Params& params, std::span<const SchedJob>
 
 // Step 2: fill s.members/s.offsets with `num_groups` segments and fine-tune
 // by swapping between the most imbalanced and most complementary groups.
-void assign_core(const Scheduler::Params& params, std::span<const SchedJob> jobs,
-                 std::size_t num_groups, std::size_t dop_hint, Scratch& s) {
+void assign_core(std::span<const SchedJob> jobs, std::size_t num_groups, std::size_t dop_hint,
+                 Scratch& s) {
   if (num_groups == 0) throw std::invalid_argument("assign_jobs: zero groups");
   const std::size_t dop = std::max<std::size_t>(1, dop_hint);
   const std::size_t n = jobs.size();
@@ -241,7 +248,7 @@ void assign_core(const Scheduler::Params& params, std::span<const SchedJob> jobs
   for (std::size_t g = 0; g < num_groups; ++g)
     s.imb[g] = segment_imbalance_at_dop(jobs, s, s.offsets[g], s.offsets[g + 1]);
 
-  for (std::size_t round = 0; round < params.max_swap_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxSwapRounds; ++round) {
     // Most imbalanced group.
     std::size_t worst = 0;
     double worst_abs = -1.0;
@@ -406,11 +413,10 @@ struct CoreResult {
 // One Algorithm-1 evaluation of a candidate job set. Leaves the chosen
 // grouping in the Scratch (members/offsets/alloc) so the caller can
 // materialize a ScheduleDecision only for candidates that actually win.
-CoreResult evaluate_core(const Scheduler::Params& params, const PerfModel& model,
-                         std::span<const SchedJob> jobs, std::size_t machines, Scratch& s) {
-  const std::size_t ng = pick_core(params, jobs, machines, s);
+CoreResult evaluate_core(std::span<const SchedJob> jobs, std::size_t machines, Scratch& s) {
+  const std::size_t ng = pick_core(jobs, machines, s);
   const std::size_t dop_hint = std::max<std::size_t>(1, machines / ng);
-  assign_core(params, jobs, ng, dop_hint, s);
+  assign_core(jobs, ng, dop_hint, s);
   // Drop empty groups (possible when jobs < groups after the n_G search).
   // Segment sizes are non-increasing, so the empty ones are exactly the
   // trailing segments: pruning keeps the first min(ng, n). The fine-tuning
@@ -434,7 +440,7 @@ CoreResult evaluate_core(const Scheduler::Params& params, const PerfModel& model
   CoreResult r;
   r.g_count = g_count;
   r.util = PerfModel::cluster_utilization(s.shapes);
-  r.score = model.score(s.shapes);
+  r.score = PerfModel::score(s.shapes);
   // Packing more jobs than machines into a group makes utilization look
   // great while starving every job's progress; reject such shapes outright.
   for (std::size_t g = 0; g < g_count; ++g)
@@ -462,18 +468,16 @@ ScheduleDecision materialize(std::span<const SchedJob> jobs, const CoreResult& r
 
 }  // namespace
 
-Scheduler::Scheduler(Params params) : params_(params), model_(params.model) {}
-
 std::size_t Scheduler::pick_num_groups(std::span<const SchedJob> jobs,
                                        std::size_t machines) const {
-  return pick_core(params_, jobs, machines, scratch());
+  return pick_core(jobs, machines, scratch());
 }
 
 std::vector<std::vector<SchedJob>> Scheduler::assign_jobs(std::span<const SchedJob> jobs,
                                                           std::size_t num_groups,
                                                           std::size_t dop_hint) const {
   Scratch& s = scratch();
-  assign_core(params_, jobs, num_groups, dop_hint, s);
+  assign_core(jobs, num_groups, dop_hint, s);
   std::vector<std::vector<SchedJob>> out(num_groups);
   for (std::size_t g = 0; g < num_groups; ++g) {
     out[g].reserve(s.offsets[g + 1] - s.offsets[g]);
@@ -524,15 +528,15 @@ ScheduleDecision Scheduler::schedule(std::span<const SchedJob> jobs,
   Scratch& s = scratch();
   validate_prefix(1);
   ScheduleDecision best = materialize(
-      jobs.first(1), evaluate_core(params_, model_, jobs.first(1), machines, s), s);
+      jobs.first(1), evaluate_core(jobs.first(1), machines, s), s);
   std::size_t since_improvement = 0;
   for (std::size_t nj = 2; nj <= jobs.size(); ++nj) {
     validate_prefix(nj);
-    const CoreResult candidate = evaluate_core(params_, model_, jobs.first(nj), machines, s);
+    const CoreResult candidate = evaluate_core(jobs.first(nj), machines, s);
     if (candidate.score > best.score) {
       best = materialize(jobs.first(nj), candidate, s);
       since_improvement = 0;
-    } else if (++since_improvement >= params_.growth_patience) {
+    } else if (++since_improvement >= kGrowthPatience) {
       break;
     }
   }
@@ -554,10 +558,10 @@ ScheduleDecision Scheduler::repack(std::span<const SchedJob> jobs,
     if (!j.profile.valid()) throw std::invalid_argument("repack: invalid profile");
 
   // Steps 1-3 over the whole set, no prefix growth: pick_core's min_groups
-  // floor (ceil(jobs / max_jobs_per_group)) keeps every group within the
+  // floor (ceil(jobs / kMaxJobsPerGroup)) keeps every group within the
   // member cap, so the result places every job.
   Scratch& s = scratch();
-  const CoreResult r = evaluate_core(params_, model_, jobs, machines, s);
+  const CoreResult r = evaluate_core(jobs, machines, s);
   return materialize(jobs, r, s);
 }
 

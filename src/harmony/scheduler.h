@@ -44,26 +44,14 @@ struct ScheduleDecision {
   bool empty() const noexcept { return groups.empty(); }
 };
 
+// Upper bound on co-located jobs per group (memory pressure and per-job
+// progress both degrade with very wide groups; the paper's groups hold 2-6
+// jobs typically, Fig. 12). Shared by Scheduler and IncrementalScheduler.
+inline constexpr std::size_t kMaxJobsPerGroup = 6;
+
+// Stateless: every call works from its arguments alone.
 class Scheduler {
  public:
-  struct Params {
-    // Fine-tuning swap passes are capped to keep scheduling O(jobs^2) worst
-    // case; the paper's loop runs "until there are no possible swap cases".
-    std::size_t max_swap_rounds = 64;
-    // The nj-growth loop stops after this many consecutive non-improving
-    // prefixes (a strict first-dip stop is brittle when the queue orders
-    // dissimilar jobs next to each other).
-    std::size_t growth_patience = 6;
-    // Upper bound on co-located jobs per group (memory pressure and per-job
-    // progress both degrade with very wide groups; the paper's groups hold
-    // 2-6 jobs typically, Fig. 12).
-    std::size_t max_jobs_per_group = 6;
-    PerfModel::Params model;
-  };
-
-  Scheduler() : Scheduler(Params{}) {}
-  explicit Scheduler(Params params);
-
   // Algorithm 1. `jobs` must be in queue order. Profiles are validated lazily
   // as the candidate prefix grows, so only jobs the search actually examines
   // must be valid — an invalid profile deep in a long queue goes unnoticed if
@@ -71,7 +59,7 @@ class Scheduler {
   ScheduleDecision schedule(std::span<const SchedJob> jobs, std::size_t machines) const;
 
   // Re-packs an already-admitted job set: steps 1-3 of Algorithm 1 over *all*
-  // of `jobs`, with enough groups to respect max_jobs_per_group — no prefix
+  // of `jobs`, with enough groups to respect kMaxJobsPerGroup — no prefix
   // growth, nothing parked. schedule() optimizes which queue prefix to admit;
   // repack() re-optimizes the layout of jobs that are already running and so
   // cannot be evicted (the online service's full-reschedule escalation, and
@@ -94,12 +82,6 @@ class Scheduler {
   // order with a strict '<'): fewer groups means a higher DoP per group, and
   // at equal cost the faster iterations are preferable.
   std::size_t pick_num_groups(std::span<const SchedJob> jobs, std::size_t machines) const;
-
-  const PerfModel& model() const noexcept { return model_; }
-
- private:
-  Params params_;
-  PerfModel model_;
 };
 
 }  // namespace harmony::core

@@ -143,11 +143,6 @@ std::uint64_t DiskSpillStore::bytes_on_disk() const {
   return bytes_on_disk_;
 }
 
-std::uint64_t DiskSpillStore::bytes_spilled_total() const {
-  common::MutexLock lock(mu_);
-  return spilled_total_;
-}
-
 std::uint64_t DiskSpillStore::bytes_reloaded_total() const {
   common::MutexLock lock(mu_);
   return reloaded_total_;

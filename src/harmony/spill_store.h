@@ -49,7 +49,6 @@ class DiskSpillStore {
 
   std::size_t blocks_on_disk() const;
   std::uint64_t bytes_on_disk() const;
-  std::uint64_t bytes_spilled_total() const;
   std::uint64_t bytes_reloaded_total() const;
 
   const std::filesystem::path& dir() const noexcept { return dir_; }

@@ -125,7 +125,7 @@ void validate_incremental_vs_full(const IncrementalScheduler& inc, const Schedul
   const ScheduleDecision decision = full.repack(pool, inc.total_machines());
   validate_decision(decision, pool, inc.total_machines(), v);
 
-  // Score the full decision with the same model the incremental state uses.
+  // Score the full decision with the model the incremental state uses.
   std::vector<GroupShape> shapes;
   shapes.reserve(decision.groups.size());
   std::unordered_map<JobId, JobProfile> profiles;
@@ -138,7 +138,7 @@ void validate_incremental_vs_full(const IncrementalScheduler& inc, const Schedul
     for (JobId id : plan.jobs) shape.jobs.push_back(profiles.at(id));
     shapes.push_back(std::move(shape));
   }
-  const double full_score = inc.model().score(shapes);
+  const double full_score = PerfModel::score(shapes);
   const double inc_score = inc.current_score();
 
   HARMONY_VALIDATE(v, check::within_relative_slack(inc_score, full_score, slack))

@@ -52,8 +52,8 @@ void validate_incremental_state(const IncrementalScheduler& inc, check::Validati
 // trail a fresh Algorithm-1 run, but once the gap exceeds the drift
 // threshold a full re-run is triggered, so the steady-state gap is bounded
 // by drift_threshold plus the score the bounded probe window gives up on a
-// single join. `slack` should therefore be chosen comfortably above
-// inc.params().drift_threshold (the service defaults pair 0.10 with 0.35).
+// single join. `slack` should therefore be chosen comfortably above the
+// drift threshold (svc::Service derives 0.35 for its default 0.10).
 // The comparison scores each grouping over the machines it actually
 // allocates, so a full decision that parks jobs (schedules a prefix) is
 // still comparable.

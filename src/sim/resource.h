@@ -45,7 +45,6 @@ class FifoResource {
   // already running or finished (it will complete normally).
   bool cancel_pending(TaskId id);
 
-  std::size_t queue_length() const noexcept { return pending_.size(); }
   bool busy() const noexcept { return running_; }
 
   // Total time with a task in service since construction (utilization

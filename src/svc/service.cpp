@@ -24,6 +24,23 @@ double wall_seconds_since(WallClock::time_point t0) {
   return std::chrono::duration<double>(WallClock::now() - t0).count();
 }
 
+// Per-arrival lognormal jitter applied to the catalog profile (cv), so an
+// unbounded stream does not repeat 80 identical jobs forever.
+constexpr double kProfileJitterCv = 0.10;
+// Iteration counts are clamped to this, bounding a single job's residency.
+constexpr std::size_t kMaxIterations = 30;
+// Churn damping: a full re-run is considered only after this many scheduling
+// events since the previous one, however fast drift re-crosses the threshold.
+constexpr std::uint64_t kFullRescheduleCooldownEvents = 64;
+
+// Relative slack for the incremental-vs-full equivalence validator. The
+// bound includes one drift threshold's worth of tolerated decay, so it must
+// exceed the threshold: 0.35 covers the default 0.10, and thresholds from
+// 0.35 up get the threshold plus 0.25.
+double validator_slack(double drift_threshold) {
+  return drift_threshold < 0.35 ? 0.35 : drift_threshold + 0.25;
+}
+
 struct SvcMetrics {
   obs::Counter& arrivals;
   obs::Counter& admitted;
@@ -74,25 +91,19 @@ double quantile_of(const SampleSet& s, double q) { return s.empty() ? 0.0 : s.qu
 Service::Service(ServiceConfig config, std::vector<exp::WorkloadSpec> catalog)
     : config_(std::move(config)),
       catalog_(std::move(catalog)),
-      full_(config_.scheduler),
-      placement_(config_.incremental, config_.machines),
+      placement_(config_.drift_threshold, config_.machines),
       queue_(config_.admission, config_.queue_capacity),
       rng_(config_.seed) {
   HARMONY_CHECK(!catalog_.empty()) << "service needs a non-empty job catalog";
   HARMONY_CHECK(config_.machines > 0) << "service needs machines";
   HARMONY_CHECK(config_.arrival_kind != "batch")
       << "the open-loop service needs a positive-rate arrival process";
-  HARMONY_CHECK(config_.equivalence_slack > config_.incremental.drift_threshold)
-      << "equivalence slack " << config_.equivalence_slack
-      << " must exceed the drift threshold " << config_.incremental.drift_threshold
-      << " (the bound includes one threshold's worth of tolerated decay)";
   stream_ = exp::make_arrival_stream(config_.arrival_kind, config_.mean_interarrival_sec,
                                      rng_.next_u64());
 
   if (config_.telemetry_interval_sec > 0.0) {
     obs::TimeSeriesConfig tc;
     tc.interval_sec = config_.telemetry_interval_sec;
-    tc.capacity = config_.telemetry_capacity;
     // Only the deterministic service series: scheduler.* is perturbed by the
     // pure-observer validators (their equivalence repack is instrumented) and
     // svc.decision_latency_us is wall-fed — sampling either would break the
@@ -115,13 +126,13 @@ Service::~Service() = default;
 PendingJob Service::make_pending(core::JobId id) {
   const exp::WorkloadSpec& spec = catalog_[id % catalog_.size()];
   core::JobProfile profile = spec.profile();
-  profile.cpu_work *= rng_.lognormal_noise(config_.profile_jitter_cv);
-  profile.t_net *= rng_.lognormal_noise(config_.profile_jitter_cv);
+  profile.cpu_work *= rng_.lognormal_noise(kProfileJitterCv);
+  profile.t_net *= rng_.lognormal_noise(kProfileJitterCv);
 
   PendingJob p;
   p.job = core::SchedJob{id, profile};
   p.seq = id;
-  const std::size_t iterations = std::min(spec.iterations, config_.max_iterations);
+  const std::size_t iterations = std::min(spec.iterations, kMaxIterations);
   // Isolated-run estimate at the balance-point DoP; the SJF admission key.
   std::size_t dop = config_.machines;
   if (profile.t_net > 0.0) {
@@ -224,7 +235,8 @@ void Service::maybe_validate() {
 check::ValidationReport Service::validate_state() const {
   check::Validation v("svc.service");
   core::validate_incremental_state(placement_, v);
-  core::validate_incremental_vs_full(placement_, full_, config_.equivalence_slack, v);
+  core::validate_incremental_vs_full(placement_, full_,
+                                     validator_slack(config_.drift_threshold), v);
   HARMONY_VALIDATE(v, queue_.size() <= queue_.capacity())
       << "pending queue holds " << queue_.size() << " jobs over a capacity of "
       << queue_.capacity();
@@ -255,7 +267,7 @@ bool Service::try_place(PendingJob& p) {
 
   const exp::WorkloadSpec& spec = catalog_[p.job.id % catalog_.size()];
   const auto iterations =
-      static_cast<double>(std::min(spec.iterations, config_.max_iterations));
+      static_cast<double>(std::min(spec.iterations, kMaxIterations));
   const double service_time = iterations * placed->group_t_itr;
   ++running_;
   metrics.running_jobs.set(static_cast<double>(running_));
@@ -301,8 +313,7 @@ void Service::drain_queue() {
 
 void Service::maybe_full_reschedule() {
   if (!placement_.needs_full_reschedule()) return;
-  if (summary_.scheduling_events - events_at_last_full_ <
-      config_.full_reschedule_cooldown_events)
+  if (summary_.scheduling_events - events_at_last_full_ < kFullRescheduleCooldownEvents)
     return;
   full_reschedule();
   drain_queue();  // a redistribution may open room for queued jobs

@@ -58,29 +58,16 @@ struct ServiceConfig {
 
   std::uint64_t seed = 1;
 
-  // Per-arrival lognormal jitter applied to the catalog profile (cv), so an
-  // unbounded stream does not repeat 80 identical jobs forever.
-  double profile_jitter_cv = 0.10;
-  // Iteration counts are clamped to this, bounding a single job's residency.
-  std::size_t max_iterations = 30;
-
-  // Incremental rescheduler (bounded join probes, drift threshold) and the
-  // full Algorithm 1 it escalates to.
-  core::IncrementalScheduler::Params incremental;
-  core::Scheduler::Params scheduler;
-  // Churn damping: a full re-run is considered only after this many
-  // scheduling events since the previous one, however fast drift re-crosses
-  // the threshold.
-  std::uint64_t full_reschedule_cooldown_events = 64;
+  // The incremental rescheduler escalates to a full Algorithm-1 repack when
+  // its drift (see core::IncrementalScheduler::drift) exceeds this.
+  double drift_threshold = 0.10;
 
   // Run the deep validators (incremental state + incremental-vs-full
   // equivalence) every N scheduling events; 0 = off. Throws check::CheckError
   // on the first corrupt state. Read-only, consumes no randomness: runs are
-  // bit-identical with it on or off.
+  // bit-identical with it on or off. The Service derives the equivalence
+  // validator's slack from drift_threshold.
   std::uint64_t validate_every_events = 0;
-  // Relative slack for the equivalence validator (see
-  // validate_incremental_vs_full); must exceed incremental.drift_threshold.
-  double equivalence_slack = 0.35;
 
   // Live telemetry (obs::TimeSeriesEngine over the svc.* series): close one
   // window every interval of *sim* time; 0 = off. Windowing samples only
@@ -88,7 +75,6 @@ struct ServiceConfig {
   // telemetry output is a pure function of the seed, with or without
   // validators.
   double telemetry_interval_sec = 0.0;
-  std::size_t telemetry_capacity = 512;
   std::string telemetry_out;  // optional JSONL sink, one line per window
   std::string prom_out;       // optional Prometheus exposition at end of run
   // SLO objectives evaluated against each closed window (obs::SloMonitor).

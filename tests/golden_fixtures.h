@@ -139,7 +139,7 @@ inline std::vector<SimCase> sim_cases() {
     cases.push_back(std::move(c));
   }
   {
-    // A waiting backlog far deeper than max_profiling_jobs: arrivals every
+    // A waiting backlog far deeper than kMaxProfilingJobs: arrivals every
     // ~2 s outpace hour-long jobs, so profiling admission runs against
     // hundreds of queued jobs.
     SimCase c;

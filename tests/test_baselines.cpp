@@ -3,7 +3,6 @@
 #include <set>
 
 #include "baselines/isolated.h"
-#include "baselines/naive.h"
 #include "baselines/oracle.h"
 #include "common/rng.h"
 
@@ -34,63 +33,6 @@ TEST(Isolated, HigherBiasLowersDop) {
   IsolatedScheduler strict(IsolatedScheduler::Params{4.0, 32});
   const JobProfile p{320, 8};
   EXPECT_GE(relaxed.pick_dop(p), strict.pick_dop(p));
-}
-
-TEST(Isolated, OneJobPerGroupFifoUntilFull) {
-  IsolatedScheduler s;
-  std::vector<SchedJob> jobs{job(0, 400, 4), job(1, 400, 4), job(2, 400, 4)};
-  const auto d = s.schedule(jobs, 10);
-  // Each group holds exactly one job; total machines never exceeds 10.
-  std::size_t total = 0;
-  for (const auto& g : d.groups) {
-    EXPECT_EQ(g.jobs.size(), 1u);
-    total += g.machines;
-  }
-  EXPECT_LE(total, 10u);
-  EXPECT_GE(d.jobs_scheduled, 1u);
-}
-
-TEST(Isolated, QueuesWhenMachinesExhausted) {
-  IsolatedScheduler s;
-  std::vector<SchedJob> jobs;
-  for (JobId i = 0; i < 30; ++i) jobs.push_back(job(i, 400, 4));
-  const auto d = s.schedule(jobs, 8);
-  EXPECT_LT(d.jobs_scheduled, 30u);
-}
-
-TEST(Naive, GroupsHaveConfiguredSize) {
-  NaiveScheduler s(NaiveScheduler::Params{3});
-  std::vector<SchedJob> jobs;
-  for (JobId i = 0; i < 9; ++i) jobs.push_back(job(i, 100, 10));
-  const auto d = s.schedule(jobs, 12, 1);
-  EXPECT_EQ(d.groups.size(), 3u);
-  std::size_t total_jobs = 0, total_machines = 0;
-  for (const auto& g : d.groups) {
-    total_jobs += g.jobs.size();
-    total_machines += g.machines;
-  }
-  EXPECT_EQ(total_jobs, 9u);
-  EXPECT_EQ(total_machines, 12u);
-}
-
-TEST(Naive, DifferentSeedsGiveDifferentGroupings) {
-  NaiveScheduler s(NaiveScheduler::Params{2});
-  std::vector<SchedJob> jobs;
-  for (JobId i = 0; i < 8; ++i) jobs.push_back(job(i, 100 + i, 10));
-  const auto a = s.schedule(jobs, 8, 1);
-  const auto b = s.schedule(jobs, 8, 2);
-  // With 8 distinct jobs, two shuffles almost surely differ.
-  bool same = a.groups.size() == b.groups.size();
-  if (same) {
-    for (std::size_t g = 0; g < a.groups.size(); ++g)
-      if (a.groups[g].jobs != b.groups[g].jobs) same = false;
-  }
-  EXPECT_FALSE(same);
-}
-
-TEST(Naive, EmptyInput) {
-  NaiveScheduler s;
-  EXPECT_TRUE(s.schedule({}, 8, 1).groups.empty());
 }
 
 TEST(Oracle, MatchesSchedulerOnTrivialCase) {
@@ -136,7 +78,7 @@ TEST(Oracle, SeparatesMonsterJob) {
 }
 
 TEST(Oracle, RefusesOversizedInput) {
-  OracleScheduler oracle(OracleScheduler::Params{5, {}});
+  OracleScheduler oracle(OracleScheduler::Params{5});
   std::vector<SchedJob> jobs;
   for (JobId i = 0; i < 6; ++i) jobs.push_back(job(i, 100, 10));
   EXPECT_THROW(oracle.schedule(jobs, 8), std::invalid_argument);

@@ -82,6 +82,19 @@ class CliTest(unittest.TestCase):
         self.assertIn("events/s", second.stderr)
         self.assertNotIn("events/s", first.stdout)
 
+    def test_validated_service_above_default_slack_is_clean(self):
+        # A drift threshold above the validator's default slack (0.35): the
+        # service derives a wider slack itself, so the equivalence validator
+        # runs clean and stays a pure observer.
+        args = ("--service", "--duration", "1200", "--arrival-rate", "0.2",
+                "--drift", "0.5")
+        plain = run(*args)
+        validated = run(*args, "--validate")
+        self.assertEqual(plain.returncode, 0, plain.stderr)
+        self.assertEqual(validated.returncode, 0, validated.stderr)
+        self.assertIn("all invariants clean", validated.stderr)
+        self.assertEqual(plain.stdout, validated.stdout)
+
     def test_bad_slo_spec_is_named(self):
         self.assert_named_error("not-a-slo", "--service", "--slo", "not-a-slo=1")
         self.assert_named_error("'abc'",

@@ -23,13 +23,12 @@ TEST(UtilizationTimeline, EmptyAveragesToZero) {
 }
 
 TEST(UtilizationTimeline, AverageIsSampleMean) {
-  UtilizationTimeline tl(60.0);
+  UtilizationTimeline tl;
   tl.add_sample(60.0, {0.2, 0.8});
   tl.add_sample(120.0, {0.4, 0.6});
   tl.add_sample(180.0, {0.6, 0.4});
   EXPECT_DOUBLE_EQ(tl.average().cpu, 0.4);
   EXPECT_DOUBLE_EQ(tl.average().net, 0.6);
-  EXPECT_DOUBLE_EQ(tl.window(), 60.0);
   EXPECT_EQ(tl.times().size(), 3u);
 }
 

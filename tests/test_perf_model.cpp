@@ -97,25 +97,22 @@ TEST(PerfModel, EmptyGroupsIgnored) {
 }
 
 TEST(PerfModel, ScoreWeightsCpuAboveNetwork) {
-  PerfModel::Params params;
-  params.cpu_weight = 0.7;
-  params.per_job_penalty = 0.0;
-  PerfModel model(params);
-  // CPU-bound group: u = (1.0, 0.2); network-bound: u = (0.2, 1.0).
+  // CPU-bound group: u = (1.0, 0.2); network-bound: u = (0.2, 1.0). Both hold
+  // three jobs, so the per-job penalty cancels and only the CPU weighting
+  // separates them.
   GroupShape cpu_bound{{prof(10, 2, 4), prof(10, 2, 4), prof(10, 2, 4)}, 4};
   GroupShape net_bound{{prof(2, 10, 4), prof(2, 10, 4), prof(2, 10, 4)}, 4};
-  const double s_cpu = model.score(std::vector<GroupShape>{cpu_bound});
-  const double s_net = model.score(std::vector<GroupShape>{net_bound});
+  const double s_cpu = PerfModel::score(std::vector<GroupShape>{cpu_bound});
+  const double s_net = PerfModel::score(std::vector<GroupShape>{net_bound});
   EXPECT_GT(s_cpu, s_net);
 }
 
 TEST(PerfModel, ScorePenalizesExtraJobs) {
-  PerfModel model;  // default per_job_penalty > 0
   GroupShape two{{prof(9, 3, 4), prof(3, 9, 4)}, 4};
   GroupShape four{{prof(9, 3, 4), prof(3, 9, 4), prof(9, 3, 4), prof(3, 9, 4)}, 4};
   // Both reach u = (1,1)... four jobs only utilization-tie if totals double.
-  const double s2 = model.score(std::vector<GroupShape>{two});
-  const double s4 = model.score(std::vector<GroupShape>{four});
+  const double s2 = PerfModel::score(std::vector<GroupShape>{two});
+  const double s4 = PerfModel::score(std::vector<GroupShape>{four});
   EXPECT_GT(s2, s4);  // fewer jobs preferred at equal utilization
 }
 

@@ -111,7 +111,7 @@ class SimilaritySweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(SimilaritySweep, ThresholdBoundary) {
   Scheduler scheduler;
-  Regrouper regrouper(scheduler, Regrouper::Params{0.05, 0.05});
+  Regrouper regrouper(scheduler);
   const double delta = GetParam();
   const JobProfile base{100.0, 10.0};
   const JobProfile other{100.0 * (1.0 + delta), 10.0};

@@ -100,11 +100,8 @@ core::SchedJob job(core::JobId id, double cpu_work, double t_net) {
   return j;
 }
 
-core::IncrementalScheduler::Params inc_params() {
-  core::IncrementalScheduler::Params p;
-  p.drift_threshold = 0.10;
-  return p;
-}
+// The service's default drift threshold.
+constexpr double kDriftThreshold = 0.10;
 
 void expect_valid(const core::IncrementalScheduler& inc) {
   check::Validation v("incremental");
@@ -113,7 +110,7 @@ void expect_valid(const core::IncrementalScheduler& inc) {
 }
 
 TEST(IncrementalScheduler, JoinPlacesAndConservesMachines) {
-  core::IncrementalScheduler inc(inc_params(), 100);
+  core::IncrementalScheduler inc(kDriftThreshold, 100);
   std::size_t placed = 0;
   for (core::JobId id = 0; id < 20; ++id) {
     const auto r = inc.join(job(id, 200.0 + 10.0 * id, 8.0));
@@ -132,7 +129,7 @@ TEST(IncrementalScheduler, JoinPlacesAndConservesMachines) {
 }
 
 TEST(IncrementalScheduler, LeaveDissolvesEmptyGroupAndFreesMachines) {
-  core::IncrementalScheduler inc(inc_params(), 50);
+  core::IncrementalScheduler inc(kDriftThreshold, 50);
   ASSERT_TRUE(inc.join(job(1, 300.0, 10.0)).has_value());
   EXPECT_TRUE(inc.contains(1));
   EXPECT_LT(inc.free_machines(), 50u);
@@ -145,7 +142,7 @@ TEST(IncrementalScheduler, LeaveDissolvesEmptyGroupAndFreesMachines) {
 }
 
 TEST(IncrementalScheduler, JoinRejectsDuplicateAndPoolIsIdSorted) {
-  core::IncrementalScheduler inc(inc_params(), 40);
+  core::IncrementalScheduler inc(kDriftThreshold, 40);
   ASSERT_TRUE(inc.join(job(5, 200.0, 8.0)).has_value());
   ASSERT_TRUE(inc.join(job(2, 260.0, 9.0)).has_value());
   EXPECT_THROW(inc.join(job(5, 200.0, 8.0)), check::CheckError);
@@ -160,8 +157,7 @@ TEST(IncrementalScheduler, QualityGateDeclinesScoreCrashingJoin) {
   // group would crater the modelled score: the gate queues it (nullopt)
   // rather than letting admission ratchet past what full Algorithm 1 would
   // co-schedule. force=true bypasses the gate.
-  auto params = inc_params();
-  core::IncrementalScheduler inc(params, 24);
+  core::IncrementalScheduler inc(kDriftThreshold, 24);
   for (core::JobId id = 0; id < 12; ++id)
     ASSERT_TRUE(inc.join(job(id, 160.0, 8.0)).has_value());
   const double before = inc.current_score();
@@ -175,15 +171,14 @@ TEST(IncrementalScheduler, QualityGateDeclinesScoreCrashingJoin) {
   }
   EXPECT_FALSE(r.has_value());
   EXPECT_GE(inc.current_score(),
-            before * (1.0 - params.drift_threshold) - 1e-9);
+            before * (1.0 - kDriftThreshold) - 1e-9);
   const auto forced = inc.join(awkward, /*force=*/true);
   EXPECT_TRUE(forced.has_value());
   expect_valid(inc);
 }
 
 TEST(IncrementalScheduler, DriftRisesOnDecayAndResetsOnAdopt) {
-  auto params = inc_params();
-  core::IncrementalScheduler inc(params, 80);
+  core::IncrementalScheduler inc(kDriftThreshold, 80);
   for (core::JobId id = 0; id < 16; ++id) inc.join(job(id, 220.0, 10.0), true);
   EXPECT_GE(inc.drift(), 0.0);
 
@@ -204,7 +199,7 @@ TEST(IncrementalScheduler, DriftRisesOnDecayAndResetsOnAdopt) {
   core::Scheduler full;
   const auto pool = inc.pool();
   inc.adopt(full.repack(pool, inc.total_machines()), pool);
-  EXPECT_LT(inc.drift(), params.drift_threshold);
+  EXPECT_LT(inc.drift(), kDriftThreshold);
   EXPECT_EQ(inc.running_jobs(), pool.size());
   expect_valid(inc);
 }
@@ -214,7 +209,7 @@ TEST(IncrementalScheduler, EquivalenceWithFullRepackWithinSlack) {
   // the incremental grouping scores within the documented slack of a fresh
   // full-algorithm repack of the same jobs (see validate_incremental_vs_full;
   // the service pairs drift_threshold 0.10 with slack 0.35).
-  core::IncrementalScheduler inc(inc_params(), 120);
+  core::IncrementalScheduler inc(kDriftThreshold, 120);
   core::Scheduler full;
   Rng rng(17);
   core::JobId next = 0;
@@ -246,7 +241,7 @@ TEST(IncrementalScheduler, CorruptionInjectionIsDetected) {
   for (const Corruption kind :
        {Corruption::kLostMachine, Corruption::kDuplicateJob,
         Corruption::kSkewedAggregate}) {
-    core::IncrementalScheduler inc(inc_params(), 60);
+    core::IncrementalScheduler inc(kDriftThreshold, 60);
     for (core::JobId id = 0; id < 8; ++id) inc.join(job(id, 200.0, 8.0), true);
     expect_valid(inc);
     inc.corrupt_for_test(kind);
@@ -306,6 +301,19 @@ TEST(Service, AccountingIsConsistent) {
   EXPECT_GT(s.completed, 0u);
   EXPECT_GT(s.jct_p99, 0.0);
   EXPECT_GE(s.jct_p99, s.jct_p50);
+}
+
+TEST(Service, DriftThresholdAboveDefaultSlackValidatesClean) {
+  // The equivalence validator's slack is derived from the drift threshold, so
+  // a threshold above the default slack (0.35) still builds and validates
+  // clean.
+  auto config = small_service_config();
+  config.drift_threshold = 0.5;
+  config.validate_every_events = 64;
+  svc::Service service(config, exp::make_catalog());
+  svc::ServiceSummary s;
+  EXPECT_NO_THROW(s = service.run());
+  EXPECT_GT(s.validations_run, 0u);
 }
 
 TEST(Service, RejectsClosedLoopBatchArrivals) {

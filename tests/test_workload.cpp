@@ -190,7 +190,7 @@ TEST(Arrivals, TraceIsBurstierThanPoisson) {
 // ---------------------------------------------------------------------------
 
 TEST(Metrics, TimelineAverages) {
-  UtilizationTimeline tl(60.0);
+  UtilizationTimeline tl;
   tl.add_sample(60.0, {0.5, 0.3});
   tl.add_sample(120.0, {0.7, 0.5});
   tl.add_sample(180.0, {0.9, 0.7});
@@ -202,7 +202,7 @@ TEST(Metrics, TimelineAverages) {
 }
 
 TEST(Metrics, TimelineTsv) {
-  UtilizationTimeline tl(60.0);
+  UtilizationTimeline tl;
   for (int i = 1; i <= 10; ++i)
     tl.add_sample(60.0 * i, {0.1 * i, 0.05 * i});
   const std::string tsv = tl.tsv(5);

@@ -187,8 +187,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--queue-cap") {
       svc_config.queue_capacity = std::stoul(next());
     } else if (arg == "--drift") {
-      svc_config.incremental.drift_threshold = std::stod(next());
-      if (svc_config.incremental.drift_threshold <= 0.0)
+      svc_config.drift_threshold = std::stod(next());
+      if (svc_config.drift_threshold <= 0.0)
         usage_error(argv[0], "--drift must be positive");
     } else if (arg == "--seed") {
       config.seed = std::stoull(next());
@@ -277,10 +277,6 @@ int main(int argc, char** argv) {
     if (machines_set) svc_config.machines = config.machines;
     svc_config.seed = config.seed;
     if (config.validate) svc_config.validate_every_events = 256;
-    // Keep the equivalence validator meaningful when --drift is raised above
-    // the default slack (the Service constructor requires slack > threshold).
-    if (svc_config.equivalence_slack <= svc_config.incremental.drift_threshold)
-      svc_config.equivalence_slack = svc_config.incremental.drift_threshold + 0.25;
 
     // Any telemetry request implies ticking; the default cadence is one
     // window per simulated minute.
@@ -297,7 +293,7 @@ int main(int argc, char** argv) {
                 svc_config.machines, svc_config.duration_sec,
                 svc_config.arrival_kind.c_str(), svc_config.mean_interarrival_sec,
                 svc::to_string(svc_config.admission), svc_config.queue_capacity,
-                svc_config.incremental.drift_threshold,
+                svc_config.drift_threshold,
                 static_cast<unsigned long long>(svc_config.seed));
 
     svc::Service service(svc_config, exp::make_catalog());
