@@ -20,7 +20,6 @@ int main() {
   // with the true profiles. Throughput is proportional to achieved CPU
   // utilization, so the achieved-U ratio is the speedup ratio.
   bench::print_header("Fig. 13a: decision quality vs injected model error");
-  core::Scheduler scheduler;
   std::vector<core::SchedJob> truth;
   for (const auto& s : workload) truth.push_back(s.sched_job());
 
@@ -31,7 +30,7 @@ int main() {
       j.profile.cpu_work *= 1.0 + rng.uniform(-err, err);
       j.profile.t_net *= 1.0 + rng.uniform(-err, err);
     }
-    const auto decision = scheduler.schedule(noisy, 100);
+    const auto decision = core::schedule(noisy, 100);
     // Re-evaluate the chosen grouping with the true profiles.
     std::vector<core::GroupShape> shapes;
     for (const auto& plan : decision.groups) {

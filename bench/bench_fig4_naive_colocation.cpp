@@ -40,9 +40,8 @@ int main() {
   bench::print_header("Fig. 4: naive co-location on 16 machines");
   TextTable table({"workload", "CPU util (%)", "Net util (%)", "OOM?"});
   cluster::MachineSpec spec;
-  cluster::MemoryModelParams mem_params;
   for (auto& c : cases) {
-    const bool ooms = exp::co_location_ooms(c.jobs, 16, spec, mem_params);
+    const bool ooms = exp::co_location_ooms(c.jobs, 16, spec);
     if (ooms) {
       table.add_row({c.label, "-", "-", "OUT OF MEMORY"});
       continue;

@@ -29,9 +29,8 @@ void BM_HarmonySchedule(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   const auto machines = static_cast<std::size_t>(state.range(1));
   const auto pool = synthetic_pool(jobs, 7);
-  core::Scheduler scheduler;
   for (auto _ : state) {
-    auto decision = scheduler.schedule(pool, machines);
+    auto decision = core::schedule(pool, machines);
     benchmark::DoNotOptimize(decision);
   }
   state.SetLabel(std::to_string(jobs) + " jobs / " + std::to_string(machines) + " machines");
@@ -40,10 +39,9 @@ void BM_HarmonySchedule(benchmark::State& state) {
 void BM_OracleSchedule(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   const auto pool = synthetic_pool(jobs, 7);
-  baselines::OracleScheduler oracle;
   for (auto _ : state) {
-    auto decision = oracle.schedule(pool, 32);
-    benchmark::DoNotOptimize(decision);
+    auto result = baselines::oracle_schedule(pool, 32);
+    benchmark::DoNotOptimize(result);
   }
   state.SetLabel(std::to_string(jobs) + " jobs (exhaustive)");
 }

@@ -2,10 +2,9 @@
 
 namespace harmony::baselines {
 
-std::size_t IsolatedScheduler::pick_dop(const core::JobProfile& profile) const {
+std::size_t isolated_dop(const core::JobProfile& profile) {
   std::size_t m = 1;
-  while (m < params_.max_machines_per_job &&
-         profile.t_cpu(m + 1) >= params_.cpu_bias * profile.t_net) {
+  while (m < kIsolatedMaxMachines && profile.t_cpu(m + 1) >= kIsolatedCpuBias * profile.t_net) {
     ++m;
   }
   return m;

@@ -11,23 +11,12 @@
 
 namespace harmony::baselines {
 
-class IsolatedScheduler {
- public:
-  struct Params {
-    // A job's DoP is the largest m with t_cpu(m) >= cpu_bias * t_net: raising
-    // the bias trades parallelism for CPU utilization.
-    double cpu_bias = 1.5;
-    std::size_t max_machines_per_job = 32;
-  };
+// A job's DoP is the largest m with t_cpu(m) >= kIsolatedCpuBias * t_net:
+// raising the bias trades parallelism for CPU utilization.
+inline constexpr double kIsolatedCpuBias = 1.5;
+inline constexpr std::size_t kIsolatedMaxMachines = 32;
 
-  IsolatedScheduler() : IsolatedScheduler(Params{}) {}
-  explicit IsolatedScheduler(Params params) : params_(params) {}
-
-  // Largest DoP that keeps the job CPU-dominant (>= 1).
-  std::size_t pick_dop(const core::JobProfile& profile) const;
-
- private:
-  Params params_;
-};
+// Largest DoP that keeps the job CPU-dominant (>= 1, <= kIsolatedMaxMachines).
+std::size_t isolated_dop(const core::JobProfile& profile);
 
 }  // namespace harmony::baselines

@@ -5,13 +5,12 @@
 
 namespace harmony::baselines {
 
-core::ScheduleDecision OracleScheduler::schedule(std::span<const core::SchedJob> jobs,
-                                                 std::size_t machines) const {
-  if (jobs.size() > params_.max_jobs)
-    throw std::invalid_argument("OracleScheduler: too many jobs for exhaustive search");
-  examined_ = 0;
+OracleResult oracle_schedule(std::span<const core::SchedJob> jobs, std::size_t machines) {
+  if (jobs.size() > kOracleMaxJobs)
+    throw std::invalid_argument("oracle_schedule: too many jobs for exhaustive search");
 
-  core::ScheduleDecision best;
+  OracleResult result;
+  core::ScheduleDecision& best = result.decision;
   best.score = -1e300;
 
   // Enumerate set-partitions with the restricted-growth-string method: job i
@@ -19,7 +18,7 @@ core::ScheduleDecision OracleScheduler::schedule(std::span<const core::SchedJob>
   std::vector<std::size_t> assignment(jobs.size(), 0);
 
   auto evaluate = [&]() {
-    ++examined_;
+    ++result.partitions_examined;
     std::size_t blocks = 0;
     for (std::size_t a : assignment) blocks = std::max(blocks, a + 1);
     if (blocks > machines) return;  // each group needs >= 1 machine
@@ -28,7 +27,7 @@ core::ScheduleDecision OracleScheduler::schedule(std::span<const core::SchedJob>
     for (std::size_t i = 0; i < assignment.size(); ++i)
       groups[assignment[i]].push_back(jobs[i]);
 
-    const auto alloc = allocator_.allocate_machines(groups, machines);
+    const auto alloc = core::allocate_machines(groups, machines);
     std::vector<core::GroupShape> shapes;
     shapes.reserve(blocks);
     for (std::size_t g = 0; g < blocks; ++g) {
@@ -52,7 +51,7 @@ core::ScheduleDecision OracleScheduler::schedule(std::span<const core::SchedJob>
     }
   };
 
-  if (jobs.empty()) return best;
+  if (jobs.empty()) return result;
 
   // Like Algorithm 1, the scheduler may choose to run only a prefix of the
   // queue; the ground truth must search that dimension too. For each prefix
@@ -76,7 +75,7 @@ core::ScheduleDecision OracleScheduler::schedule(std::span<const core::SchedJob>
     evaluate();
     while (next_partition()) evaluate();
   }
-  return best;
+  return result;
 }
 
 }  // namespace harmony::baselines

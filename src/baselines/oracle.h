@@ -11,27 +11,17 @@
 
 namespace harmony::baselines {
 
-class OracleScheduler {
- public:
-  struct Params {
-    // Refuses inputs beyond this size (Bell numbers explode; Bell(12) ≈ 4.2M
-    // partitions is already seconds of work).
-    std::size_t max_jobs = 12;
-  };
+// Inputs beyond this size are refused (Bell numbers explode; Bell(12) ≈ 4.2M
+// partitions is already seconds of work).
+inline constexpr std::size_t kOracleMaxJobs = 12;
 
-  OracleScheduler() : OracleScheduler(Params{}) {}
-  explicit OracleScheduler(Params params) : params_(params) {}
-
-  core::ScheduleDecision schedule(std::span<const core::SchedJob> jobs,
-                                  std::size_t machines) const;
-
-  // Number of set-partitions examined by the last schedule() call.
-  std::uint64_t partitions_examined() const noexcept { return examined_; }
-
- private:
-  Params params_;
-  core::Scheduler allocator_;  // reused for its machine-allocation step
-  mutable std::uint64_t examined_ = 0;
+struct OracleResult {
+  core::ScheduleDecision decision;
+  // Set-partitions examined across every queue prefix.
+  std::uint64_t partitions_examined = 0;
 };
+
+// Throws std::invalid_argument for more than kOracleMaxJobs jobs.
+OracleResult oracle_schedule(std::span<const core::SchedJob> jobs, std::size_t machines);
 
 }  // namespace harmony::baselines

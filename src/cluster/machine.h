@@ -5,12 +5,7 @@
 // server and one worker; one extra instance runs the master.
 #pragma once
 
-#include <cstdint>
-#include <string>
-
 namespace harmony::cluster {
-
-using MachineId = std::uint32_t;
 
 constexpr double kKiB = 1024.0;
 constexpr double kMiB = 1024.0 * kKiB;
@@ -26,13 +21,5 @@ struct MachineSpec {
 
   bool operator==(const MachineSpec&) const = default;
 };
-
-struct Machine {
-  MachineId id = 0;
-  MachineSpec spec;
-};
-
-// Formats "8c/32.0GiB/137.5MiB/s" style identifiers for logs and tables.
-std::string describe(const MachineSpec& spec);
 
 }  // namespace harmony::cluster

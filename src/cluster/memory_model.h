@@ -17,48 +17,27 @@
 
 namespace harmony::cluster {
 
-struct MemoryModelParams {
-  // Occupancy where GC overhead becomes measurable. JVM collectors typically
-  // stay cheap until the old generation passes ~70 % of the heap.
-  double gc_threshold = 0.70;
-  // Scales how fast the slowdown grows past the threshold (at occupancy 0.93
-  // the default curve costs ~1.6x, approaching ~4x right at the OOM edge).
-  double gc_steepness = 0.35;
-  // Keeps the slowdown finite exactly at occupancy 1.
-  double epsilon = 0.10;
-  // Occupancy above which allocation fails (OOM). The slack below 1.0
-  // reflects non-heap overheads (metaspace, direct buffers, OS).
-  double oom_occupancy = 0.95;
+// Occupancy where GC overhead becomes measurable (θ). JVM collectors
+// typically stay cheap until the old generation passes ~70 % of the heap.
+inline constexpr double kGcThreshold = 0.70;
+// Scales how fast the slowdown grows past the threshold (k): the curve costs
+// ~1.6x at occupancy 0.93, ~2x at the OOM line and ~4x at full occupancy.
+inline constexpr double kGcSteepness = 0.35;
+// Keeps the slowdown finite exactly at occupancy 1 (ε).
+inline constexpr double kGcEpsilon = 0.10;
+// Occupancy above which allocation fails (OOM). The slack below 1.0 reflects
+// non-heap overheads (metaspace, direct buffers, OS).
+inline constexpr double kOomOccupancy = 0.95;
 
-  bool operator==(const MemoryModelParams&) const = default;
-};
+// Multiplicative compute slowdown at `occupancy` = resident/capacity.
+inline double gc_slowdown(double occupancy) noexcept {
+  const double occ = std::clamp(occupancy, 0.0, 1.0);
+  const double over = occ - kGcThreshold;
+  if (over <= 0.0) return 1.0;
+  const double ratio = over / (1.0 - occ + kGcEpsilon);
+  return 1.0 + kGcSteepness * ratio * ratio;
+}
 
-class MemoryModel {
- public:
-  explicit MemoryModel(MemoryModelParams params = {}) : params_(params) {}
-
-  // Multiplicative compute slowdown at `occupancy` = resident/capacity.
-  double gc_slowdown(double occupancy) const noexcept {
-    const double occ = std::clamp(occupancy, 0.0, 1.0);
-    const double over = occ - params_.gc_threshold;
-    if (over <= 0.0) return 1.0;
-    const double ratio = over / (1.0 - occ + params_.epsilon);
-    return 1.0 + params_.gc_steepness * ratio * ratio;
-  }
-
-  // Fraction of wall time lost to GC at `occupancy` (reported like the paper's
-  // "GC time during execution").
-  double gc_time_fraction(double occupancy) const noexcept {
-    const double s = gc_slowdown(occupancy);
-    return 1.0 - 1.0 / s;
-  }
-
-  bool oom(double occupancy) const noexcept { return occupancy > params_.oom_occupancy; }
-
-  const MemoryModelParams& params() const noexcept { return params_; }
-
- private:
-  MemoryModelParams params_;
-};
+inline bool oom(double occupancy) noexcept { return occupancy > kOomOccupancy; }
 
 }  // namespace harmony::cluster

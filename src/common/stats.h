@@ -6,31 +6,8 @@
 #include <cmath>
 #include <cstddef>
 #include <deque>
-#include <limits>
 
 namespace harmony {
-
-// Welford's online mean/variance accumulator.
-class OnlineStats {
- public:
-  void add(double x) noexcept;
-  void merge(const OnlineStats& other) noexcept;
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const noexcept { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const noexcept { return std::sqrt(variance()); }
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-  double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // Exponentially-weighted moving average. The paper's profiler keeps subtask
 // times "updated using moving averages" (§IV-B1); this is that primitive.

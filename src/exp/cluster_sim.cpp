@@ -1,13 +1,11 @@
 #include "exp/cluster_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
-#include <execinfo.h>
-
 #include <stdexcept>
 
+#include "baselines/isolated.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "exp/cluster_sim_internal.h"
@@ -63,7 +61,6 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
                        std::vector<double> arrival_times)
     : config_(config),
       arrivals_(std::move(arrival_times)),
-      regrouper_(scheduler_),
       rng_(config.seed),
       free_machines_(config.machines) {
   if (arrivals_.size() != workload.size())
@@ -100,15 +97,15 @@ ClusterSim::~ClusterSim() = default;
 double ClusterSim::job_resident_bytes_uncached(const SimJob& job,
                                                std::size_t machines) const {
   const core::SpillCosts c =
-      spill_model_.costs(job.spec.input_bytes(), job.spec.model_bytes(),
-                         job_alpha_[job.spec.id], machines, kMachineSpec);
+      core::spill_costs(job.spec.input_bytes(), job.spec.model_bytes(),
+                        job_alpha_[job.spec.id], machines, kMachineSpec);
   double resident = c.resident_bytes;
   if (job_model_spilled_[job.spec.id] != 0) {
     // Model spill keeps only a small working window of the model resident;
     // the rest streams through the reload path charged in comp_duration.
     constexpr double kModelSpillEvicted = 0.85;
-    resident -= kModelSpillEvicted * job.spec.model_bytes() *
-                spill_model_.params().model_mem_expansion / static_cast<double>(machines);
+    resident -= kModelSpillEvicted * job.spec.model_bytes() * core::kModelMemExpansion /
+                static_cast<double>(machines);
   }
   return std::max(resident, 0.0);
 }
@@ -177,10 +174,9 @@ void ClusterSim::refresh_alpha(SimJob& job) {
     const double share =
         kMachineSpec.memory_bytes /
         std::max<double>(1.0, static_cast<double>(job.group->members.size()));
-    const core::SpillCosts at_cur = spill_model_.costs(
+    const core::SpillCosts at_cur = core::spill_costs(
         job.spec.input_bytes(), job.spec.model_bytes(), a, m, kMachineSpec);
-    set_model_spilled(jid, a >= 0.999 && at_cur.resident_bytes >
-                                             memory_model_.params().gc_threshold * share);
+    set_model_spilled(jid, a >= 0.999 && at_cur.resident_bytes > cluster::kGcThreshold * share);
     return;
   }
   const double share = kMachineSpec.memory_bytes /
@@ -190,19 +186,15 @@ void ClusterSim::refresh_alpha(SimJob& job) {
   // current occupancy target (per-job ratios, coordinated target, §IV-C).
   const double target = job.group->occ_ctl ? job.group->occ_ctl->alpha()
                                            : kAlphaFloorOccupancy;
-  cluster::MemoryModelParams floor_params = memory_model_.params();
-  floor_params.gc_threshold = target;
   const double alpha = core::AlphaController::initial_alpha(
-      job.spec.input_bytes(), job.spec.model_bytes(), m, share, floor_params,
-      spill_model_, kMachineSpec);
+      job.spec.input_bytes(), job.spec.model_bytes(), m, share, target, kMachineSpec);
   set_alpha(jid, alpha);
   // If even α = 1 overflows this job's share, spill model data too (§V-G:
   // "Harmony enables spill/reload of model data for those jobs").
-  const core::SpillCosts at_one = spill_model_.costs(
+  const core::SpillCosts at_one = core::spill_costs(
       job.spec.input_bytes(), job.spec.model_bytes(), 1.0, m, kMachineSpec);
-  set_model_spilled(jid, alpha >= 0.999 &&
-                             at_one.resident_bytes >
-                                 memory_model_.params().gc_threshold * share);
+  set_model_spilled(jid,
+                    alpha >= 0.999 && at_one.resident_bytes > cluster::kGcThreshold * share);
   if (obs::Tracer::enabled() && alpha > 0.0 && alpha != prev_alpha)
     obs::Tracer::instant(obs::EventKind::kSpill, obs::ClockDomain::kSim,
                          sim_.now() * kTraceUs, job.spec.id,
@@ -222,8 +214,8 @@ double ClusterSim::comp_duration(SimJob& job) {
   const double base = job.spec.cpu_work / static_cast<double>(g.machines);
   const double occ = group_occupancy(g);
 
-  double gc = memory_model_.gc_slowdown(occ);
-  if (memory_model_.oom(occ)) {
+  double gc = cluster::gc_slowdown(occ);
+  if (cluster::oom(occ)) {
     if (!g.oom_recorded) {
       g.oom_recorded = true;
       summary_.oom_events++;
@@ -242,7 +234,7 @@ double ClusterSim::comp_duration(SimJob& job) {
   gc_lost_seconds_ += base * (gc - 1.0);
   comp_base_seconds_ += base;
 
-  const core::SpillCosts costs = spill_model_.costs(
+  const core::SpillCosts costs = core::spill_costs(
       job.spec.input_bytes(), job.spec.model_bytes(), job_alpha_[job.spec.id],
       g.machines, kMachineSpec);
   double extra = costs.deserialize_seconds;
@@ -250,18 +242,16 @@ double ClusterSim::comp_duration(SimJob& job) {
     // Model reload+deserialize rides on the compute path.
     const double model_raw = job.spec.model_bytes() / static_cast<double>(g.machines);
     extra += model_raw / kMachineSpec.disk_bytes_per_sec +
-             model_raw * spill_model_.params().deserialize_sec_per_byte;
+             model_raw * core::kDeserializeSecPerByte;
   }
   return (base * gc + extra) * job.noise_rng().lognormal_noise(kSubtaskNoiseCv);
 }
 
 void ClusterSim::start_iteration(SimJob& job) {
   GroupRun& g = *job.group;
-  if (job.in_flight) {
-    std::fprintf(stderr, "start_iteration: job %u already in flight (state=%s)\n",
-                 job.spec.id, core::to_string(job.state));
-    std::abort();
-  }
+  HARMONY_CHECK(!job.in_flight) << check::job(job.spec.id) << "start_iteration: job "
+                                << job.spec.id << " already in flight (state="
+                                << core::to_string(job.state) << ")";
   job.in_flight = true;
   job.iter_start_time = sim_.now();
   const double d_pull = comm_half_duration(job);
@@ -307,12 +297,10 @@ void ClusterSim::begin_comp(SimJob& job, double pull_duration) {
 }
 
 void ClusterSim::begin_push(SimJob& job, double pull_duration, double comp_dur) {
-  if (job.group == nullptr) {
-    std::fprintf(stderr, "begin_push: job %u state=%s iters=%zu/%zu in_group=%zu\n",
-                 job.spec.id, core::to_string(job.state), job.iterations_done,
-                 job.spec.iterations, job.iters_in_group);
-    std::abort();
-  }
+  HARMONY_CHECK(job.group != nullptr)
+      << check::job(job.spec.id) << "begin_push: job " << job.spec.id
+      << " state=" << core::to_string(job.state) << " iters=" << job.iterations_done << "/"
+      << job.spec.iterations << " in_group=" << job.iters_in_group;
   GroupRun& g = *job.group;
   // The COMP subtask's service on the group's CPU lane just ended.
   if (obs::Tracer::enabled())
@@ -324,7 +312,7 @@ void ClusterSim::begin_push(SimJob& job, double pull_duration, double comp_dur) 
   std::size_t spilling = 0;
   for (core::JobId id : g.members)
     if (job_alpha_[id] > 0.0) ++spilling;
-  const core::SpillCosts costs = spill_model_.costs(
+  const core::SpillCosts costs = core::spill_costs(
       job.spec.input_bytes(), job.spec.model_bytes(), job_alpha_[job.spec.id],
       g.machines, kMachineSpec);
   job.reload_ready_at =
@@ -449,15 +437,10 @@ ClusterSim::GroupRun& ClusterSim::create_group(const std::vector<core::JobId>& m
 }
 
 void ClusterSim::place_job_in_group(SimJob& job, GroupRun& group, bool with_migration_delay) {
-  if (job.group != nullptr) {
-    std::fprintf(stderr, "place: job %u state=%s group=%zu->%zu in_flight=%d\n", job.spec.id,
-                 core::to_string(job.state), static_cast<std::size_t>(job.group->id),
-                 static_cast<std::size_t>(group.id), job.in_flight ? 1 : 0);
-    void* frames[16];
-    const int n = backtrace(frames, 16);
-    backtrace_symbols_fd(frames, n, 2);
-    std::abort();
-  }
+  HARMONY_CHECK(job.group == nullptr)
+      << check::job(job.spec.id) << "place: job " << job.spec.id
+      << " state=" << core::to_string(job.state) << " group=" << job.group->id << "->"
+      << group.id << " in_flight=" << (job.in_flight ? 1 : 0);
   job.group = &group;
   job.iters_in_group = 0;
   group.members.push_back(job.spec.id);
@@ -468,14 +451,7 @@ void ClusterSim::place_job_in_group(SimJob& job, GroupRun& group, bool with_migr
   // Every co-tenant's memory share just shrank: recompute everyone's α for
   // the group's occupancy target.
   if (config_.spill_enabled && !config_.fixed_alpha) {
-    if (!group.occ_ctl) {
-      core::AlphaController::Params ctl;
-      ctl.step = 0.05;
-      ctl.min_step = 0.01;
-      ctl.min_alpha = 0.40;   // occupancy targets, not disk ratios
-      ctl.max_alpha = 0.93;   // stay under the OOM line
-      group.occ_ctl.emplace(kAlphaFloorOccupancy, ctl);
-    }
+    if (!group.occ_ctl) group.occ_ctl.emplace(kAlphaFloorOccupancy);
     for (core::JobId id : group.members) {
       SimJob& member = jobs_[id];
       if (&member == &job) continue;
@@ -509,13 +485,12 @@ double ClusterSim::migration_delay(const SimJob& job, std::size_t machines) cons
 
 void ClusterSim::park_job(SimJob& job, core::JobState state) {
   GroupRun* g = job.group;
-  assert(g != nullptr);
-  if (job.in_flight) {
-    std::fprintf(stderr, "park_job: job %u in flight (state=%s -> %s, iters=%zu)\n",
-                 job.spec.id, core::to_string(job.state), core::to_string(state),
-                 job.iterations_done);
-    std::abort();
-  }
+  HARMONY_CHECK(g != nullptr) << check::job(job.spec.id) << "park_job: job " << job.spec.id
+                              << " has no group";
+  HARMONY_CHECK(!job.in_flight) << check::job(job.spec.id) << "park_job: job " << job.spec.id
+                                << " in flight (state=" << core::to_string(job.state)
+                                << " -> " << core::to_string(state)
+                                << ", iters=" << job.iterations_done << ")";
   auto it = std::find(g->members.begin(), g->members.end(), job.spec.id);
   if (it != g->members.end()) g->members.erase(it);
   --g->active_members;
@@ -846,7 +821,7 @@ void ClusterSim::schedule_on_spare_machines() {
   if (idle.empty()) return;
   scheduling_spare_ = true;
   const auto t0 = WallClock::now();
-  const core::ScheduleDecision decision = scheduler_.schedule(idle, spare);
+  const core::ScheduleDecision decision = core::schedule(idle, spare);
   sched_wall_seconds_ += wall_seconds_since(t0);
   ++sched_invocations_;
   if (obs::Tracer::enabled())
@@ -1009,8 +984,7 @@ void ClusterSim::on_job_profiled(SimJob& job) {
   const auto idle = idle_sched_jobs();
   const RunningView view = running_view();
   const auto t0 = WallClock::now();
-  const core::RegroupAction action =
-      regrouper_.on_job_arrival(sched_view(job), idle, view.groups);
+  const core::RegroupAction action = core::regroup_on_arrival(sched_view(job), idle, view.groups);
   sched_wall_seconds_ += wall_seconds_since(t0);
   ++sched_invocations_;
   if (obs::Tracer::enabled())
@@ -1060,7 +1034,7 @@ void ClusterSim::run_initial_harmony_schedule() {
 
   const std::size_t total_machines = config_.machines;
   const auto t0 = WallClock::now();
-  core::ScheduleDecision decision = scheduler_.schedule(pool, total_machines);
+  core::ScheduleDecision decision = core::schedule(pool, total_machines);
   sched_wall_seconds_ += wall_seconds_since(t0);
   ++sched_invocations_;
   if (obs::Tracer::enabled())
@@ -1156,7 +1130,7 @@ void ClusterSim::on_job_finished(SimJob& job) {
 
   const auto idle = idle_sched_jobs();
   const auto t0 = WallClock::now();
-  const core::RegroupAction action = regrouper_.on_job_finish(
+  const core::RegroupAction action = core::regroup_on_finish(
       sched_view(job), group_index, idle, view.groups, free_machines_);
   sched_wall_seconds_ += wall_seconds_since(t0);
   ++sched_invocations_;
@@ -1214,7 +1188,7 @@ void ClusterSim::try_schedule_isolated() {
     if (waiting_by_submit_.empty()) return;
     SimJob* next = &jobs_[waiting_by_submit_.front()];
 
-    std::size_t m = isolated_.pick_dop(next->spec.profile());
+    std::size_t m = baselines::isolated_dop(next->spec.profile());
     m = std::max(m, next->spec.min_machines_without_spill(kMachineSpec));
     m = std::min(m, config_.machines);
     if (m > free_machines_) return;  // FIFO head-of-line blocking
@@ -1246,8 +1220,9 @@ void ClusterSim::try_schedule_naive() {
     std::size_t compute_need = 2;
     for (std::size_t i = 0; i < take; ++i) {
       const WorkloadSpec& s = waiting[cursor + i]->spec;
-      mem_needed += s.input_bytes() * kInputMemExpansion + s.model_bytes() * kModelMemExpansion;
-      compute_need = std::max(compute_need, isolated_.pick_dop(s.profile()));
+      mem_needed +=
+          s.input_bytes() * core::kInputMemExpansion + s.model_bytes() * core::kModelMemExpansion;
+      compute_need = std::max(compute_need, baselines::isolated_dop(s.profile()));
     }
     // Naive co-location's whole point is consolidation: the k jobs share the
     // allocation the largest of them would have received alone (Gandiva-style
@@ -1471,11 +1446,10 @@ std::string ClusterSim::debug_dump() const {
 }
 
 bool co_location_ooms(const std::vector<WorkloadSpec>& jobs, std::size_t machines,
-                      const cluster::MachineSpec& spec,
-                      const cluster::MemoryModelParams& params) {
+                      const cluster::MachineSpec& spec) {
   double resident = 0.0;
   for (const WorkloadSpec& s : jobs) resident += s.resident_bytes(machines, 0.0);
-  return resident / spec.memory_bytes > params.oom_occupancy;
+  return cluster::oom(resident / spec.memory_bytes);
 }
 
 }  // namespace harmony::exp

@@ -8,12 +8,12 @@
 //  * contended execution (naive co-location) uses processor-sharing resources
 //    with an interference penalty — concurrent steps slow each other down.
 //
-// The *scheduling logic is the real library code*: core::Scheduler
-// (Algorithm 1), core::Regrouper (§IV-B4), core::Profiler (moving averages
-// over measured subtask durations, not the hidden ground truth),
-// core::AlphaController + SpillCostModel (§IV-C) and the baselines. The
-// simulator supplies what EC2 supplied in the paper: machines, time, memory
-// pressure and noise.
+// The *scheduling logic is the real library code*: core::schedule
+// (Algorithm 1), the core::regroup_on_* rules (§IV-B4), core::Profiler
+// (moving averages over measured subtask durations, not the hidden ground
+// truth), core::AlphaController + core::spill_costs (§IV-C) and the
+// baselines. The simulator supplies what EC2 supplied in the paper:
+// machines, time, memory pressure and noise.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +22,8 @@
 #include <optional>
 #include <vector>
 
-#include "baselines/isolated.h"
 #include "check/check.h"
 #include "cluster/machine.h"
-#include "cluster/memory_model.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "exp/metrics.h"
@@ -33,7 +31,6 @@
 #include "harmony/profiler.h"
 #include "harmony/regrouper.h"
 #include "harmony/scheduler.h"
-#include "harmony/spill_manager.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 
@@ -282,11 +279,6 @@ class ClusterSim {
 
   ClusterSimConfig config_;
   std::vector<double> arrivals_;
-  cluster::MemoryModel memory_model_;
-  core::SpillCostModel spill_model_;
-  core::Scheduler scheduler_;
-  core::Regrouper regrouper_;
-  baselines::IsolatedScheduler isolated_;
   core::Profiler profiler_;
   Rng rng_;
 
@@ -379,7 +371,6 @@ class ClusterSim {
 // True when co-locating `jobs` on `machines` machines without spilling
 // overflows memory (Fig. 4's OOM case).
 bool co_location_ooms(const std::vector<WorkloadSpec>& jobs, std::size_t machines,
-                      const cluster::MachineSpec& spec,
-                      const cluster::MemoryModelParams& params);
+                      const cluster::MachineSpec& spec);
 
 }  // namespace harmony::exp

@@ -10,16 +10,18 @@
 #include <vector>
 
 #include "cluster/machine.h"
+#include "cluster/memory_model.h"
 #include "common/stats.h"
 #include "exp/cluster_sim.h"
+#include "harmony/spill_manager.h"
 #include "sim/resource.h"
 
 namespace harmony::exp {
 
 // ---------------------------------------------------------------------------
 // Constants every run shares: the simulated testbed and the fixed values of
-// the scheduling policies. The memory, spill-cost and profiler models take
-// their own defaults.
+// the scheduling policies. The memory, spill-cost, α-climb and profiler
+// constants live next to their models.
 
 // The simulated machine: the paper's m4.2xlarge testbed (§V-B).
 inline constexpr cluster::MachineSpec kMachineSpec{};

@@ -117,16 +117,16 @@ check::ValidationReport ClusterSim::validate_state() const {
   // -- spill shares vs the cost model's feasibility bound -------------------
   // refresh_alpha picks the smallest α whose resident footprint fits the
   // group's occupancy target × per-job memory share; when nothing fits it
-  // pins α = 1 and either spills the model or (resident ≤ gc_threshold ×
+  // pins α = 1 and either spills the model or (resident ≤ kGcThreshold ×
   // share) runs at the GC knee. Either way a non-model-spilled member's
-  // resident bytes never exceed max(target, gc_threshold) × share. Shares
+  // resident bytes never exceed max(target, kGcThreshold) × share. Shares
   // only grow between refreshes (members leaving), so the bound holds with
   // current membership.
   if (config_.spill_enabled && !config_.fixed_alpha) {
     for (const GroupRun& g : groups_) {
       if (g.dissolved || g.members.empty()) continue;
       const double target = g.occ_ctl ? g.occ_ctl->alpha() : kAlphaFloorOccupancy;
-      const double bound_occ = std::max(target, memory_model_.params().gc_threshold);
+      const double bound_occ = std::max(target, cluster::kGcThreshold);
       const double share = kMachineSpec.memory_bytes / static_cast<double>(g.members.size());
       for (core::JobId id : g.members) {
         const SimJob& j = jobs_[id];

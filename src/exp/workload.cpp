@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "common/table.h"
+#include "harmony/spill_manager.h"
 
 namespace harmony::exp {
 namespace {
@@ -42,15 +43,16 @@ constexpr std::size_t kHyperSettings = 10;
 
 double WorkloadSpec::resident_bytes(std::size_t machines, double alpha) const noexcept {
   const double m = static_cast<double>(machines == 0 ? 1 : machines);
-  const double input_res = (1.0 - alpha) * input_bytes() * kInputMemExpansion / m;
-  const double model_res = model_bytes() * kModelMemExpansion / m;
+  const double input_res = (1.0 - alpha) * input_bytes() * core::kInputMemExpansion / m;
+  const double model_res = model_bytes() * core::kModelMemExpansion / m;
   return input_res + model_res;
 }
 
 std::size_t WorkloadSpec::min_machines_without_spill(const cluster::MachineSpec& spec,
                                                      double fraction) const noexcept {
   const double budget = fraction * spec.memory_bytes;
-  const double total = input_bytes() * kInputMemExpansion + model_bytes() * kModelMemExpansion;
+  const double total =
+      input_bytes() * core::kInputMemExpansion + model_bytes() * core::kModelMemExpansion;
   return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(total / budget)));
 }
 

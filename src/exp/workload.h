@@ -18,12 +18,6 @@
 
 namespace harmony::exp {
 
-// JVM-resident expansion over raw data sizes: parsed objects, boxing and
-// indexing overheads. Calibrated so Fig. 4's NMF+MLR+Lasso co-location on 16
-// machines overflows 32 GB while each pair still fits.
-constexpr double kInputMemExpansion = 2.2;
-constexpr double kModelMemExpansion = 2.0;
-
 struct WorkloadSpec {
   core::JobId id = core::kNoJob;
   std::string app;      // "NMF", "LDA", "MLR", "Lasso"
@@ -48,7 +42,7 @@ struct WorkloadSpec {
 
   // Smallest DoP whose resident footprint stays below `fraction` of machine
   // memory without any spilling. The default targets the GC knee (just below
-  // MemoryModelParams::gc_threshold), where non-spilling systems must sit to
+  // cluster::kGcThreshold), where non-spilling systems must sit to
   // avoid collector thrash.
   std::size_t min_machines_without_spill(const cluster::MachineSpec& spec,
                                          double fraction = 0.65) const noexcept;

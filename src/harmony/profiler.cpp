@@ -8,7 +8,7 @@ void Profiler::record(JobId job, std::size_t machines, double t_cpu, double t_ne
   if (job == kNoJob) throw std::invalid_argument("Profiler: no job id");
   if (machines == 0) throw std::invalid_argument("Profiler: zero machines");
   if (t_cpu < 0.0 || t_net < 0.0) throw std::invalid_argument("Profiler: negative time");
-  if (job >= entries_.size()) entries_.resize(job + std::size_t{1}, Entry(params_.ema_alpha));
+  if (job >= entries_.size()) entries_.resize(job + std::size_t{1});
   Entry& e = entries_[job];
   e.cpu_work.add(t_cpu * static_cast<double>(machines));
   e.t_net.add(t_net);
@@ -16,7 +16,7 @@ void Profiler::record(JobId job, std::size_t machines, double t_cpu, double t_ne
 }
 
 void Profiler::forget(JobId job) {
-  if (job < entries_.size()) entries_[job] = Entry(params_.ema_alpha);
+  if (job < entries_.size()) entries_[job] = Entry{};
 }
 
 }  // namespace harmony::core

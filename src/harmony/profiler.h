@@ -17,17 +17,13 @@
 
 namespace harmony::core {
 
+// Weight of a new sample in the moving averages.
+inline constexpr double kProfileEmaAlpha = 0.3;
+// Samples needed before a job graduates from profiling to profiled.
+inline constexpr std::size_t kProfileMinSamples = 3;
+
 class Profiler {
  public:
-  struct Params {
-    double ema_alpha = 0.3;
-    // Samples needed before a job graduates from profiling to profiled.
-    std::size_t min_samples = 3;
-  };
-
-  Profiler() : Profiler(Params{}) {}
-  explicit Profiler(Params params) : params_(params) {}
-
   // Records one iteration's measurements for `job` while it ran on
   // `machines` machines: total COMP seconds and total COMM seconds.
   // Storage is dense by JobId (callers number their jobs 0..n-1), so it
@@ -37,8 +33,8 @@ class Profiler {
   // Ids never recorded (or forgotten, or past the largest recorded id) read
   // as having no profile.
   bool has_profile(JobId job) const { return sample_count(job) > 0; }
-  // Ready once min_samples iterations have been folded in.
-  bool is_profiled(JobId job) const { return sample_count(job) >= params_.min_samples; }
+  // Ready once kProfileMinSamples iterations have been folded in.
+  bool is_profiled(JobId job) const { return sample_count(job) >= kProfileMinSamples; }
 
   // DoP-invariant profile (cpu_work = T_cpu * m from Eq. 2).
   std::optional<JobProfile> profile(JobId job) const {
@@ -54,13 +50,11 @@ class Profiler {
 
  private:
   struct Entry {
-    MovingAverage cpu_work;
-    MovingAverage t_net;
+    MovingAverage cpu_work{kProfileEmaAlpha};
+    MovingAverage t_net{kProfileEmaAlpha};
     std::size_t samples = 0;
-    explicit Entry(double alpha) : cpu_work(alpha), t_net(alpha) {}
   };
 
-  Params params_;
   std::vector<Entry> entries_;  // by JobId; samples == 0 means no profile
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "common/stats.h"
@@ -22,9 +23,7 @@ void count_action(const char* name) {
   obs::MetricsRegistry::instance().counter(name).add();
 }
 
-}  // namespace
-
-std::vector<GroupShape> Regrouper::to_shapes(std::span<const RunningGroup> groups) {
+std::vector<GroupShape> to_shapes(std::span<const RunningGroup> groups) {
   std::vector<GroupShape> shapes;
   shapes.reserve(groups.size());
   for (const RunningGroup& g : groups) {
@@ -36,15 +35,16 @@ std::vector<GroupShape> Regrouper::to_shapes(std::span<const RunningGroup> group
   return shapes;
 }
 
-bool Regrouper::similar(const JobProfile& a, const JobProfile& b, std::size_t dop) const {
+}  // namespace
+
+bool similar_jobs(const JobProfile& a, const JobProfile& b, std::size_t dop) {
   const double itr_err = relative_error(a.t_itr(dop), b.t_itr(dop));
   const double ratio_err = relative_error(a.comp_ratio(dop), b.comp_ratio(dop));
   return itr_err <= kSimilarity && ratio_err <= kSimilarity;
 }
 
-RegroupAction Regrouper::on_job_arrival(const SchedJob& new_job,
-                                        std::span<const SchedJob> idle,
-                                        std::span<const RunningGroup> groups) const {
+RegroupAction regroup_on_arrival(const SchedJob& new_job, std::span<const SchedJob> idle,
+                                 std::span<const RunningGroup> groups) {
   RegroupAction action;
   // Other profiled/paused jobs exist => the scheduler already chose not to
   // run them; the new arrival waits with them.
@@ -75,17 +75,17 @@ RegroupAction Regrouper::on_job_arrival(const SchedJob& new_job,
   return action;
 }
 
-RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t group_index,
-                                       std::span<const SchedJob> idle,
-                                       std::span<const RunningGroup> groups,
-                                       std::size_t spare_machines) const {
+RegroupAction regroup_on_finish(const SchedJob& finished, std::size_t group_index,
+                                std::span<const SchedJob> idle,
+                                std::span<const RunningGroup> groups,
+                                std::size_t spare_machines) {
   RegroupAction action;
   if (group_index >= groups.size()) return action;
   const std::size_t dop = std::max<std::size_t>(1, groups[group_index].machines);
 
   // (1) One similar job.
   for (const SchedJob& cand : idle) {
-    if (similar(cand.profile, finished.profile, dop)) {
+    if (similar_jobs(cand.profile, finished.profile, dop)) {
       action.kind = RegroupAction::Kind::kReplace;
       action.group_index = group_index;
       action.replacements = {cand};
@@ -159,7 +159,7 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
   index_new_pool_jobs();
 
   for (std::size_t step = 0; step <= partners.size(); ++step) {
-    ScheduleDecision decision = scheduler_.schedule(pool, machines);
+    ScheduleDecision decision = schedule(pool, machines);
     if (!decision.empty()) {
       // Score of the whole cluster if this decision replaces the involved
       // groups: involved groups are re-shaped, others stay.

@@ -17,7 +17,6 @@
 //    expected benefit is below 5 % of U.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -46,33 +45,23 @@ struct RegroupAction {
   std::vector<std::size_t> groups_involved;
 };
 
-class Regrouper {
- public:
-  explicit Regrouper(const Scheduler& scheduler) : scheduler_(scheduler) {}
+// `new_job` just finished profiling; `idle` are the other profiled/paused
+// jobs. Returns kAddToGroup or kNone.
+RegroupAction regroup_on_arrival(const SchedJob& new_job, std::span<const SchedJob> idle,
+                                 std::span<const RunningGroup> groups);
 
-  // `new_job` just finished profiling; `idle` are the other profiled/paused
-  // jobs. Returns kAddToGroup or kNone.
-  RegroupAction on_job_arrival(const SchedJob& new_job, std::span<const SchedJob> idle,
-                               std::span<const RunningGroup> groups) const;
+// `finished` just left groups[group_index]. `idle` are profiled/paused
+// candidates; `spare_machines` are unallocated machines the reschedule may
+// also hand out (the cluster is work-conserving: allocateMachines always
+// distributes everything it is given). Returns kReplace, kReschedule or
+// kNone.
+RegroupAction regroup_on_finish(const SchedJob& finished, std::size_t group_index,
+                                std::span<const SchedJob> idle,
+                                std::span<const RunningGroup> groups,
+                                std::size_t spare_machines = 0);
 
-  // `finished` just left groups[group_index]. `idle` are profiled/paused
-  // candidates; `spare_machines` are unallocated machines the reschedule may
-  // also hand out (the cluster is work-conserving: allocateMachines always
-  // distributes everything it is given). Returns kReplace, kReschedule or
-  // kNone.
-  RegroupAction on_job_finish(const SchedJob& finished, std::size_t group_index,
-                              std::span<const SchedJob> idle,
-                              std::span<const RunningGroup> groups,
-                              std::size_t spare_machines = 0) const;
-
-  // True when the two jobs are "similar": iteration time and comp/comm ratio
-  // both within the 5 % similarity threshold, at the given DoP.
-  bool similar(const JobProfile& a, const JobProfile& b, std::size_t dop) const;
-
- private:
-  static std::vector<GroupShape> to_shapes(std::span<const RunningGroup> groups);
-
-  const Scheduler& scheduler_;
-};
+// True when the two jobs are "similar": iteration time and comp/comm ratio
+// both within the 5 % similarity threshold, at the given DoP.
+bool similar_jobs(const JobProfile& a, const JobProfile& b, std::size_t dop);
 
 }  // namespace harmony::core

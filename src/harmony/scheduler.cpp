@@ -23,7 +23,7 @@ constexpr std::size_t kGrowthPatience = 6;
 // scheduling decision but evaluates O(prefix-growth) candidates, each needing
 // the same handful of small arrays; reusing capacity across candidates (and
 // across calls) keeps the steady-state evaluate loop allocation-free.
-// Thread-local because Scheduler is const/shareable; none of these routines
+// Thread-local so concurrent callers never share it; none of these routines
 // recurse, so a single workspace per thread suffices.
 struct Scratch {
   // pick_num_groups analytic sweep.
@@ -468,14 +468,12 @@ ScheduleDecision materialize(std::span<const SchedJob> jobs, const CoreResult& r
 
 }  // namespace
 
-std::size_t Scheduler::pick_num_groups(std::span<const SchedJob> jobs,
-                                       std::size_t machines) const {
+std::size_t pick_num_groups(std::span<const SchedJob> jobs, std::size_t machines) {
   return pick_core(jobs, machines, scratch());
 }
 
-std::vector<std::vector<SchedJob>> Scheduler::assign_jobs(std::span<const SchedJob> jobs,
-                                                          std::size_t num_groups,
-                                                          std::size_t dop_hint) const {
+std::vector<std::vector<SchedJob>> assign_jobs(std::span<const SchedJob> jobs,
+                                               std::size_t num_groups, std::size_t dop_hint) {
   Scratch& s = scratch();
   assign_core(jobs, num_groups, dop_hint, s);
   std::vector<std::vector<SchedJob>> out(num_groups);
@@ -487,8 +485,8 @@ std::vector<std::vector<SchedJob>> Scheduler::assign_jobs(std::span<const SchedJ
   return out;
 }
 
-std::vector<std::size_t> Scheduler::allocate_machines(
-    const std::vector<std::vector<SchedJob>>& groups, std::size_t machines) const {
+std::vector<std::size_t> allocate_machines(const std::vector<std::vector<SchedJob>>& groups,
+                                           std::size_t machines) {
   if (groups.empty()) return {};
   if (machines < groups.size())
     throw std::invalid_argument("allocate_machines: fewer machines than groups");
@@ -506,8 +504,7 @@ std::vector<std::size_t> Scheduler::allocate_machines(
   return {s.alloc.begin(), s.alloc.end()};
 }
 
-ScheduleDecision Scheduler::schedule(std::span<const SchedJob> jobs,
-                                     std::size_t machines) const {
+ScheduleDecision schedule(std::span<const SchedJob> jobs, std::size_t machines) {
   if (machines == 0) throw std::invalid_argument("schedule: zero machines");
   if (jobs.empty()) return {};
 
@@ -550,8 +547,7 @@ ScheduleDecision Scheduler::schedule(std::span<const SchedJob> jobs,
   return best;
 }
 
-ScheduleDecision Scheduler::repack(std::span<const SchedJob> jobs,
-                                   std::size_t machines) const {
+ScheduleDecision repack(std::span<const SchedJob> jobs, std::size_t machines) {
   if (machines == 0) throw std::invalid_argument("repack: zero machines");
   if (jobs.empty()) return {};
   for (const SchedJob& j : jobs)

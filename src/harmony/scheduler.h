@@ -46,42 +46,38 @@ struct ScheduleDecision {
 
 // Upper bound on co-located jobs per group (memory pressure and per-job
 // progress both degrade with very wide groups; the paper's groups hold 2-6
-// jobs typically, Fig. 12). Shared by Scheduler and IncrementalScheduler.
+// jobs typically, Fig. 12). Shared by schedule()/repack() and
+// IncrementalScheduler.
 inline constexpr std::size_t kMaxJobsPerGroup = 6;
 
-// Stateless: every call works from its arguments alone.
-class Scheduler {
- public:
-  // Algorithm 1. `jobs` must be in queue order. Profiles are validated lazily
-  // as the candidate prefix grows, so only jobs the search actually examines
-  // must be valid — an invalid profile deep in a long queue goes unnoticed if
-  // the growth loop stops before reaching it.
-  ScheduleDecision schedule(std::span<const SchedJob> jobs, std::size_t machines) const;
+// Algorithm 1. `jobs` must be in queue order. Profiles are validated lazily
+// as the candidate prefix grows, so only jobs the search actually examines
+// must be valid — an invalid profile deep in a long queue goes unnoticed if
+// the growth loop stops before reaching it.
+ScheduleDecision schedule(std::span<const SchedJob> jobs, std::size_t machines);
 
-  // Re-packs an already-admitted job set: steps 1-3 of Algorithm 1 over *all*
-  // of `jobs`, with enough groups to respect kMaxJobsPerGroup — no prefix
-  // growth, nothing parked. schedule() optimizes which queue prefix to admit;
-  // repack() re-optimizes the layout of jobs that are already running and so
-  // cannot be evicted (the online service's full-reschedule escalation, and
-  // the reference the incremental-vs-full equivalence validator scores
-  // against).
-  ScheduleDecision repack(std::span<const SchedJob> jobs, std::size_t machines) const;
+// Re-packs an already-admitted job set: steps 1-3 of Algorithm 1 over *all*
+// of `jobs`, with enough groups to respect kMaxJobsPerGroup — no prefix
+// growth, nothing parked. schedule() optimizes which queue prefix to admit;
+// repack() re-optimizes the layout of jobs that are already running and so
+// cannot be evicted (the online service's full-reschedule escalation, and
+// the reference the incremental-vs-full equivalence validator scores
+// against).
+ScheduleDecision repack(std::span<const SchedJob> jobs, std::size_t machines);
 
-  // Step 2 of the algorithm, exposed for tests and for the regrouper: assigns
-  // `jobs` into `num_groups` groups (no machine counts yet).
-  std::vector<std::vector<SchedJob>> assign_jobs(std::span<const SchedJob> jobs,
-                                                 std::size_t num_groups,
-                                                 std::size_t dop_hint) const;
+// Step 2 of the algorithm, exposed for tests: assigns `jobs` into
+// `num_groups` groups (no machine counts yet).
+std::vector<std::vector<SchedJob>> assign_jobs(std::span<const SchedJob> jobs,
+                                               std::size_t num_groups, std::size_t dop_hint);
 
-  // Step 3: distributes `machines` across the groups (>= 1 each).
-  std::vector<std::size_t> allocate_machines(
-      const std::vector<std::vector<SchedJob>>& groups, std::size_t machines) const;
+// Step 3: distributes `machines` across the groups (>= 1 each).
+std::vector<std::size_t> allocate_machines(const std::vector<std::vector<SchedJob>>& groups,
+                                           std::size_t machines);
 
-  // Step 1: the n_G* that minimizes Σ_j |T_cpu_j(M/n_G) - T_net_j|.
-  // Ties resolve to the smallest n_G (candidates are examined in ascending
-  // order with a strict '<'): fewer groups means a higher DoP per group, and
-  // at equal cost the faster iterations are preferable.
-  std::size_t pick_num_groups(std::span<const SchedJob> jobs, std::size_t machines) const;
-};
+// Step 1: the n_G* that minimizes Σ_j |T_cpu_j(M/n_G) - T_net_j|.
+// Ties resolve to the smallest n_G (candidates are examined in ascending
+// order with a strict '<'): fewer groups means a higher DoP per group, and
+// at equal cost the faster iterations are preferable.
+std::size_t pick_num_groups(std::span<const SchedJob> jobs, std::size_t machines);
 
 }  // namespace harmony::core

@@ -9,9 +9,9 @@
 //
 // Three pieces live here:
 //  * BlockManager  — block-granular accounting of where a job's input lives;
-//  * SpillCostModel — pure functions turning (α, job, group, machine) into
-//    resident bytes, reload blocking time and deserialization overhead —
-//    shared by the scheduler's predictions and the simulator's "ground truth";
+//  * spill_costs — a pure function turning (α, job, group, machine) into
+//    resident bytes, reload time and deserialization overhead — shared by
+//    the scheduler's predictions and the simulator's "ground truth";
 //  * AlphaController — the per-job hill-climbing loop, seeded from a memory
 //    estimate, that adapts α to minimize observed iteration time.
 #pragma once
@@ -21,7 +21,6 @@
 
 #include "check/check.h"
 #include "cluster/machine.h"
-#include "cluster/memory_model.h"
 
 namespace harmony::core {
 
@@ -69,64 +68,46 @@ struct SpillCosts {
   double deserialize_seconds = 0.0;  // CPU cost of re-materializing blocks
 };
 
-class SpillCostModel {
- public:
-  struct Params {
-    // Fixed per-machine runtime overhead per job (buffers, task state).
-    double per_job_overhead_bytes = 96.0 * cluster::kMiB;
-    // CPU seconds to deserialize one byte (measured from the PS runtime's
-    // serializer: ~1.6 GB/s on one core).
-    double deserialize_sec_per_byte = 1.0 / (1.6e9);
-    // Managed-runtime expansion: resident object graphs are larger than the
-    // raw serialized bytes that move to/from disk.
-    double input_mem_expansion = 2.2;
-    double model_mem_expansion = 2.0;
-  };
+// Fixed per-machine runtime overhead per job (buffers, task state).
+inline constexpr double kPerJobOverheadBytes = 96.0 * cluster::kMiB;
+// CPU seconds to deserialize one byte (measured from the PS runtime's
+// serializer: ~1.6 GB/s on one core).
+inline constexpr double kDeserializeSecPerByte = 1.0 / (1.6e9);
+// Managed-runtime expansion: resident object graphs (parsed objects, boxing,
+// indexing) are larger than the raw serialized bytes that move to/from disk.
+// Calibrated so Fig. 4's NMF+MLR+Lasso co-location on 16 machines overflows
+// 32 GB while each pair still fits.
+inline constexpr double kInputMemExpansion = 2.2;
+inline constexpr double kModelMemExpansion = 2.0;
 
-  SpillCostModel() : SpillCostModel(Params{}) {}
-  explicit SpillCostModel(Params params) : params_(params) {}
-
-  // Costs of running job (input/model bytes cluster-wide) with disk ratio
-  // `alpha` on a group of `machines` machines of the given spec.
-  SpillCosts costs(double input_bytes, double model_bytes, double alpha,
-                   std::size_t machines, const cluster::MachineSpec& spec) const;
-
-  // Time the COMP pipeline stalls waiting for reloads, given the reload must
-  // overlap a background window of `overlap_seconds` (the part of the group
-  // iteration this job is not computing).
-  static double blocking_seconds(const SpillCosts& costs, double overlap_seconds);
-
-  const Params& params() const noexcept { return params_; }
-
- private:
-  Params params_;
-};
+// Costs of running job (input/model bytes cluster-wide) with disk ratio
+// `alpha` on a group of `machines` machines of the given spec.
+SpillCosts spill_costs(double input_bytes, double model_bytes, double alpha,
+                       std::size_t machines, const cluster::MachineSpec& spec);
 
 // ---------------------------------------------------------------------------
 
+// The hill climb over a group's occupancy target. The bounds are occupancy
+// targets, not disk ratios: with many co-tenants each job's GC cost is mostly
+// externalized (occupancy is shared), so the climb may not walk far below the
+// GC knee into heavy reloading, and it stays under the OOM line
+// (cluster::kOomOccupancy).
+inline constexpr double kAlphaStep = 0.05;         // initial hill-climb step
+inline constexpr double kAlphaMinStep = 0.01;      // step shrinks to this before settling
+inline constexpr double kAlphaTolerance = 0.01;    // relative objective change treated as noise
+inline constexpr double kAlphaMin = 0.40;
+inline constexpr double kAlphaMax = 0.93;
+
 class AlphaController {
  public:
-  struct Params {
-    double step = 0.1;          // initial hill-climb step
-    double min_step = 0.0125;   // step shrinks to this before settling
-    double tolerance = 0.01;    // relative objective change treated as noise
-    // Exploration bounds. With many co-tenants each job's GC cost is mostly
-    // externalized (occupancy is shared), so the climb is not allowed to walk
-    // arbitrarily far below the memory-estimate floor.
-    double min_alpha = 0.0;
-    double max_alpha = 1.0;
-  };
-
-  explicit AlphaController(double initial_alpha) : AlphaController(initial_alpha, Params{}) {}
-  AlphaController(double initial_alpha, Params params);
+  // Starts the climb at `initial_alpha`, clamped to [kAlphaMin, kAlphaMax].
+  explicit AlphaController(double initial_alpha);
 
   // Seeds α from the memory estimate (§IV-C: "determine the initial value by
   // estimating the memory use"): the smallest α that keeps estimated
-  // occupancy below the GC threshold.
+  // occupancy at or below `target_occupancy` of the per-machine budget.
   static double initial_alpha(double input_bytes, double model_bytes, std::size_t machines,
-                              double available_bytes_per_machine,
-                              const cluster::MemoryModelParams& mem_params,
-                              const SpillCostModel& cost_model,
+                              double available_bytes_per_machine, double target_occupancy,
                               const cluster::MachineSpec& spec);
 
   double alpha() const noexcept { return alpha_; }
@@ -139,7 +120,6 @@ class AlphaController {
   std::size_t observations() const noexcept { return observations_; }
 
  private:
-  Params params_;
   double alpha_;
   double step_;
   int direction_ = +1;

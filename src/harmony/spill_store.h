@@ -4,7 +4,7 @@
 // moves the bytes — serializing a block to its own file, dropping the
 // in-memory copy, and deserializing it back on reload. Files use the same
 // wire format as the PS (ps::ByteWriter/ByteReader), so the deserialization
-// cost the SpillCostModel charges is the real code path's cost.
+// cost spill_costs charges is the real code path's cost.
 //
 // Thread-safe: spill/reload run on executor threads (background reload
 // overlaps other jobs' COMP subtasks), so the ledger is guarded by a mutex.

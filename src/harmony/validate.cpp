@@ -113,8 +113,8 @@ void validate_incremental_state(const IncrementalScheduler& inc, check::Validati
   inc.validate(v);
 }
 
-void validate_incremental_vs_full(const IncrementalScheduler& inc, const Scheduler& full,
-                                  double slack, check::Validation& v) {
+void validate_incremental_vs_full(const IncrementalScheduler& inc, double slack,
+                                  check::Validation& v) {
   const std::vector<SchedJob> pool = inc.pool();
   if (pool.empty()) return;  // nothing placed; trivially equivalent
 
@@ -122,7 +122,7 @@ void validate_incremental_vs_full(const IncrementalScheduler& inc, const Schedul
   // then place every job, so the scores share an objective. (schedule()
   // proper optimizes an admission prefix and may park pool-tail jobs; its
   // score is not comparable to a state that must keep every job running.)
-  const ScheduleDecision decision = full.repack(pool, inc.total_machines());
+  const ScheduleDecision decision = repack(pool, inc.total_machines());
   validate_decision(decision, pool, inc.total_machines(), v);
 
   // Score the full decision with the model the incremental state uses.

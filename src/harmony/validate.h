@@ -45,7 +45,7 @@ void validate_spill_store(const DiskSpillStore& store, check::Validation& v);
 void validate_incremental_state(const IncrementalScheduler& inc, check::Validation& v);
 
 // Incremental-vs-full-reschedule equivalence: re-runs full Algorithm 1
-// (`full`) over the incremental state's own job pool and machine budget and
+// (repack()) over the incremental state's own job pool and machine budget and
 // checks that the modelled score of the locally-repaired grouping stays
 // within `slack` (relative) of the from-scratch decision's modelled score.
 // This is the documented drift bound of the online service: local repair may
@@ -57,7 +57,7 @@ void validate_incremental_state(const IncrementalScheduler& inc, check::Validati
 // The comparison scores each grouping over the machines it actually
 // allocates, so a full decision that parks jobs (schedules a prefix) is
 // still comparable.
-void validate_incremental_vs_full(const IncrementalScheduler& inc, const Scheduler& full,
-                                  double slack, check::Validation& v);
+void validate_incremental_vs_full(const IncrementalScheduler& inc, double slack,
+                                  check::Validation& v);
 
 }  // namespace harmony::core

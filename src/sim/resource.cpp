@@ -9,22 +9,10 @@ namespace harmony::sim {
 FifoResource::FifoResource(Simulator& sim, std::string name)
     : sim_(sim), name_(std::move(name)) {}
 
-TaskId FifoResource::submit(double duration, DoneFn on_done) {
+void FifoResource::submit(double duration, DoneFn on_done) {
   if (duration < 0.0) throw std::invalid_argument("FifoResource: negative duration");
-  const TaskId id = next_id_++;
-  pending_.push_back(Pending{id, duration, std::move(on_done)});
+  pending_.push_back(Pending{duration, std::move(on_done)});
   if (!running_) start_next();
-  return id;
-}
-
-bool FifoResource::cancel_pending(TaskId id) {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->id == id) {
-      pending_.erase(it);
-      return true;
-    }
-  }
-  return false;
 }
 
 double FifoResource::busy_time() const noexcept {

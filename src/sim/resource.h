@@ -39,11 +39,7 @@ class FifoResource {
 
   // Enqueues a task whose service time is `duration` seconds once it reaches
   // the head of the queue. `on_done` fires at completion.
-  TaskId submit(double duration, DoneFn on_done);
-
-  // Removes a task that has not started yet. Returns false if the task is
-  // already running or finished (it will complete normally).
-  bool cancel_pending(TaskId id);
+  void submit(double duration, DoneFn on_done);
 
   bool busy() const noexcept { return running_; }
 
@@ -55,7 +51,6 @@ class FifoResource {
 
  private:
   struct Pending {
-    TaskId id = 0;
     double duration = 0.0;
     DoneFn on_done;
   };
@@ -68,7 +63,6 @@ class FifoResource {
   bool running_ = false;
   double busy_accum_ = 0.0;
   double busy_since_ = 0.0;
-  TaskId next_id_ = 1;
 };
 
 // Processor-sharing resource with interference.

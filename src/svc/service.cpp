@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "common/logging.h"
+#include "harmony/scheduler.h"
 #include "harmony/validate.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -235,8 +236,7 @@ void Service::maybe_validate() {
 check::ValidationReport Service::validate_state() const {
   check::Validation v("svc.service");
   core::validate_incremental_state(placement_, v);
-  core::validate_incremental_vs_full(placement_, full_,
-                                     validator_slack(config_.drift_threshold), v);
+  core::validate_incremental_vs_full(placement_, validator_slack(config_.drift_threshold), v);
   HARMONY_VALIDATE(v, queue_.size() <= queue_.capacity())
       << "pending queue holds " << queue_.size() << " jobs over a capacity of "
       << queue_.capacity();
@@ -329,10 +329,10 @@ void Service::full_reschedule() {
     return;
   }
 
-  // Repack *all* running jobs. Scheduler::schedule() proper optimizes an
+  // Repack *all* running jobs. core::schedule() proper optimizes an
   // admission prefix and may park queue-tail jobs — correct at submission
   // time, but a running job cannot be evicted by a background re-pack.
-  const core::ScheduleDecision decision = full_.repack(pool, config_.machines);
+  const core::ScheduleDecision decision = core::repack(pool, config_.machines);
   placement_.adopt(decision, pool);
   for (const core::SchedJob& j : pool)
     HARMONY_CHECK(placement_.contains(j.id))

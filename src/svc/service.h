@@ -32,7 +32,6 @@
 #include "exp/arrivals.h"
 #include "exp/workload.h"
 #include "harmony/incremental.h"
-#include "harmony/scheduler.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -176,7 +175,6 @@ class Service {
   ServiceConfig config_;
   std::vector<exp::WorkloadSpec> catalog_;
   std::unique_ptr<exp::ArrivalStream> stream_;
-  core::Scheduler full_;
   core::IncrementalScheduler placement_;
   AdmissionQueue queue_;
   sim::Simulator sim_;

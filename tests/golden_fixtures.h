@@ -151,6 +151,52 @@ inline std::vector<SimCase> sim_cases() {
     c.arrivals = exp::poisson_arrivals(c.workload.size(), 2.0, 13);
     cases.push_back(std::move(c));
   }
+  // The baselines and the non-default Harmony paths: the isolated DoP rule,
+  // the contended naive driver, the no-spill fallback (fits_without_spill /
+  // place_fallback_isolated) and the fixed-α branch of refresh_alpha.
+  {
+    SimCase c;
+    c.name = "isolated_24jobs_24machines";
+    c.config = exp::ClusterSimConfig::isolated();
+    c.config.machines = 24;
+    c.config.seed = 7;
+    c.workload = capped_catalog(24, 12);
+    c.arrivals = exp::poisson_arrivals(c.workload.size(), 300.0, 3);
+    cases.push_back(std::move(c));
+  }
+  {
+    SimCase c;
+    c.name = "naive3_24jobs_24machines";
+    c.config = exp::ClusterSimConfig::naive(3);
+    c.config.machines = 24;
+    c.config.seed = 7;
+    c.workload = capped_catalog(24, 12);
+    c.arrivals = exp::poisson_arrivals(c.workload.size(), 300.0, 3);
+    cases.push_back(std::move(c));
+  }
+  {
+    SimCase c;
+    c.name = "harmony_nospill_48jobs_100machines";
+    c.config = exp::ClusterSimConfig::harmony();
+    c.config.spill_enabled = false;
+    c.config.machines = 100;
+    c.config.seed = 7;
+    c.workload = capped_catalog(48, 10);
+    c.arrivals = exp::poisson_arrivals(c.workload.size(), 60.0, 3);
+    cases.push_back(std::move(c));
+  }
+  {
+    SimCase c;
+    c.name = "onegroup_fixed_alpha_8jobs_16machines";
+    c.config = exp::ClusterSimConfig::harmony();
+    c.config.grouping = exp::GroupingPolicy::kOneGroup;
+    c.config.fixed_alpha = 0.4;
+    c.config.machines = 16;
+    c.config.seed = 7;
+    c.workload = capped_catalog(8, 12);
+    c.arrivals = exp::poisson_arrivals(c.workload.size(), 300.0, 3);
+    cases.push_back(std::move(c));
+  }
   return cases;
 }
 

@@ -18,56 +18,58 @@ SchedJob job(JobId id, double cpu_work, double t_net) {
 }
 
 TEST(Isolated, PickDopKeepsCpuDominant) {
-  IsolatedScheduler s(IsolatedScheduler::Params{1.5, 32});
   // cpu_work 160, t_net 4: t_cpu(m) >= 6 while m <= 26 -> dop capped well
   // above 1.
-  const std::size_t dop = s.pick_dop(JobProfile{160, 4});
+  const std::size_t dop = isolated_dop(JobProfile{160, 4});
   EXPECT_GE(dop, 8u);
-  EXPECT_LE(dop, 32u);
+  EXPECT_LE(dop, kIsolatedMaxMachines);
   // Network-heavy job: even DoP 2 violates dominance -> runs on 1 machine.
-  EXPECT_EQ(s.pick_dop(JobProfile{10, 100}), 1u);
+  EXPECT_EQ(isolated_dop(JobProfile{10, 100}), 1u);
 }
 
 TEST(Isolated, HigherBiasLowersDop) {
-  IsolatedScheduler relaxed(IsolatedScheduler::Params{1.0, 32});
-  IsolatedScheduler strict(IsolatedScheduler::Params{4.0, 32});
+  // The rule only sees bias * t_net, so scaling t_net stands in for the bias:
+  // these two profiles face an effective bias of 1.0 and 4.0.
+  const JobProfile relaxed{320, 8 * 1.0 / kIsolatedCpuBias};
+  const JobProfile strict{320, 8 * 4.0 / kIsolatedCpuBias};
+  EXPECT_GT(isolated_dop(relaxed), isolated_dop(strict));
+  // At the fixed bias the DoP sits exactly on the boundary: the last m with
+  // t_cpu(m) >= kIsolatedCpuBias * t_net (26 for cpu_work 320, t_net 8).
   const JobProfile p{320, 8};
-  EXPECT_GE(relaxed.pick_dop(p), strict.pick_dop(p));
+  const std::size_t dop = isolated_dop(p);
+  EXPECT_EQ(dop, 26u);
+  EXPECT_GE(p.t_cpu(dop), kIsolatedCpuBias * p.t_net);
+  EXPECT_LT(p.t_cpu(dop + 1), kIsolatedCpuBias * p.t_net);
 }
 
 TEST(Oracle, MatchesSchedulerOnTrivialCase) {
-  OracleScheduler oracle;
   std::vector<SchedJob> jobs{job(0, 100, 10)};
-  const auto d = oracle.schedule(jobs, 4);
+  const auto [d, examined] = oracle_schedule(jobs, 4);
   ASSERT_EQ(d.groups.size(), 1u);
   EXPECT_EQ(d.groups[0].machines, 4u);
-  EXPECT_EQ(oracle.partitions_examined(), 1u);  // Bell(1) = 1
+  EXPECT_EQ(examined, 1u);  // Bell(1) = 1
 }
 
 TEST(Oracle, ExaminesBellNumberOfPartitions) {
-  OracleScheduler oracle;
   std::vector<SchedJob> jobs{job(0, 100, 10), job(1, 90, 12), job(2, 50, 20),
                              job(3, 40, 25)};
-  oracle.schedule(jobs, 8);
   // Prefix lengths 1..4: Bell(1)+Bell(2)+Bell(3)+Bell(4) = 1+2+5+15.
-  EXPECT_EQ(oracle.partitions_examined(), 23u);
+  EXPECT_EQ(oracle_schedule(jobs, 8).partitions_examined, 23u);
 }
 
 TEST(Oracle, GroupsComplementaryPair) {
-  OracleScheduler oracle;
   // Perfectly complementary pair: the oracle must co-locate them.
   std::vector<SchedJob> jobs{job(0, 160, 4), job(1, 32, 20)};
-  const auto d = oracle.schedule(jobs, 8);
+  const auto d = oracle_schedule(jobs, 8).decision;
   ASSERT_EQ(d.groups.size(), 1u);
   EXPECT_EQ(d.groups[0].jobs.size(), 2u);
 }
 
 TEST(Oracle, SeparatesMonsterJob) {
-  OracleScheduler oracle;
   // Co-locating the monster with a small job makes the group job-bound; the
   // oracle should isolate it.
   std::vector<SchedJob> jobs{job(0, 8000, 500), job(1, 40, 5), job(2, 8, 37)};
-  const auto d = oracle.schedule(jobs, 12);
+  const auto d = oracle_schedule(jobs, 12).decision;
   for (const auto& g : d.groups) {
     const bool has_monster =
         std::find(g.jobs.begin(), g.jobs.end(), 0u) != g.jobs.end();
@@ -78,10 +80,9 @@ TEST(Oracle, SeparatesMonsterJob) {
 }
 
 TEST(Oracle, RefusesOversizedInput) {
-  OracleScheduler oracle(OracleScheduler::Params{5});
   std::vector<SchedJob> jobs;
-  for (JobId i = 0; i < 6; ++i) jobs.push_back(job(i, 100, 10));
-  EXPECT_THROW(oracle.schedule(jobs, 8), std::invalid_argument);
+  for (JobId i = 0; i <= kOracleMaxJobs; ++i) jobs.push_back(job(i, 100, 10));
+  EXPECT_THROW(oracle_schedule(jobs, 8), std::invalid_argument);
 }
 
 // The heuristic scheduler should stay close to the oracle's score (§V-F:
@@ -94,10 +95,8 @@ TEST_P(OracleGapSweep, HeuristicWithinTenPercentOfOracle) {
   for (JobId i = 0; i < 7; ++i)
     jobs.push_back(job(i, rng.uniform(40, 800), rng.uniform(4, 60)));
 
-  OracleScheduler oracle;
-  core::Scheduler heuristic;
-  const auto best = oracle.schedule(jobs, 16);
-  const auto mine = heuristic.schedule(jobs, 16);
+  const auto best = oracle_schedule(jobs, 16).decision;
+  const auto mine = core::schedule(jobs, 16);
   ASSERT_FALSE(best.empty());
   ASSERT_FALSE(mine.empty());
   EXPECT_GE(best.score + 1e-9, mine.score);  // oracle is an upper bound

@@ -174,10 +174,9 @@ TEST(CoLocationOoms, TripleOverflowsPairFits) {
   const auto mlr = find("MLR", "Synthetic16K");
   const auto lasso = find("Lasso", "SyntheticA");
   cluster::MachineSpec spec;
-  cluster::MemoryModelParams params;
-  EXPECT_FALSE(co_location_ooms({nmf, mlr}, 16, spec, params));
-  EXPECT_FALSE(co_location_ooms({nmf, lasso}, 16, spec, params));
-  EXPECT_TRUE(co_location_ooms({nmf, mlr, lasso}, 16, spec, params));
+  EXPECT_FALSE(co_location_ooms({nmf, mlr}, 16, spec));
+  EXPECT_FALSE(co_location_ooms({nmf, lasso}, 16, spec));
+  EXPECT_TRUE(co_location_ooms({nmf, mlr, lasso}, 16, spec));
 }
 
 class PolicySweep : public ::testing::TestWithParam<int> {};

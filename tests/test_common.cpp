@@ -10,46 +10,6 @@
 namespace harmony {
 namespace {
 
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStats, MeanAndVariance) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(OnlineStats, MergeMatchesSequential) {
-  OnlineStats a, b, all;
-  Rng rng(1);
-  for (int i = 0; i < 100; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    (i % 2 == 0 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a, b;
-  a.add(1.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
 TEST(MovingAverage, FirstSampleSetsValue) {
   MovingAverage ma(0.5);
   EXPECT_FALSE(ma.initialized());

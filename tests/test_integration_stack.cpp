@@ -50,9 +50,8 @@ TEST(IntegrationStack, MeasuredProfilesFeedTheScheduler) {
   ASSERT_TRUE(big_prof && small_prof);
   EXPECT_GT(big_prof->cpu_work, small_prof->cpu_work);
 
-  core::Scheduler scheduler;
   std::vector<SchedJob> pool{{big_id, *big_prof}, {small_id, *small_prof}};
-  const auto decision = scheduler.schedule(pool, 8);
+  const auto decision = core::schedule(pool, 8);
   EXPECT_FALSE(decision.empty());
   EXPECT_LE(decision.predicted_util.cpu, 1.0 + 1e-9);
 }
@@ -91,8 +90,7 @@ TEST(IntegrationStack, CatalogProfilesDriveGroupingEndToEnd) {
   const auto catalog = exp::make_catalog();
   std::vector<SchedJob> pool;
   for (const auto& s : catalog) pool.push_back(s.sched_job());
-  core::Scheduler scheduler;
-  const auto decision = scheduler.schedule(pool, 100);
+  const auto decision = core::schedule(pool, 100);
   ASSERT_GE(decision.groups.size(), 2u);
 
   // At least one group contains both a compute-heavy and a comm-heavy job.
@@ -113,13 +111,11 @@ TEST(IntegrationStack, RegrouperUsesSchedulerConsistently) {
   // A full arrival->finish cycle at the API level: schedule a pool, "finish"
   // a job, let the regrouper repair, and verify the repair references only
   // known jobs.
-  core::Scheduler scheduler;
-  core::Regrouper regrouper(scheduler);
   const auto catalog = exp::make_catalog();
   std::vector<SchedJob> pool;
   for (std::size_t i = 0; i < 12; ++i) pool.push_back(catalog[i * 6].sched_job());
 
-  const auto decision = scheduler.schedule(pool, 48);
+  const auto decision = core::schedule(pool, 48);
   ASSERT_FALSE(decision.empty());
 
   // Build the running view from the decision.
@@ -145,7 +141,7 @@ TEST(IntegrationStack, RegrouperUsesSchedulerConsistently) {
   ASSERT_FALSE(groups[0].jobs.empty());
   const SchedJob finished = groups[0].jobs[0];
   groups[0].jobs.erase(groups[0].jobs.begin());
-  const auto action = regrouper.on_job_finish(finished, 0, idle, groups, 0);
+  const auto action = core::regroup_on_finish(finished, 0, idle, groups, 0);
 
   if (action.kind == core::RegroupAction::Kind::kReplace) {
     for (const auto& r : action.replacements) {
@@ -160,17 +156,15 @@ TEST(IntegrationStack, RegrouperUsesSchedulerConsistently) {
 }
 
 TEST(IntegrationStack, SpillPredictionMatchesWorkloadAccounting) {
-  // WorkloadSpec::resident_bytes and SpillCostModel must agree (both feed
+  // WorkloadSpec::resident_bytes and core::spill_costs must agree (both feed
   // memory decisions; drift between them caused real OOM bugs during
   // development).
   const auto catalog = exp::make_catalog();
-  core::SpillCostModel model;
   for (const auto& s : catalog) {
     for (double alpha : {0.0, 0.5, 1.0}) {
-      const auto costs = model.costs(s.input_bytes(), s.model_bytes(), alpha, 16,
-                                     cluster::MachineSpec{});
-      const double expected =
-          s.resident_bytes(16, alpha) + model.params().per_job_overhead_bytes;
+      const auto costs = core::spill_costs(s.input_bytes(), s.model_bytes(), alpha, 16,
+                                           cluster::MachineSpec{});
+      const double expected = s.resident_bytes(16, alpha) + core::kPerJobOverheadBytes;
       EXPECT_NEAR(costs.resident_bytes, expected, 1.0)
           << s.app << "/" << s.dataset << " alpha " << alpha;
     }

@@ -37,16 +37,18 @@ TEST(Profiler, DopInvariantAcrossMigrations) {
 }
 
 TEST(Profiler, MovingAverageTracksDrift) {
-  Profiler p(Profiler::Params{0.5, 1});
+  Profiler p;
   p.record(2, 1, 10.0, 1.0);
   p.record(2, 1, 20.0, 1.0);
   const auto prof = p.profile(2);
   ASSERT_TRUE(prof.has_value());
-  EXPECT_DOUBLE_EQ(prof->cpu_work, 15.0);
+  // 10 + kProfileEmaAlpha * (20 - 10).
+  EXPECT_DOUBLE_EQ(prof->cpu_work, 13.0);
 }
 
 TEST(Profiler, IsProfiledAfterMinSamples) {
-  Profiler p(Profiler::Params{0.3, 3});
+  static_assert(kProfileMinSamples == 3);
+  Profiler p;
   p.record(3, 2, 1.0, 1.0);
   EXPECT_TRUE(p.has_profile(3));
   EXPECT_FALSE(p.is_profiled(3));
@@ -78,7 +80,7 @@ TEST(Profiler, RecordRejectsNoJob) {
 }
 
 TEST(Profiler, IdPastLastRecordedReadsEmpty) {
-  Profiler p(Profiler::Params{0.3, 1});
+  Profiler p;
   p.record(2, 1, 1.0, 1.0);
   for (const JobId id : {JobId{3}, JobId{1000}, kNoJob}) {
     EXPECT_FALSE(p.has_profile(id)) << id;
@@ -102,14 +104,14 @@ TEST(Profiler, HighIdLeavesLowerIdsEmpty) {
 }
 
 TEST(Profiler, ForgetThenRecordRestartsMovingAverage) {
-  Profiler p(Profiler::Params{0.5, 1});
+  Profiler p;
   p.record(1, 1, 10.0, 1.0);
   p.record(1, 1, 20.0, 1.0);
-  ASSERT_DOUBLE_EQ(p.profile(1)->cpu_work, 15.0);
+  ASSERT_DOUBLE_EQ(p.profile(1)->cpu_work, 13.0);
   p.forget(1);
   EXPECT_EQ(p.sample_count(1), 0u);
   // The first sample after forget() is the whole estimate, not a blend with
-  // the forgotten 15.0.
+  // the forgotten 13.0.
   p.record(1, 1, 40.0, 4.0);
   ASSERT_TRUE(p.profile(1).has_value());
   EXPECT_DOUBLE_EQ(p.profile(1)->cpu_work, 40.0);

@@ -9,80 +9,74 @@ SchedJob job(JobId id, double cpu_work, double t_net) {
   return SchedJob{id, JobProfile{cpu_work, t_net}};
 }
 
-class RegrouperTest : public ::testing::Test {
- protected:
-  Scheduler scheduler_;
-  Regrouper regrouper_{scheduler_};
-};
-
-TEST_F(RegrouperTest, SimilarWithinFivePercent) {
+TEST(RegrouperTest, SimilarWithinFivePercent) {
   const JobProfile a{100.0, 10.0};
   const JobProfile b{103.0, 10.2};  // ~3% off in both metrics
   const JobProfile c{160.0, 10.0};  // way off in iteration time
-  EXPECT_TRUE(regrouper_.similar(a, b, 8));
-  EXPECT_FALSE(regrouper_.similar(a, c, 8));
+  EXPECT_TRUE(similar_jobs(a, b, 8));
+  EXPECT_FALSE(similar_jobs(a, c, 8));
 }
 
-TEST_F(RegrouperTest, ArrivalWaitsWhenIdleJobsExist) {
+TEST(RegrouperTest, ArrivalWaitsWhenIdleJobsExist) {
   // Other profiled/paused jobs exist => Harmony is already satisfied with the
   // running set; the new arrival waits.
   std::vector<SchedJob> idle{job(5, 100, 10)};
   std::vector<RunningGroup> groups{{{job(1, 80, 20)}, 8}};
-  const auto action = regrouper_.on_job_arrival(job(9, 50, 50), idle, groups);
+  const auto action = regroup_on_arrival(job(9, 50, 50), idle, groups);
   EXPECT_EQ(action.kind, RegroupAction::Kind::kNone);
 }
 
-TEST_F(RegrouperTest, ArrivalJoinsComplementaryGroup) {
+TEST(RegrouperTest, ArrivalJoinsComplementaryGroup) {
   // Group 0 is network-bound; a CPU-heavy newcomer raises its utilization.
   std::vector<RunningGroup> groups{
       {{job(1, 16, 40)}, 8},   // t_cpu = 2, t_net = 40: network-bound
       {{job(2, 320, 38)}, 8},  // t_cpu = 40, t_net = 38: already balanced
   };
-  const auto action = regrouper_.on_job_arrival(job(9, 240, 2), {}, groups);
+  const auto action = regroup_on_arrival(job(9, 240, 2), {}, groups);
   EXPECT_EQ(action.kind, RegroupAction::Kind::kAddToGroup);
   EXPECT_EQ(action.group_index, 0u);
 }
 
-TEST_F(RegrouperTest, ArrivalWaitsWhenNoGroupImproves) {
+TEST(RegrouperTest, ArrivalWaitsWhenNoGroupImproves) {
   // Perfectly utilized group: any addition lowers the score.
   std::vector<RunningGroup> groups{
       {{job(1, 80, 10), job(2, 80, 10)}, 8},  // sums: cpu 20, net 20 — saturated
   };
   // A monster job would make the group job-bound.
-  const auto action = regrouper_.on_job_arrival(job(9, 8000, 800), {}, groups);
+  const auto action = regroup_on_arrival(job(9, 8000, 800), {}, groups);
   EXPECT_EQ(action.kind, RegroupAction::Kind::kNone);
 }
 
-TEST_F(RegrouperTest, FinishReplacedBySimilarJob) {
+TEST(RegrouperTest, FinishReplacedBySimilarJob) {
   const SchedJob finished = job(1, 100, 10);
   std::vector<SchedJob> idle{job(7, 500, 80), job(8, 101, 10.1)};  // 8 is similar
   std::vector<RunningGroup> groups{{{job(2, 100, 10)}, 8}};
-  const auto action = regrouper_.on_job_finish(finished, 0, idle, groups);
+  const auto action = regroup_on_finish(finished, 0, idle, groups);
   ASSERT_EQ(action.kind, RegroupAction::Kind::kReplace);
   ASSERT_EQ(action.replacements.size(), 1u);
   EXPECT_EQ(action.replacements[0].id, 8u);
 }
 
-TEST_F(RegrouperTest, FinishReplacedByEquivalentPair) {
+TEST(RegrouperTest, FinishReplacedByEquivalentPair) {
   const std::size_t dop = 8;
   const SchedJob finished = job(1, 160, 20);  // t_cpu = 20, t_net = 20
   // No single similar job, but 7+8 sum to (t_cpu 20, t_net 20).
   std::vector<SchedJob> idle{job(7, 80, 10), job(8, 80, 10), job(9, 4000, 1)};
   std::vector<RunningGroup> groups{{{job(2, 160, 20)}, dop}};
-  const auto action = regrouper_.on_job_finish(finished, 0, idle, groups);
+  const auto action = regroup_on_finish(finished, 0, idle, groups);
   ASSERT_EQ(action.kind, RegroupAction::Kind::kReplace);
   EXPECT_EQ(action.replacements.size(), 2u);
 }
 
-TEST_F(RegrouperTest, FinishWithNothingUsefulKeepsGroup) {
+TEST(RegrouperTest, FinishWithNothingUsefulKeepsGroup) {
   const SchedJob finished = job(1, 100, 10);
   // Well-balanced remaining group, no idle jobs: benefit below 5 % => none.
   std::vector<RunningGroup> groups{{{job(2, 80, 10), job(3, 80, 10)}, 8}};
-  const auto action = regrouper_.on_job_finish(finished, 0, {}, groups);
+  const auto action = regroup_on_finish(finished, 0, {}, groups);
   EXPECT_EQ(action.kind, RegroupAction::Kind::kNone);
 }
 
-TEST_F(RegrouperTest, FinishTriggersRescheduleWhenBadlyImbalanced) {
+TEST(RegrouperTest, FinishTriggersRescheduleWhenBadlyImbalanced) {
   // The finished job was the only CPU-heavy one; the leftover group is badly
   // network-bound and an idle CPU-heavy job exists, but it is NOT similar
   // (so the cheap replacement paths fail) — a reschedule should win by >5 %.
@@ -91,35 +85,33 @@ TEST_F(RegrouperTest, FinishTriggersRescheduleWhenBadlyImbalanced) {
   std::vector<RunningGroup> groups{
       {{job(2, 16, 40), job(3, 16, 38)}, 8},
   };
-  const auto action = regrouper_.on_job_finish(finished, 0, idle, groups);
+  const auto action = regroup_on_finish(finished, 0, idle, groups);
   EXPECT_EQ(action.kind, RegroupAction::Kind::kReschedule);
   EXPECT_FALSE(action.decision.empty());
 }
 
-TEST_F(RegrouperTest, ArrivalWithNoGroupsWaits) {
-  const auto action = regrouper_.on_job_arrival(job(9, 50, 50), {}, {});
+TEST(RegrouperTest, ArrivalWithNoGroupsWaits) {
+  const auto action = regroup_on_arrival(job(9, 50, 50), {}, {});
   EXPECT_EQ(action.kind, RegroupAction::Kind::kNone);
 }
 
-TEST_F(RegrouperTest, FinishOutOfRangeGroupIndexIsNone) {
+TEST(RegrouperTest, FinishOutOfRangeGroupIndexIsNone) {
   std::vector<RunningGroup> groups{{{job(2, 100, 10)}, 4}};
-  const auto action = regrouper_.on_job_finish(job(1, 100, 10), 7, {}, groups);
+  const auto action = regroup_on_finish(job(1, 100, 10), 7, {}, groups);
   EXPECT_EQ(action.kind, RegroupAction::Kind::kNone);
 }
 
 class SimilaritySweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(SimilaritySweep, ThresholdBoundary) {
-  Scheduler scheduler;
-  Regrouper regrouper(scheduler);
   const double delta = GetParam();
   const JobProfile base{100.0, 10.0};
   const JobProfile other{100.0 * (1.0 + delta), 10.0};
   // comp ratio moves too, so use generous margins: well inside vs well outside.
   if (delta <= 0.02) {
-    EXPECT_TRUE(regrouper.similar(base, other, 8));
+    EXPECT_TRUE(similar_jobs(base, other, 8));
   } else if (delta >= 0.10) {
-    EXPECT_FALSE(regrouper.similar(base, other, 8));
+    EXPECT_FALSE(similar_jobs(base, other, 8));
   }
 }
 

@@ -29,42 +29,37 @@ std::size_t total_machines(const ScheduleDecision& d) {
 }
 
 TEST(PickNumGroups, BalancesCpuAgainstNet) {
-  Scheduler s;
   // Each job: cpu_work = 100, t_net = 10. With M = 100, T_cpu(M/nG) matches
   // t_net when DoP = 10, i.e. nG = 10 — but only 4 jobs exist, so <= 4.
   std::vector<SchedJob> jobs{job(0, 100, 10), job(1, 100, 10), job(2, 100, 10),
                              job(3, 100, 10)};
-  const std::size_t ng = s.pick_num_groups(jobs, 100);
+  const std::size_t ng = pick_num_groups(jobs, 100);
   EXPECT_LE(ng, 4u);
   EXPECT_GE(ng, 1u);
 }
 
 TEST(PickNumGroups, CpuHeavyJobsPreferFewGroups) {
-  Scheduler s;
   // Very CPU-heavy: bigger DoP (fewer groups) balances |T_cpu - T_net|.
   std::vector<SchedJob> cpu_heavy{job(0, 1000, 1), job(1, 1000, 1), job(2, 1000, 1),
                                   job(3, 1000, 1)};
   std::vector<SchedJob> net_heavy{job(0, 10, 50), job(1, 10, 50), job(2, 10, 50),
                                   job(3, 10, 50)};
-  EXPECT_LE(s.pick_num_groups(cpu_heavy, 16), s.pick_num_groups(net_heavy, 16));
+  EXPECT_LE(pick_num_groups(cpu_heavy, 16), pick_num_groups(net_heavy, 16));
 }
 
 TEST(PickNumGroups, EmptyJobsDefaultsToOneGroup) {
-  Scheduler s;
-  EXPECT_EQ(s.pick_num_groups({}, 100), 1u);
+  EXPECT_EQ(pick_num_groups({}, 100), 1u);
 }
 
 TEST(PickNumGroups, ZeroMachinesDefaultsToOneGroup) {
   std::vector<SchedJob> jobs{job(0, 100, 10), job(1, 100, 10)};
-  Scheduler s;
-  EXPECT_EQ(s.pick_num_groups(jobs, 0), 1u);
+  EXPECT_EQ(pick_num_groups(jobs, 0), 1u);
 }
 
 TEST(PickNumGroups, SingleJobGetsOneGroup) {
   // max_groups = jobs.size() caps the search at 1, whatever the balance says.
   std::vector<SchedJob> net_heavy{job(0, 1, 1000)};
-  Scheduler s;
-  EXPECT_EQ(s.pick_num_groups(net_heavy, 64), 1u);
+  EXPECT_EQ(pick_num_groups(net_heavy, 64), 1u);
 }
 
 TEST(PickNumGroups, TiesResolveToSmallestGroupCount) {
@@ -79,17 +74,15 @@ TEST(PickNumGroups, TiesResolveToSmallestGroupCount) {
   //   job B: cpu 2, net 1  -> |nG - 1|   (cost 0 at nG=1, 1 at nG=2)
   // Total cost is 1 at both candidates: the tie must resolve to nG = 1.
   std::vector<SchedJob> jobs{job(0, 2, 2), job(1, 2, 1)};
-  Scheduler s;
-  EXPECT_EQ(s.pick_num_groups(jobs, 2), 1u);
+  EXPECT_EQ(pick_num_groups(jobs, 2), 1u);
 }
 
 TEST(AssignJobs, PartitionIsCompleteAndDisjoint) {
-  Scheduler s;
   std::vector<SchedJob> jobs;
   Rng rng(5);
   for (JobId i = 0; i < 12; ++i)
     jobs.push_back(job(i, rng.uniform(10, 200), rng.uniform(1, 50)));
-  const auto groups = s.assign_jobs(jobs, 3, 8);
+  const auto groups = assign_jobs(jobs, 3, 8);
   ASSERT_EQ(groups.size(), 3u);
   std::set<JobId> seen;
   std::size_t count = 0;
@@ -102,13 +95,12 @@ TEST(AssignJobs, PartitionIsCompleteAndDisjoint) {
 }
 
 TEST(AssignJobs, SimilarSizesStayTogether) {
-  Scheduler s;
   // Two big jobs and four small ones: chunked assignment by sorted iteration
   // time keeps the two big ones in the same group (avoiding job-bound groups
   // everywhere).
   std::vector<SchedJob> jobs{job(0, 800, 100), job(1, 790, 100), job(2, 10, 2),
                              job(3, 11, 2),    job(4, 12, 2),    job(5, 10, 2)};
-  const auto groups = s.assign_jobs(jobs, 3, 8);
+  const auto groups = assign_jobs(jobs, 3, 8);
   // Find group of job 0; job 1 must be in the same one.
   for (const auto& g : groups) {
     const bool has0 = std::any_of(g.begin(), g.end(), [](auto& j) { return j.id == 0; });
@@ -118,14 +110,13 @@ TEST(AssignJobs, SimilarSizesStayTogether) {
 }
 
 TEST(AssignJobs, SwapsReduceImbalance) {
-  Scheduler s;
   // Jobs with equal iteration time but opposite skews; fine-tuning should mix
   // CPU-heavy and network-heavy jobs within groups.
   std::vector<SchedJob> jobs;
   for (JobId i = 0; i < 4; ++i) jobs.push_back(job(i, 80, 2));    // cpu-heavy
   for (JobId i = 4; i < 8; ++i) jobs.push_back(job(i, 16, 10));   // net-heavy
   const std::size_t dop = 8;
-  const auto groups = s.assign_jobs(jobs, 2, dop);
+  const auto groups = assign_jobs(jobs, 2, dop);
   ASSERT_EQ(groups.size(), 2u);
   auto imbalance = [&](const std::vector<SchedJob>& g) {
     double cpu = 0, net = 0;
@@ -140,9 +131,8 @@ TEST(AssignJobs, SwapsReduceImbalance) {
 }
 
 TEST(AllocateMachines, EveryGroupGetsAtLeastOne) {
-  Scheduler s;
   std::vector<std::vector<SchedJob>> groups{{job(0, 100, 1)}, {job(1, 1, 100)}};
-  const auto alloc = s.allocate_machines(groups, 10);
+  const auto alloc = allocate_machines(groups, 10);
   ASSERT_EQ(alloc.size(), 2u);
   EXPECT_GE(alloc[0], 1u);
   EXPECT_GE(alloc[1], 1u);
@@ -150,55 +140,48 @@ TEST(AllocateMachines, EveryGroupGetsAtLeastOne) {
 }
 
 TEST(AllocateMachines, StopsAtBalancePoint) {
-  Scheduler s;
   // One job: t_cpu(m) = 60/m, t_net = 20 -> balance at m = 3; extra machines
   // past that only make the group network-bound and must not be burned.
   std::vector<std::vector<SchedJob>> groups{{job(0, 60, 20)}};
-  const auto alloc = s.allocate_machines(groups, 50);
+  const auto alloc = allocate_machines(groups, 50);
   EXPECT_EQ(alloc[0], 3u);
 }
 
 TEST(AllocateMachines, CpuBoundGroupGetsMore) {
-  Scheduler s;
   std::vector<std::vector<SchedJob>> groups{{job(0, 1000, 1)},   // very CPU-bound
                                             {job(1, 1, 100)}};   // network-bound
-  const auto alloc = s.allocate_machines(groups, 12);
+  const auto alloc = allocate_machines(groups, 12);
   EXPECT_GT(alloc[0], alloc[1]);
 }
 
 TEST(AllocateMachines, FewerMachinesThanGroupsThrows) {
-  Scheduler s;
   std::vector<std::vector<SchedJob>> groups{{job(0, 1, 1)}, {job(1, 1, 1)}, {job(2, 1, 1)}};
-  EXPECT_THROW(s.allocate_machines(groups, 2), std::invalid_argument);
+  EXPECT_THROW(allocate_machines(groups, 2), std::invalid_argument);
 }
 
 TEST(Schedule, EmptyInputs) {
-  Scheduler s;
-  EXPECT_TRUE(s.schedule({}, 10).empty());
-  EXPECT_THROW(s.schedule(std::vector<SchedJob>{job(0, 1, 1)}, 0), std::invalid_argument);
+  EXPECT_TRUE(schedule({}, 10).empty());
+  EXPECT_THROW(schedule(std::vector<SchedJob>{job(0, 1, 1)}, 0), std::invalid_argument);
 }
 
 TEST(Schedule, InvalidProfileThrows) {
-  Scheduler s;
   std::vector<SchedJob> jobs{SchedJob{0, JobProfile{0.0, 0.0}}};
-  EXPECT_THROW(s.schedule(jobs, 4), std::invalid_argument);
+  EXPECT_THROW(schedule(jobs, 4), std::invalid_argument);
 }
 
 TEST(Schedule, SingleJobUsesAllMachines) {
-  Scheduler s;
   std::vector<SchedJob> jobs{job(0, 100, 10)};
-  const auto d = s.schedule(jobs, 8);
+  const auto d = schedule(jobs, 8);
   ASSERT_EQ(d.groups.size(), 1u);
   EXPECT_EQ(d.groups[0].machines, 8u);
   EXPECT_EQ(d.jobs_scheduled, 1u);
 }
 
 TEST(Schedule, ComplementaryPairBeatsSingleJob) {
-  Scheduler s;
   // A CPU-heavy and network-heavy pair multiplexes to near-full utilization;
   // the scheduler should co-locate them rather than stop at one job.
   std::vector<SchedJob> jobs{job(0, 160, 4), job(1, 32, 20)};
-  const auto d = s.schedule(jobs, 8);
+  const auto d = schedule(jobs, 8);
   EXPECT_EQ(d.jobs_scheduled, 2u);
   ASSERT_EQ(d.groups.size(), 1u);
   EXPECT_EQ(d.groups[0].jobs.size(), 2u);
@@ -206,21 +189,19 @@ TEST(Schedule, ComplementaryPairBeatsSingleJob) {
 }
 
 TEST(Schedule, StopsGrowingWhenUtilizationDrops) {
-  Scheduler s;
   // First two jobs complement perfectly; the third is a monster that would
   // make everything job-bound.
   std::vector<SchedJob> jobs{job(0, 80, 10), job(1, 80, 10), job(2, 8000, 1000)};
-  const auto d = s.schedule(jobs, 8);
+  const auto d = schedule(jobs, 8);
   EXPECT_LE(d.jobs_scheduled, 2u);
 }
 
 TEST(Schedule, UtilizationWithinBounds) {
-  Scheduler s;
   Rng rng(17);
   std::vector<SchedJob> jobs;
   for (JobId i = 0; i < 20; ++i)
     jobs.push_back(job(i, rng.uniform(50, 500), rng.uniform(5, 60)));
-  const auto d = s.schedule(jobs, 40);
+  const auto d = schedule(jobs, 40);
   EXPECT_GT(d.predicted_util.cpu, 0.0);
   EXPECT_LE(d.predicted_util.cpu, 1.0 + 1e-9);
   EXPECT_LE(d.predicted_util.net, 1.0 + 1e-9);
@@ -232,12 +213,11 @@ class ScheduleInvariants
 
 TEST_P(ScheduleInvariants, DecisionIsWellFormed) {
   const auto [num_jobs, machines, seed] = GetParam();
-  Scheduler s;
   Rng rng(seed);
   std::vector<SchedJob> jobs;
   for (JobId i = 0; i < num_jobs; ++i)
     jobs.push_back(job(i, rng.uniform(20, 2000), rng.uniform(2, 120)));
-  const auto d = s.schedule(jobs, machines);
+  const auto d = schedule(jobs, machines);
 
   // (1) No duplicate placements; placed ids come from the input prefix.
   const auto ids = placed_ids(d);
@@ -266,13 +246,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::uint64_t>(1, 2, 3)));
 
 TEST(Schedule, ScalesToThousandsOfJobs) {
-  Scheduler s;
   Rng rng(23);
   std::vector<SchedJob> jobs;
   for (JobId i = 0; i < 2000; ++i)
     jobs.push_back(job(i, rng.uniform(20, 2000), rng.uniform(2, 120)));
   const auto start = std::chrono::steady_clock::now();
-  const auto d = s.schedule(jobs, 2000);
+  const auto d = schedule(jobs, 2000);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_FALSE(d.empty());

@@ -290,18 +290,6 @@ TEST(FifoResource, BusyTimeExcludesIdle) {
   EXPECT_DOUBLE_EQ(sim.now(), 11.0);
 }
 
-TEST(FifoResource, CancelPending) {
-  Simulator sim;
-  FifoResource r(sim, "cpu");
-  int done = 0;
-  r.submit(2.0, [&] { ++done; });
-  const TaskId second = r.submit(2.0, [&] { ++done; });
-  EXPECT_TRUE(r.cancel_pending(second));
-  EXPECT_FALSE(r.cancel_pending(second));
-  sim.run();
-  EXPECT_EQ(done, 1);
-}
-
 TEST(FifoResource, CompletionCanResubmit) {
   Simulator sim;
   FifoResource r(sim, "cpu");

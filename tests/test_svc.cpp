@@ -196,9 +196,8 @@ TEST(IncrementalScheduler, DriftRisesOnDecayAndResetsOnAdopt) {
   EXPECT_TRUE(inc.needs_full_reschedule());
 
   // A full Algorithm-1 repack adopted back in resets the baseline.
-  core::Scheduler full;
   const auto pool = inc.pool();
-  inc.adopt(full.repack(pool, inc.total_machines()), pool);
+  inc.adopt(core::repack(pool, inc.total_machines()), pool);
   EXPECT_LT(inc.drift(), kDriftThreshold);
   EXPECT_EQ(inc.running_jobs(), pool.size());
   expect_valid(inc);
@@ -210,14 +209,13 @@ TEST(IncrementalScheduler, EquivalenceWithFullRepackWithinSlack) {
   // full-algorithm repack of the same jobs (see validate_incremental_vs_full;
   // the service pairs drift_threshold 0.10 with slack 0.35).
   core::IncrementalScheduler inc(kDriftThreshold, 120);
-  core::Scheduler full;
   Rng rng(17);
   core::JobId next = 0;
   for (int step = 0; step < 400; ++step) {
     if (inc.needs_full_reschedule()) {
       // What the service's escalation does: full repack, adopt, baseline.
       const auto pool = inc.pool();
-      inc.adopt(full.repack(pool, inc.total_machines()), pool);
+      inc.adopt(core::repack(pool, inc.total_machines()), pool);
     }
     if (rng.bernoulli(0.6) || inc.running_jobs() == 0) {
       inc.join(job(next++, rng.uniform(150.0, 450.0), rng.uniform(4.0, 12.0)));
@@ -232,7 +230,7 @@ TEST(IncrementalScheduler, EquivalenceWithFullRepackWithinSlack) {
   }
   ASSERT_GT(inc.running_jobs(), 0u);
   check::Validation v("equivalence");
-  core::validate_incremental_vs_full(inc, full, 0.35, v);
+  core::validate_incremental_vs_full(inc, 0.35, v);
   EXPECT_TRUE(v.ok()) << v.report().to_string();
 }
 
