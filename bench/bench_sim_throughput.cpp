@@ -65,8 +65,8 @@ void BM_ClusterSimThroughput(benchmark::State& state) {
                  " machines");
 }
 
-// Table I tiled to n jobs at full length, all submitted at t=0: the
-// perfbench replay-batch setting at a smaller scale.
+// Table I tiled to n jobs at full length, all submitted at t=0: perfbench's
+// replay-batch setting (4000 jobs / 2000 machines) and a half-size row.
 void BM_ClusterSimBatch(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   const auto machines = static_cast<std::size_t>(state.range(1));
@@ -96,7 +96,10 @@ void BM_ClusterSimBatch(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_ClusterSimBatch)->Args({2000, 1000})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClusterSimBatch)
+    ->Args({2000, 1000})
+    ->Args({4000, 2000})  // perfbench's replay-batch setting
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_ClusterSimThroughput)
     ->Args({1000, 100})

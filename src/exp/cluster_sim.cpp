@@ -62,10 +62,11 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
     : config_(config),
       arrivals_(std::move(arrival_times)),
       rng_(config.seed),
+      specs_(std::move(workload)),
       free_machines_(config.machines) {
-  if (arrivals_.size() != workload.size())
+  if (arrivals_.size() != specs_.size())
     throw std::invalid_argument("ClusterSim: arrivals/workload size mismatch");
-  const std::size_t n = workload.size();
+  const std::size_t n = specs_.size();
   // Reserve exactly: jobs_ must never reallocate (event callbacks capture
   // SimJob addresses).
   jobs_.reserve(n);
@@ -77,9 +78,8 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
   for (std::size_t i = 0; i < n; ++i) {
     // The seed is the draw rng_.fork() would make; the engine itself is built
     // lazily (SimJob::noise_rng).
-    SimJob& job = jobs_.emplace_back(rng_.next_u64());
-    job.spec = workload[i];
-    job.spec.id = static_cast<core::JobId>(i);
+    specs_[i].id = static_cast<core::JobId>(i);
+    SimJob& job = jobs_.emplace_back(specs_[i], rng_.next_u64());
     if (config_.model_error_injection > 0.0) {
       const double e = config_.model_error_injection;
       job.err_cpu = 1.0 + rng_.uniform(-e, e);
@@ -340,6 +340,9 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
   ++job.iters_in_group;
 
   profiler_.record(job.spec.id, g.machines, comp_duration_s, comm_duration);
+  // The sample moved the job's measured profile; an idle job's view entry
+  // must follow it.
+  if (job.in_idle_index) idle_position(job.spec.id)->profile = sched_view(job).profile;
 
   const double wall = sim_.now() - job.iter_start_time;
   if (obs::Tracer::enabled())
@@ -552,7 +555,8 @@ void ClusterSim::dissolve_group(GroupRun& group) {
 // the same predicates, so the per-event cost tracks the live population
 // instead of everything ever created. The waiting and idle lists are kept in
 // the pinned (submit_time, id) order, the order every scheduling pass reads
-// them in, so reading them is a gather rather than a sort.
+// them in, so reading them needs no sort; the idle list holds the scheduler's
+// view of each job, so reading it needs no gather either.
 
 void ClusterSim::update_submit_index(std::vector<core::JobId>& index, core::JobId id,
                                      bool member) {
@@ -566,6 +570,12 @@ void ClusterSim::update_submit_index(std::vector<core::JobId>& index, core::JobI
   }
 }
 
+std::vector<core::SchedJob>::iterator ClusterSim::idle_position(core::JobId id) {
+  return std::lower_bound(
+      idle_by_submit_.begin(), idle_by_submit_.end(), id,
+      [this](const core::SchedJob& e, core::JobId key) { return submit_order_less(e.id, key); });
+}
+
 void ClusterSim::reindex_job(SimJob& job) {
   const core::JobId id = job.spec.id;
   const bool waiting = job.arrived && job.state == core::JobState::kWaiting;
@@ -576,7 +586,12 @@ void ClusterSim::reindex_job(SimJob& job) {
   const bool idle =
       job.state == core::JobState::kProfiled || job.state == core::JobState::kPaused;
   if (idle != job.in_idle_index) {
-    update_submit_index(idle_by_submit_, id, idle);
+    const auto it = idle_position(id);
+    if (idle) {
+      idle_by_submit_.insert(it, sched_view(job));
+    } else {
+      idle_by_submit_.erase(it);
+    }
     job.in_idle_index = idle;
   }
   const bool profiling = job.state == core::JobState::kProfiling;
@@ -653,13 +668,6 @@ core::SchedJob ClusterSim::sched_view(const SimJob& job) const {
   p.cpu_work *= job.err_cpu;
   p.t_net *= job.err_net;
   return core::SchedJob{job.spec.id, p};
-}
-
-std::vector<core::SchedJob> ClusterSim::idle_sched_jobs() const {
-  std::vector<core::SchedJob> out;
-  out.reserve(idle_by_submit_.size());
-  for (core::JobId id : idle_by_submit_) out.push_back(sched_view(jobs_[id]));
-  return out;
 }
 
 ClusterSim::RunningView ClusterSim::running_view() const {
@@ -1020,16 +1028,12 @@ void ClusterSim::on_job_profiled(SimJob& job) {
 void ClusterSim::run_initial_harmony_schedule() {
   initial_schedule_done_ = true;
   // Pool: everything profiled so far, queue order.
-  std::vector<core::SchedJob> pool = idle_sched_jobs();
-  // Jobs still running in bootstrap groups are also schedulable.
-  for (SimJob& job : jobs_) {
-    if (job.state == core::JobState::kRunning ||
-        (job.state == core::JobState::kProfiled && job.group != nullptr)) {
-      if (std::none_of(pool.begin(), pool.end(),
-                       [&](const core::SchedJob& s) { return s.id == job.spec.id; }))
-        pool.push_back(sched_view(job));
-    }
-  }
+  const auto idle = idle_sched_jobs();
+  std::vector<core::SchedJob> pool(idle.begin(), idle.end());
+  // Jobs still running in bootstrap groups are also schedulable. Profiled
+  // ones are idle, so already in the pool; running ones never are.
+  for (const SimJob& job : jobs_)
+    if (job.state == core::JobState::kRunning) pool.push_back(sched_view(job));
   if (pool.empty()) return;
 
   const std::size_t total_machines = config_.machines;

@@ -20,6 +20,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "check/check.h"
@@ -160,6 +161,7 @@ class ClusterSim {
     kOverAllocatedMachine,  // a group claims a machine the free pool still owns
     kSkewedSpillAlpha,      // a job's disk ratio pushed outside [0, 1]
     kBrokenMembership,      // group drops a member that still points at it
+    kStaleIdleProfile,      // an idle-view entry misses a profile refresh
   };
   void corrupt_for_test(Corruption kind);
 
@@ -208,9 +210,12 @@ class ClusterSim {
   void try_schedule_naive();
   void run_initial_harmony_schedule();
   core::SchedJob sched_view(const SimJob& job) const;
-  // Idle (profiled or paused) jobs in submit order: a gather over the
-  // idle_by_submit_ index, with no per-call sort.
-  std::vector<core::SchedJob> idle_sched_jobs() const;
+  // Idle (profiled or paused) jobs in submit order, as the scheduler sees
+  // them: the idle_by_submit_ index itself, so reading it costs nothing. The
+  // span aliases the index, whose entries the next job-state change
+  // (reindex_job) may move, so callers pass it to the scheduler or
+  // regrouper before applying any decision.
+  std::span<const core::SchedJob> idle_sched_jobs() const { return idle_by_submit_; }
   // The running groups as the regrouper sees them — live, not stopping, with
   // at least one kRunning member — and, index for index, the GroupRun behind
   // each, so a regroup action's group index maps back to its group.
@@ -238,6 +243,9 @@ class ClusterSim {
   // submit order. The order is total, so the lower_bound position is the
   // unique insert/erase point.
   void update_submit_index(std::vector<core::JobId>& index, core::JobId id, bool member);
+  // The idle view's entry for `id` (or its insert point), by the same
+  // lower_bound in the pinned order.
+  std::vector<core::SchedJob>::iterator idle_position(core::JobId id);
   // Waiting jobs in submit order (the order every scheduling pass uses);
   // materialized from the incrementally sorted waiting_by_submit_ index, so
   // no per-call sort.
@@ -283,6 +291,9 @@ class ClusterSim {
   Rng rng_;
 
   sim::Simulator sim_;
+  // The workload, moved in and never resized: each SimJob refers to its
+  // spec here instead of holding a copy.
+  std::vector<WorkloadSpec> specs_;
   // Dense by JobId (== pool index). Sized once in the constructor and never
   // resized afterwards, so SimJob addresses are stable for the whole run —
   // event callbacks capture SimJob* directly.
@@ -307,12 +318,16 @@ class ClusterSim {
   mutable std::vector<std::uint8_t> job_resident_valid_;
 
   // Job-state indexes, maintained by reindex_job(). Both are kept in the
-  // pinned (submit_time, id) scheduling order by ordered insert/erase
-  // (update_submit_index), so no scheduling pass sorts them.
+  // pinned (submit_time, id) scheduling order by ordered insert/erase, so no
+  // scheduling pass sorts them.
   // Arrived && kWaiting.
   std::vector<core::JobId> waiting_by_submit_;
-  // kProfiled || kPaused: the idle pool every Algorithm 1 / regroup call sees.
-  std::vector<core::JobId> idle_by_submit_;
+  // kProfiled || kPaused: the idle pool every Algorithm 1 / regroup call
+  // sees, held as each job's sched_view. An entry is written on insert and
+  // refreshed whenever the profiler records a sample for the job (a profiled
+  // job still iterating in, or draining from, its bootstrap group), so it
+  // always equals sched_view(job); validate_state checks that bit for bit.
+  std::vector<core::SchedJob> idle_by_submit_;
   std::size_t profiling_count_ = 0;
   std::size_t paused_count_ = 0;
   std::size_t profiled_ungrouped_count_ = 0;

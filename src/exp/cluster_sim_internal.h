@@ -46,7 +46,7 @@ inline constexpr double kUtilSampleWindowSec = 60.0;
 // job_alpha_ and friends — so the occupancy walk touches packed doubles
 // instead of striding through these records.
 struct ClusterSim::SimJob {
-  WorkloadSpec spec;
+  const WorkloadSpec& spec;  // ClusterSim::specs_[id]
   bool arrived = false;  // submission event has fired
   core::JobState state = core::JobState::kWaiting;
   std::size_t iterations_done = 0;
@@ -76,7 +76,7 @@ struct ClusterSim::SimJob {
   bool counted_profiled_ungrouped = false;
   bool counted_finished = false;
 
-  explicit SimJob(std::uint64_t seed) : noise_seed(seed) {}
+  SimJob(const WorkloadSpec& s, std::uint64_t seed) : spec(s), noise_seed(seed) {}
 
   Rng& noise_rng() {
     if (!noise) noise = std::make_unique<Rng>(noise_seed);

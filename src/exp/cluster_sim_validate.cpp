@@ -5,7 +5,9 @@
 // the incremental code keys off. All checks are read-only and consume no
 // randomness, so running them cannot perturb a simulation.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -185,10 +187,28 @@ check::ValidationReport ClusterSim::validate_state() const {
       << "waiting index (" << waiting_by_submit_.size()
       << " ids) diverges from a from-scratch rebuild sorted by (submit, id) ("
       << want_waiting.size() << " ids): bad index entry or broken tie-break order";
-  HARMONY_VALIDATE(v, idle_by_submit_ == want_idle)
-      << "idle index (" << idle_by_submit_.size()
+  std::vector<core::JobId> idle_ids;
+  idle_ids.reserve(idle_by_submit_.size());
+  for (const core::SchedJob& e : idle_by_submit_) idle_ids.push_back(e.id);
+  HARMONY_VALIDATE(v, idle_ids == want_idle)
+      << "idle index (" << idle_ids.size()
       << " ids) diverges from a from-scratch rebuild sorted by (submit, id) ("
       << want_idle.size() << " ids): bad index entry or broken tie-break order";
+  // Each idle entry is the scheduler's view of its job, bit for bit: a missed
+  // refresh would otherwise only show as decisions that silently drift.
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (const core::SchedJob& e : idle_by_submit_) {
+    if (e.id >= jobs_.size()) continue;  // reported by the id check above
+    const core::JobProfile want = sched_view(jobs_[e.id]).profile;
+    const bool fresh =
+        same_bits(e.profile.cpu_work, want.cpu_work) && same_bits(e.profile.t_net, want.t_net);
+    HARMONY_VALIDATE(v, fresh)
+        << check::job(e.id) << "idle view holds profile (cpu_work " << e.profile.cpu_work
+        << ", t_net " << e.profile.t_net << ") but sched_view gives (" << want.cpu_work
+        << ", " << want.t_net << "): stale entry (missed profile refresh)";
+  }
   HARMONY_VALIDATE(v, profiling_count_ == want_profiling)
       << "profiling counter " << profiling_count_ << " != recount " << want_profiling;
   HARMONY_VALIDATE(v, paused_count_ == want_paused)
@@ -296,6 +316,13 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
           return;
         }
       break;
+    }
+    case Corruption::kStaleIdleProfile: {
+      // An idle entry keeps an old profile, as if a profiler sample had not
+      // been folded into the view.
+      if (idle_by_submit_.empty()) break;
+      idle_by_submit_.front().profile.cpu_work *= 1.5;
+      return;
     }
     case Corruption::kBrokenMembership: {
       // Group forgets a member that still points at it.

@@ -57,19 +57,21 @@ Utilization PerfModel::group_utilization(const GroupShape& group) {
   return Utilization{sum_cpu / t_itr, sum_net / t_itr};
 }
 
+GroupTerm PerfModel::group_term(const GroupShape& group) {
+  GroupTerm t;
+  t.jobs = group.jobs.size();
+  if (group.jobs.empty() || group.machines == 0) return t;
+  const Utilization u = group_utilization(group);
+  t.machines = static_cast<double>(group.machines);
+  t.cpu = t.machines * u.cpu;
+  t.net = t.machines * u.net;
+  return t;
+}
+
 Utilization PerfModel::cluster_utilization(std::span<const GroupShape> groups) {
-  double total_machines = 0.0;
-  Utilization acc;
-  for (const GroupShape& g : groups) {
-    if (g.jobs.empty() || g.machines == 0) continue;
-    const Utilization u = group_utilization(g);
-    const auto m = static_cast<double>(g.machines);
-    acc.cpu += m * u.cpu;
-    acc.net += m * u.net;
-    total_machines += m;
-  }
-  if (total_machines <= 0.0) return {};
-  return Utilization{acc.cpu / total_machines, acc.net / total_machines};
+  ScoreFold fold;
+  for (const GroupShape& g : groups) fold.add(group_term(g));
+  return fold.utilization();
 }
 
 double PerfModel::score_scalar(const Utilization& u, std::size_t total_jobs,
@@ -81,13 +83,9 @@ double PerfModel::score_scalar(const Utilization& u, std::size_t total_jobs,
 }
 
 double PerfModel::score(std::span<const GroupShape> groups) {
-  std::size_t jobs = 0;
-  std::size_t nonempty = 0;
-  for (const GroupShape& g : groups) {
-    jobs += g.jobs.size();
-    if (!g.jobs.empty()) ++nonempty;
-  }
-  return score_scalar(cluster_utilization(groups), jobs, nonempty);
+  ScoreFold fold;
+  for (const GroupShape& g : groups) fold.add(group_term(g));
+  return fold.score();
 }
 
 }  // namespace harmony::core

@@ -35,6 +35,16 @@ enum class Bound : std::uint8_t { kCpu, kNet };
 
 const char* to_string(Bound bound) noexcept;
 
+// One group's share of Eq. 4 and of the score's job/group counts. `machines`
+// is 0 for a group Eq. 4 skips (no jobs or no machines); otherwise `cpu` and
+// `net` are m · u_cpu and m · u_net.
+struct GroupTerm {
+  double cpu = 0.0;
+  double net = 0.0;
+  double machines = 0.0;
+  std::size_t jobs = 0;
+};
+
 class PerfModel {
  public:
   // Eq. 1: T_g_itr = max(Σ T_cpu, Σ T_net, max_j T_j_itr).
@@ -48,6 +58,9 @@ class PerfModel {
   // Eq. 3: per-resource busy fraction within a group iteration.
   static Utilization group_utilization(const GroupShape& group);
 
+  // The group's Eq. 4 term.
+  static GroupTerm group_term(const GroupShape& group);
+
   // Eq. 4: machine-weighted average across groups.
   static Utilization cluster_utilization(std::span<const GroupShape> groups);
 
@@ -56,6 +69,32 @@ class PerfModel {
   static double score(std::span<const GroupShape> groups);
   static double score_scalar(const Utilization& u, std::size_t total_jobs,
                              std::size_t total_groups);
+};
+
+// Eq. 4 and the score over a sequence of group terms, summed in the order
+// they are added. cluster_utilization and score are this fold over their
+// groups in span order, so a caller that caches terms (the regrouper scores
+// many candidate clusters that share most of their groups) reproduces them
+// bit for bit by adding the same terms in the same order.
+struct ScoreFold {
+  Utilization weighted;  // Σ m · u over the non-skipped groups
+  double machines = 0.0;
+  std::size_t jobs = 0;
+  std::size_t nonempty_groups = 0;
+
+  void add(const GroupTerm& t) noexcept {
+    jobs += t.jobs;
+    if (t.jobs > 0) ++nonempty_groups;
+    if (t.machines <= 0.0) return;
+    weighted.cpu += t.cpu;
+    weighted.net += t.net;
+    machines += t.machines;
+  }
+  Utilization utilization() const noexcept {
+    if (machines <= 0.0) return {};
+    return Utilization{weighted.cpu / machines, weighted.net / machines};
+  }
+  double score() const { return PerfModel::score_scalar(utilization(), jobs, nonempty_groups); }
 };
 
 }  // namespace harmony::core

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "common/stats.h"
 #include "obs/metrics.h"
@@ -33,6 +35,97 @@ std::vector<GroupShape> to_shapes(std::span<const RunningGroup> groups) {
     shapes.push_back(std::move(s));
   }
   return shapes;
+}
+
+// Rule (2)'s search: the first pair (a, b), a < b, in index order whose
+// summed iteration time and summed comp/comm ratio are both within
+// kSimilarity of the finished job's at `dop`.
+//
+// Instead of testing all O(n²) pairs, the jobs are sorted by their own T_itr
+// and each a scans only the b whose T_itr lies in a window around
+// T − T_itr(a). The pair test itself is exactly the original one, and among
+// the matches the smallest b > a is kept, so the result is the same pair.
+//
+// Why the window holds every match (ε = 2⁻⁵², first order in ε throughout).
+// Let c and n be a job's T_cpu and T_net, m = |c| + |n|, and T_itr =
+// fl(c + n). The test forms S = fl(fl(c_a + c_b) + fl(n_a + n_b)) and
+// accepts when fl(|S − T|) / D <= kSimilarity, D = max(|T|, 1e-12) being
+// relative_error's floor. So an accepted pair has |S − T| <= h·(1 + ε) with
+// h = kSimilarity·D. The five roundings in S, T_itr(a) and T_itr(b) each err
+// by at most ε/2·(m_a + m_b), so |S − (T_itr(a) + T_itr(b))| <= 5ε·M, M
+// being the largest m in the pool. Hence T_itr(b) lies within h + ε·h + 5ε·M
+// of T − T_itr(a). Computing h and the window bounds adds at most
+// 2ε·(|T| + h + M) more. The slack 1e-9·(|T| + h + 2M) exceeds the sum by
+// over five orders of magnitude, yet stays a sliver of the window's width 2h
+// unless the pool's largest job is ~10⁶× the target.
+//
+// Jobs with a non-finite T_cpu or T_net never match: a NaN term makes S NaN,
+// an infinite one makes S infinite or NaN, and relative_error(S, T) is then
+// never <= kSimilarity. They are left out, which also keeps NaN out of the
+// sort. A non-finite target matches nothing for the same reason. If M
+// overflows, the slack is infinite and the window is the whole pool.
+std::optional<std::pair<std::size_t, std::size_t>> first_matching_pair(
+    const JobProfile& target, std::size_t dop, std::span<const SchedJob> idle) {
+  const double target_itr = target.t_itr(dop);
+  const double target_ratio = target.comp_ratio(dop);
+  if (idle.size() < 2 || !std::isfinite(target_itr)) return std::nullopt;
+
+  std::vector<double> t_cpu(idle.size());
+  for (std::size_t i = 0; i < idle.size(); ++i) t_cpu[i] = idle[i].profile.t_cpu(dop);
+  const auto finite_terms = [&](std::size_t i) {
+    return std::isfinite(t_cpu[i]) && std::isfinite(idle[i].profile.t_net);
+  };
+
+  struct Entry {
+    double itr = 0.0;
+    std::size_t index = 0;
+  };
+  std::vector<Entry> by_itr;
+  by_itr.reserve(idle.size());
+  double max_magnitude = 0.0;
+  for (std::size_t i = 0; i < idle.size(); ++i) {
+    if (!finite_terms(i)) continue;
+    const double t_net = idle[i].profile.t_net;
+    by_itr.push_back(Entry{t_cpu[i] + t_net, i});
+    max_magnitude = std::max(max_magnitude, std::abs(t_cpu[i]) + std::abs(t_net));
+  }
+  std::sort(by_itr.begin(), by_itr.end(), [](const Entry& x, const Entry& y) {
+    return x.itr != y.itr ? x.itr < y.itr : x.index < y.index;
+  });
+
+  const double half_width = kSimilarity * std::max(std::abs(target_itr), 1e-12);
+  const double slack = 1e-9 * (std::abs(target_itr) + half_width + 2.0 * max_magnitude);
+  const bool whole_pool = !std::isfinite(slack);
+
+  // a walks the jobs in index order; the first a with any match decides.
+  for (std::size_t a = 0; a < idle.size(); ++a) {
+    if (!finite_terms(a)) continue;
+    const double itr_a = t_cpu[a] + idle[a].profile.t_net;
+    auto it = by_itr.begin();
+    auto end = by_itr.end();
+    if (!whole_pool) {
+      const double lo = target_itr - half_width - itr_a - slack;
+      const double hi = target_itr + half_width - itr_a + slack;
+      it = std::lower_bound(by_itr.begin(), by_itr.end(), lo,
+                            [](const Entry& e, double v) { return e.itr < v; });
+      end = std::upper_bound(it, by_itr.end(), hi,
+                             [](double v, const Entry& e) { return v < e.itr; });
+    }
+    std::size_t best_b = idle.size();
+    for (; it != end; ++it) {
+      const std::size_t b = it->index;
+      if (b <= a || b >= best_b) continue;
+      const double sum_cpu = t_cpu[a] + t_cpu[b];
+      const double sum_net = idle[a].profile.t_net + idle[b].profile.t_net;
+      const double sum_itr = sum_cpu + sum_net;
+      // Negated <= rather than >: a NaN error must reject the pair.
+      if (!(relative_error(sum_itr, target_itr) <= kSimilarity)) continue;
+      const double ratio = sum_itr > 0.0 ? sum_cpu / sum_itr : 0.0;
+      if (relative_error(ratio, target_ratio) <= kSimilarity) best_b = b;
+    }
+    if (best_b < idle.size()) return std::pair{a, best_b};
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -96,36 +189,35 @@ RegroupAction regroup_on_finish(const SchedJob& finished, std::size_t group_inde
 
   // (2) A bunch (pair) of idle jobs whose *sums* match the finished job:
   // total iteration time within 5 % and summed comp/comm ratio within 5 %.
-  // The scan is quadratic in the idle pool, so each job's T_cpu at this DoP
-  // is computed once, and the ratio (a division) only for pairs whose
-  // iteration time already matches.
-  const double target_itr = finished.profile.t_itr(dop);
-  const double target_ratio = finished.profile.comp_ratio(dop);
-  std::vector<double> t_cpu(idle.size());
-  for (std::size_t i = 0; i < idle.size(); ++i) t_cpu[i] = idle[i].profile.t_cpu(dop);
-  for (std::size_t a = 0; a < idle.size(); ++a) {
-    for (std::size_t b = a + 1; b < idle.size(); ++b) {
-      const double sum_cpu = t_cpu[a] + t_cpu[b];
-      const double sum_net = idle[a].profile.t_net + idle[b].profile.t_net;
-      const double sum_itr = sum_cpu + sum_net;
-      // Negated <= rather than >: a NaN error must reject the pair.
-      if (!(relative_error(sum_itr, target_itr) <= kSimilarity)) continue;
-      const double ratio = sum_itr > 0.0 ? sum_cpu / sum_itr : 0.0;
-      if (relative_error(ratio, target_ratio) <= kSimilarity) {
-        action.kind = RegroupAction::Kind::kReplace;
-        action.group_index = group_index;
-        action.replacements = {idle[a], idle[b]};
-        count_action("regrouper.finish_replace");
-        return action;
-      }
-    }
+  // The answer is the first matching pair in (a, b) index order.
+  if (const auto pair = first_matching_pair(finished.profile, dop, idle)) {
+    action.kind = RegroupAction::Kind::kReplace;
+    action.group_index = group_index;
+    action.replacements = {idle[pair->first], idle[pair->second]};
+    count_action("regrouper.finish_replace");
+    return action;
   }
 
   // (3) Involve other groups, smallest-first, via Algorithm 1. We grow the
   // set of participating groups and keep the smallest decision unless a
   // bigger one wins by more than kMinBenefit.
-  auto shapes = to_shapes(groups);
-  const double current_score = PerfModel::score(shapes);
+  //
+  // A candidate's score is Eq. 4 over the untouched groups (in index order)
+  // followed by the decision's groups. Each running group's term is computed
+  // once here, so a step folds cached terms instead of re-scoring every
+  // untouched group; ScoreFold adds them in PerfModel::score's order, so the
+  // scores are bit-identical to scoring the assembled cluster.
+  std::vector<GroupTerm> terms(groups.size());
+  GroupShape shape;
+  ScoreFold current;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    shape.machines = groups[g].machines;
+    shape.jobs.clear();
+    for (const SchedJob& j : groups[g].jobs) shape.jobs.push_back(j.profile);
+    terms[g] = PerfModel::group_term(shape);
+    current.add(terms[g]);
+  }
+  const double current_score = current.score();
 
   // Order candidate partner groups by job count (the paper starts with the
   // group with the fewest jobs).
@@ -141,43 +233,41 @@ RegroupAction regroup_on_finish(const SchedJob& finished, std::size_t group_inde
   std::size_t best_job_count = SIZE_MAX;
 
   std::vector<std::size_t> involved = {group_index};
+  std::vector<std::uint8_t> is_involved(groups.size(), 0);
+  is_involved[group_index] = 1;
   std::vector<SchedJob> pool(groups[group_index].jobs);
   // Idle jobs participate too (they may fill the hole).
   pool.insert(pool.end(), idle.begin(), idle.end());
   std::size_t machines = groups[group_index].machines + spare_machines;
 
-  // Id -> pool index, grown alongside `pool`, so mapping a decision's job ids
-  // back to profiles is O(1) per id instead of a linear pool scan. First
-  // insertion wins, matching a forward find_if when ids repeat.
+  // Id -> pool index, so mapping a decision's job ids back to profiles is
+  // O(1) per id. A decision only holds jobs from the prefix Algorithm 1
+  // examined (its jobs_scheduled), and the pool only grows at the back, so
+  // indexing just that prefix suffices: an id's first occurrence lies in it.
+  // First insertion wins, matching a forward find_if when ids repeat.
   std::unordered_map<JobId, std::size_t> pool_index;
-  pool_index.reserve(pool.size() + groups.size() * 4);
   std::size_t indexed = 0;
-  const auto index_new_pool_jobs = [&] {
-    for (; indexed < pool.size(); ++indexed)
-      pool_index.emplace(pool[indexed].id, indexed);
-  };
-  index_new_pool_jobs();
 
   for (std::size_t step = 0; step <= partners.size(); ++step) {
     ScheduleDecision decision = schedule(pool, machines);
     if (!decision.empty()) {
+      for (; indexed < decision.jobs_scheduled; ++indexed)
+        pool_index.emplace(pool[indexed].id, indexed);
       // Score of the whole cluster if this decision replaces the involved
       // groups: involved groups are re-shaped, others stay.
-      std::vector<GroupShape> candidate_shapes;
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (std::find(involved.begin(), involved.end(), g) != involved.end()) continue;
-        candidate_shapes.push_back(shapes[g]);
-      }
+      ScoreFold fold;
+      for (std::size_t g = 0; g < groups.size(); ++g)
+        if (is_involved[g] == 0) fold.add(terms[g]);
       for (const GroupPlan& plan : decision.groups) {
-        GroupShape s;
-        s.machines = plan.machines;
+        shape.machines = plan.machines;
+        shape.jobs.clear();
         for (JobId id : plan.jobs) {
           auto it = pool_index.find(id);
-          if (it != pool_index.end()) s.jobs.push_back(pool[it->second].profile);
+          if (it != pool_index.end()) shape.jobs.push_back(pool[it->second].profile);
         }
-        candidate_shapes.push_back(std::move(s));
+        fold.add(PerfModel::group_term(shape));
       }
-      const double score = PerfModel::score(candidate_shapes);
+      const double score = fold.score();
       const std::size_t jobs_touched = pool.size();
       // Prefer fewer jobs unless the larger decision is >5 % better.
       const bool better =
@@ -187,7 +277,7 @@ RegroupAction regroup_on_finish(const SchedJob& finished, std::size_t group_inde
       if (better) {
         RegroupAction a;
         a.kind = RegroupAction::Kind::kReschedule;
-        a.decision = decision;
+        a.decision = std::move(decision);
         a.groups_involved = involved;
         best = std::move(a);
         best_score = score;
@@ -197,8 +287,8 @@ RegroupAction regroup_on_finish(const SchedJob& finished, std::size_t group_inde
     if (step == partners.size()) break;
     const std::size_t next = partners[step];
     involved.push_back(next);
+    is_involved[next] = 1;
     pool.insert(pool.end(), groups[next].jobs.begin(), groups[next].jobs.end());
-    index_new_pool_jobs();
     machines += groups[next].machines;
   }
 

@@ -328,26 +328,52 @@ void allocate_core(std::span<const SchedJob> jobs, std::size_t g_count, std::siz
   // Fast path: when the greedy never exhausts the machines — the common case
   // on a large cluster — its interleaving is irrelevant: every group simply
   // grows until its own first non-positive gain, independently of the others.
-  // That stopping point is the balance crossing, found by binary search:
-  // imbalance is non-increasing in the allocation even under FP rounding
-  // (each T_cpu term shrinks exactly, and fl-addition is monotone). Gains
-  // before the crossing are positive (they only vanish at ULP scale, far
-  // beyond realistic profile magnitudes); the two gains at the crossing are
-  // evaluated exactly. Each group costs O(|group|·log M) instead of
-  // O(|group|·grants).
+  // That stopping point is the balance crossing: imbalance is non-increasing
+  // in the allocation even under FP rounding (each T_cpu term shrinks
+  // exactly, and fl-addition is monotone). Gains before the crossing are
+  // positive (they only vanish at ULP scale, far beyond realistic profile
+  // magnitudes); the two gains at the crossing are evaluated exactly.
+  //
+  // In real arithmetic imb(a) = ΣW/a − ΣT_net crosses zero at a* = ΣW/ΣT_net,
+  // so the smallest a with imb(a+1) <= 0 is ⌈a*⌉ − 1. The fl-evaluated
+  // imbalance differs from the real one only by summation rounding, which
+  // moves the crossing by a relative ~|group|·ε — under one machine for any
+  // realistic M. So the search starts there and steps with the exact imb_at
+  // test until imb(lo+1) <= 0 < imb(lo). By monotonicity that is the unique
+  // answer a binary search over [1, M] finds, at 2–4 evaluations per group
+  // instead of ~log₂M + 2.
   const auto solo_target = [&](std::size_t g) -> std::size_t {
     // Smallest a in [1, machines] where one more machine tips the group
     // network-bound (imb(a+1) <= 0); machines+1 if no crossing in range.
     if (!(imb_at(g, machines + 1) <= 0.0)) return machines + 1;
-    std::size_t lo = 1, hi = machines;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (imb_at(g, mid + 1) <= 0.0)
-        hi = mid;
-      else
-        lo = mid + 1;
+    double work = 0.0;
+    double net = 0.0;
+    for (std::size_t i = s.offsets[g]; i < s.offsets[g + 1]; ++i) {
+      work += jobs[s.members[i]].profile.cpu_work;
+      net += jobs[s.members[i]].profile.t_net;
     }
-    const double gain = std::abs(imb_at(g, lo)) - std::abs(imb_at(g, lo + 1));
+    // Guarded start: a zero or non-finite ΣT_net (allocate_machines takes
+    // unvalidated profiles) gives a NaN or infinite estimate, which the
+    // comparisons below clamp into [1, machines] (NaN fails both and starts
+    // at 1); the steps fix up any start point.
+    const double estimate = std::ceil(work / net) - 1.0;
+    std::size_t lo = 1;
+    if (estimate >= static_cast<double>(machines))
+      lo = machines;
+    else if (estimate > 1.0)
+      lo = static_cast<std::size_t>(estimate);
+    double imb_next = imb_at(g, lo + 1);
+    while (!(imb_next <= 0.0)) {  // crossing lies above: step up (imb(M+1) <= 0 bounds it)
+      ++lo;
+      imb_next = imb_at(g, lo + 1);
+    }
+    double imb_lo = imb_at(g, lo);
+    while (lo > 1 && imb_lo <= 0.0) {  // crossing lies below: step down
+      imb_next = imb_lo;
+      --lo;
+      imb_lo = imb_at(g, lo);
+    }
+    const double gain = std::abs(imb_lo) - std::abs(imb_next);
     return gain > 0.0 ? lo + 1 : lo;
   };
   s.targets.resize(g_count);
@@ -437,10 +463,14 @@ CoreResult evaluate_core(std::span<const SchedJob> jobs, std::size_t machines, S
       shape.jobs.push_back(jobs[s.members[i]].profile);
   }
 
+  // One fold yields both: PerfModel::cluster_utilization and ::score are
+  // this same fold over the same shapes.
+  ScoreFold fold;
+  for (const GroupShape& shape : s.shapes) fold.add(PerfModel::group_term(shape));
   CoreResult r;
   r.g_count = g_count;
-  r.util = PerfModel::cluster_utilization(s.shapes);
-  r.score = PerfModel::score(s.shapes);
+  r.util = fold.utilization();
+  r.score = fold.score();
   // Packing more jobs than machines into a group makes utilization look
   // great while starving every job's progress; reject such shapes outright.
   for (std::size_t g = 0; g < g_count; ++g)

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -94,8 +95,10 @@ inline std::vector<SchedCase> scheduler_cases() {
 
 // --- ClusterSim end-to-end cases -------------------------------------------
 
-// Poisson arrivals on purpose: distinct arrival timestamps make the golden
-// independent of how equal-submit-time ties were ordered.
+// Most cases use Poisson arrivals, so every job has its own submit time. The
+// batch case submits every job at t = 0; the simulator orders equal submit
+// times by job id (its pinned (submit_time, id) scheduling order), so that
+// golden is just as well defined.
 struct SimCase {
   const char* name;
   exp::ClusterSimConfig config;
@@ -115,6 +118,8 @@ inline std::vector<exp::WorkloadSpec> capped_catalog(std::size_t n, std::size_t 
   }
   return out;
 }
+
+inline constexpr const char* kBatchCaseName = "harmony_batch_400jobs_200machines";
 
 inline std::vector<SimCase> sim_cases() {
   std::vector<SimCase> cases;
@@ -195,6 +200,21 @@ inline std::vector<SimCase> sim_cases() {
     c.config.seed = 7;
     c.workload = capped_catalog(8, 12);
     c.arrivals = exp::poisson_arrivals(c.workload.size(), 300.0, 3);
+    cases.push_back(std::move(c));
+  }
+  {
+    // Batch arrivals into a deep idle pool: the one case where the
+    // completion rules (a similar job, a similar pair, Algorithm 1 over more
+    // and more groups) and the spare-machine pass all run against hundreds
+    // of idle jobs. Same workload as `harmony-sim --jobs 400 --machines 200
+    // --arrival batch`.
+    SimCase c;
+    c.name = kBatchCaseName;
+    c.config = exp::ClusterSimConfig::harmony();
+    c.config.machines = 200;
+    c.config.seed = 1;
+    c.workload = capped_catalog(400, std::numeric_limits<std::size_t>::max());
+    c.arrivals = exp::batch_arrivals(c.workload.size());
     cases.push_back(std::move(c));
   }
   return cases;

@@ -301,6 +301,33 @@ const CorruptionCase kCorruptionCases[] = {
 INSTANTIATE_TEST_SUITE_P(AllKinds, ClusterSimCorruption,
                          ::testing::ValuesIn(kCorruptionCases));
 
+// The idle view caches each idle job's scheduler profile; an entry that
+// misses a refresh is reported against that job, not as a generic mismatch.
+TEST(ClusterSimValidate, StaleIdleProfileNamesTheJob) {
+  exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
+  config.machines = 24;
+  config.validate = true;
+  auto workload = small_workload(40);
+  exp::ClusterSim sim(config, workload, exp::batch_arrivals(workload.size()));
+  // By then the bootstrap groups have drained into the initial schedule,
+  // which left a backlog of paused jobs.
+  sim.schedule_corruption_for_test(20000.0, exp::ClusterSim::Corruption::kStaleIdleProfile);
+  try {
+    sim.run();
+    FAIL() << "stale idle profile escaped validation";
+  } catch (const check::CheckError& e) {
+    const auto report = sim.validate_state();
+    ASSERT_EQ(report.failures.size(), 1u) << report.to_string();
+    const check::FailureReport& failure = report.failures.front();
+    EXPECT_TRUE(report.mentions("stale entry")) << report.to_string();
+    ASSERT_NE(failure.job, check::kNoEntity) << report.to_string();
+    EXPECT_EQ(e.report().job, failure.job);
+    EXPECT_NE(failure.to_string().find("job " + std::to_string(failure.job)),
+              std::string::npos)
+        << failure.to_string();
+  }
+}
+
 TEST(ClusterSimValidate, PostRunCorruptionCaughtByDirectCall) {
   exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
   config.machines = 24;
