@@ -16,6 +16,32 @@ constexpr double kCpuWeight = 0.7;
 // dominate at cluster scale.
 constexpr double kPerJobPenalty = 0.002;
 
+// Eq. 1's lane sums and slowest member over a group's profiles, accumulated
+// in member order. Every model quantity below reads these sums, so they all
+// add the same terms in the same order (the scheduler goldens pin the bits).
+struct LaneSums {
+  double cpu = 0.0;
+  double net = 0.0;
+  double max_itr = 0.0;
+};
+
+LaneSums lane_sums(std::span<const JobProfile> jobs, std::size_t machines) {
+  LaneSums sums;
+  for (const JobProfile& j : jobs) {
+    sums.cpu += j.t_cpu(machines);
+    sums.net += j.t_net;
+    sums.max_itr = std::max(sums.max_itr, j.t_itr(machines));
+  }
+  return sums;
+}
+
+Utilization lane_utilization(std::span<const JobProfile> jobs, std::size_t machines) {
+  const LaneSums sums = lane_sums(jobs, machines);
+  const double t_itr = std::max({sums.cpu, sums.net, sums.max_itr});
+  if (t_itr <= 0.0) return {};
+  return Utilization{sums.cpu / t_itr, sums.net / t_itr};
+}
+
 }  // namespace
 
 const char* to_string(Bound bound) noexcept {
@@ -23,49 +49,34 @@ const char* to_string(Bound bound) noexcept {
 }
 
 Bound PerfModel::group_bound(const GroupShape& group) {
-  double sum_cpu = 0.0;
-  double sum_net = 0.0;
-  for (const JobProfile& j : group.jobs) {
-    sum_cpu += j.t_cpu(group.machines);
-    sum_net += j.t_net;
-  }
-  return sum_cpu >= sum_net ? Bound::kCpu : Bound::kNet;
+  const LaneSums sums = lane_sums(group.jobs, group.machines);
+  return sums.cpu >= sums.net ? Bound::kCpu : Bound::kNet;
 }
 
 double PerfModel::group_iteration_time(const GroupShape& group) {
   assert(group.machines > 0);
-  double sum_cpu = 0.0;
-  double sum_net = 0.0;
-  double max_itr = 0.0;
-  for (const JobProfile& j : group.jobs) {
-    sum_cpu += j.t_cpu(group.machines);
-    sum_net += j.t_net;
-    max_itr = std::max(max_itr, j.t_itr(group.machines));
-  }
-  return std::max({sum_cpu, sum_net, max_itr});
+  const LaneSums sums = lane_sums(group.jobs, group.machines);
+  return std::max({sums.cpu, sums.net, sums.max_itr});
 }
 
 Utilization PerfModel::group_utilization(const GroupShape& group) {
-  const double t_itr = group_iteration_time(group);
-  if (t_itr <= 0.0) return {};
-  double sum_cpu = 0.0;
-  double sum_net = 0.0;
-  for (const JobProfile& j : group.jobs) {
-    sum_cpu += j.t_cpu(group.machines);
-    sum_net += j.t_net;
-  }
-  return Utilization{sum_cpu / t_itr, sum_net / t_itr};
+  assert(group.machines > 0);
+  return lane_utilization(group.jobs, group.machines);
 }
 
-GroupTerm PerfModel::group_term(const GroupShape& group) {
+GroupTerm PerfModel::group_term(std::span<const JobProfile> jobs, std::size_t machines) {
   GroupTerm t;
-  t.jobs = group.jobs.size();
-  if (group.jobs.empty() || group.machines == 0) return t;
-  const Utilization u = group_utilization(group);
-  t.machines = static_cast<double>(group.machines);
+  t.jobs = jobs.size();
+  if (jobs.empty() || machines == 0) return t;
+  const Utilization u = lane_utilization(jobs, machines);
+  t.machines = static_cast<double>(machines);
   t.cpu = t.machines * u.cpu;
   t.net = t.machines * u.net;
   return t;
+}
+
+GroupTerm PerfModel::group_term(const GroupShape& group) {
+  return group_term(group.jobs, group.machines);
 }
 
 Utilization PerfModel::cluster_utilization(std::span<const GroupShape> groups) {

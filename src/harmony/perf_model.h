@@ -58,7 +58,10 @@ class PerfModel {
   // Eq. 3: per-resource busy fraction within a group iteration.
   static Utilization group_utilization(const GroupShape& group);
 
-  // The group's Eq. 4 term.
+  // The group's Eq. 4 term. The span overload scores member profiles in
+  // place (the scheduler keeps each candidate group as a contiguous run of
+  // one array); the GroupShape overload calls it.
+  static GroupTerm group_term(std::span<const JobProfile> jobs, std::size_t machines);
   static GroupTerm group_term(const GroupShape& group);
 
   // Eq. 4: machine-weighted average across groups.

@@ -42,13 +42,16 @@ struct Scratch {
   std::vector<std::uint32_t> members;
   std::vector<std::size_t> offsets;
   std::vector<double> imb;
+  // Member profiles in member order: group g is the run
+  // [offsets[g], offsets[g+1]), which step 3 and the candidate's score read.
+  std::vector<JobProfile> profiles;
   // Machine allocation.
   std::vector<std::size_t> alloc;
   std::vector<std::size_t> targets;
+  std::vector<double> sum_work;  // ΣW per group, added in member order
+  std::vector<double> sum_net;   // ΣT_net per group, added in member order
   std::vector<double> next_abs;
   std::vector<double> gain;
-  // Model input, rebuilt per candidate; inner vectors keep their capacity.
-  std::vector<GroupShape> shapes;
 };
 
 Scratch& scratch() {
@@ -56,17 +59,16 @@ Scratch& scratch() {
   return s;
 }
 
-// Per-group resource imbalance (positive = CPU-heavy, negative = net-heavy)
-// of the member segment [begin, end) of s.members, with T_cpu at `machines`.
-// Accumulates cpu and net separately, in member order — the golden tests pin
-// these exact floating-point values, so every variant below must accumulate
-// the same terms in the same order.
-double segment_imbalance(std::span<const SchedJob> jobs, const Scratch& s, std::size_t begin,
-                         std::size_t end, std::size_t machines) {
+// Resource imbalance (positive = CPU-heavy, negative = net-heavy) of group
+// g's profile run in s.profiles, with T_cpu at `machines`. Accumulates cpu
+// and net separately, in member order — the golden tests pin these exact
+// floating-point values, so every variant below must accumulate the same
+// terms in the same order.
+double segment_imbalance(const Scratch& s, std::size_t g, std::size_t machines) {
   double cpu = 0.0;
   double net = 0.0;
-  for (std::size_t i = begin; i < end; ++i) {
-    const JobProfile& p = jobs[s.members[i]].profile;
+  for (std::size_t i = s.offsets[g]; i < s.offsets[g + 1]; ++i) {
+    const JobProfile& p = s.profiles[i];
     cpu += p.t_cpu(machines);
     net += p.t_net;
   }
@@ -302,28 +304,160 @@ void assign_core(std::span<const SchedJob> jobs, std::size_t num_groups, std::si
   }
 }
 
-// Step 3 over the first `g_count` segments: fills s.alloc (>= 1 each).
-// Greedily hands the next machine to the group that "needs additional
-// machines the most": the most CPU-bound one, where an extra machine shrinks
-// Σ T_cpu (Eq. 2) and thus the group iteration time. Allocation stops at the
-// computation/communication balance point — a machine that would tip a group
-// further network-bound is worth more left idle for a future group than
-// burned on inflating DoP.
+// Attempts at a price before the grant loop runs from one machine per group.
+constexpr int kPriceAttempts = 4;
+
+// The price jump's certified-count margin, per member plus two and per unit
+// of ΣW + ΣT_net (see price_prefix).
+constexpr double kPriceMargin = 1e-12;
+
+// Step 3's grant sequence for group g under price τ: the longest prefix of
+// its grants (1→2, 2→3, …) whose gains all exceed τ, each gain computed
+// exactly as the grant loop computes it, |imb(a)| − |imb(a+1)|. Sets
+// s.alloc[g] = 1 + P_g and leaves the loop's cached next_abs/gain at that
+// allocation. Returns P_g, or a value above `limit` as soon as P_g exceeds it.
+//
+// The count is certified analytically, then finished exactly. Below the
+// balance crossing the fl-evaluated imbalance stays positive (it is
+// non-increasing in a, and s.targets[g] is at most one past the last
+// allocation where it is positive), so for every grant a → a+1 with
+// a ≤ s.targets[g] − 2 the real gain is ΣW/a − ΣW/(a+1) = ΣW/(a(a+1)),
+// which falls as a grows. The computed gain carries the rounding of two
+// n-term imbalances and one subtraction: with u = 2⁻⁵³ and S = ΣW + ΣT_net,
+// |ĝ(a) − g(a)| ≤ 2(n+2)·u·S, and evaluating ΣW/(L(L+1)) from the
+// fl-summed ΣW adds at most (n+3)·u·S more. So if that value exceeds
+// τ + (n+2)·(1e-12·S + DBL_MIN) for some L ≤ s.targets[g] − 2, every
+// computed gain of grants 1..L exceeds τ: the margin is over three orders of
+// magnitude above both errors, and its DBL_MIN term covers gradual
+// underflow, which adds at most 2⁻¹⁰⁷⁵ per operation. From the largest such
+// L, the step-up evaluates the grant loop's own gains until one is ≤ τ.
+std::size_t price_prefix(Scratch& s, std::size_t g, double tau, std::size_t limit) {
+  const double work = s.sum_work[g];
+  const double members = static_cast<double>(s.offsets[g + 1] - s.offsets[g]);
+  const double bar = tau + (members + 2.0) * (kPriceMargin * (work + s.sum_net[g]) +
+                                              std::numeric_limits<double>::min());
+  std::size_t certified = 0;
+  if (s.targets[g] >= 3) {
+    const std::size_t cap = std::min(s.targets[g] - 2, limit + 1);
+    const auto clears = [&](std::size_t l) {
+      const double ld = static_cast<double>(l);
+      return work / (ld * (ld + 1.0)) > bar;
+    };
+    // Real root of L(L+1) = ΣW/bar, then fixed up against the exact test.
+    const double root = std::floor((std::sqrt(1.0 + 4.0 * (work / bar)) - 1.0) / 2.0);
+    certified = root >= static_cast<double>(cap) ? cap
+                : root >= 1.0                    ? static_cast<std::size_t>(root)
+                                                 : 0;
+    while (certified > 0 && !clears(certified)) --certified;
+    while (certified < cap && clears(certified + 1)) ++certified;
+    if (certified > limit) return certified;
+  }
+  std::size_t a = 1 + certified;
+  double now_abs = std::abs(segment_imbalance(s, g, a));
+  double next_abs = std::abs(segment_imbalance(s, g, a + 1));
+  while (now_abs - next_abs > tau) {  // grant a → a+1 is in the prefix
+    if (a > limit) return a;
+    ++a;
+    now_abs = next_abs;
+    next_abs = std::abs(segment_imbalance(s, g, a + 1));
+  }
+  s.alloc[g] = a;
+  s.next_abs[g] = next_abs;
+  s.gain[g] = now_abs - next_abs;
+  return a - 1;
+}
+
+// Pre-grants the machine-constrained greedy's certain prefix. The greedy
+// equalises marginal gains, so it has a price form: each group takes
+// machines while its gain exceeds a common price τ, and only the grants near
+// τ need its exact tie order. Let R = `remaining` and, for a fixed τ ≥ 0,
+// P_g the prefix of price_prefix. Suppose Σ P_g ≤ R. While any group is
+// still inside its prefix, the heap top exceeds τ ≥ 0 and machines remain,
+// so the loop grants; a group past its prefix has a head gain ≤ τ, because
+// P_g is maximal. So the greedy's first Σ P_g grants are exactly those
+// prefixes, in whatever order it takes them, and the state they leave is
+// unique: the loop continued from alloc = 1 + P_g gives the same allocation
+// bit for bit. The gains need not be monotone in fl arithmetic, and ties
+// between groups only matter in the continuation, which is the loop itself.
+//
+// Choosing τ: below the crossing a group's prefix is the real count of
+// grants a with ΣW/(a(a+1)) > τ, which rounds √(ΣW/τ) − 1/2 down, so about
+// √(ΣW/τ) − 1 grants. The prefixes then sum to about R at
+// τ = (Σ√ΣW_g / (R + g))², re-solved once over the groups whose count does
+// not reach their crossing (the others take target − 1 grants). Rounding
+// leaves Σ P_g above R now and then; the price then rises by (Σ P_g/R)² and
+// the prefixes are redone. Returns false, with s.alloc/next_abs/gain
+// unspecified, if no attempt fits.
+bool price_jump(Scratch& s, std::size_t g_count, std::size_t remaining) {
+  const double r = static_cast<double>(remaining);
+  double roots = 0.0;
+  for (std::size_t g = 0; g < g_count; ++g) roots += std::sqrt(s.sum_work[g]);
+  double q = roots / (r + static_cast<double>(g_count));
+  double tau = q * q;
+  double capped_grants = 0.0;
+  double free_roots = 0.0;
+  double free_groups = 0.0;
+  for (std::size_t g = 0; g < g_count; ++g) {
+    const double cap = static_cast<double>(s.targets[g] - 1);
+    if (std::sqrt(s.sum_work[g]) >= (cap + 1.0) * q) {  // √(ΣW/τ) − 1 ≥ cap
+      capped_grants += cap;
+    } else {
+      free_roots += std::sqrt(s.sum_work[g]);
+      free_groups += 1.0;
+    }
+  }
+  if (free_roots > 0.0 && capped_grants < r) {
+    q = free_roots / (r - capped_grants + free_groups);
+    tau = q * q;
+  }
+  for (int attempt = 0; attempt < kPriceAttempts; ++attempt) {
+    std::size_t total = 0;
+    for (std::size_t g = 0; g < g_count; ++g) total += price_prefix(s, g, tau, remaining);
+    if (total <= remaining) return true;
+    const double over = static_cast<double>(total) / r;
+    tau *= over * over;
+  }
+  return false;
+}
+
+// Step 3 over the first `g_count` groups of s.profiles/s.offsets: fills
+// s.alloc (>= 1 each). Greedily hands the next machine to the group that
+// "needs additional machines the most": the most CPU-bound one, where an
+// extra machine shrinks Σ T_cpu (Eq. 2) and thus the group iteration time.
+// Allocation stops at the computation/communication balance point — a
+// machine that would tip a group further network-bound is worth more left
+// idle for a future group than burned on inflating DoP.
 //
 // A group's gain only changes when it is granted a machine, so gains are
 // cached and each grant costs O(log g + |group|) via a max-heap instead of a
 // rescan of every group's members. Heap order (gain desc, then smaller group
 // index) picks the same winner as a forward scan with strict '>'.
-void allocate_core(std::span<const SchedJob> jobs, std::size_t g_count, std::size_t machines,
-                   Scratch& s) {
+void allocate_core(std::size_t g_count, std::size_t machines, Scratch& s) {
   s.alloc.assign(g_count, 1);
   if (g_count == 0) return;
   std::size_t remaining = machines - g_count;
   if (remaining == 0) return;
 
-  const auto imb_at = [&](std::size_t g, std::size_t a) {
-    return segment_imbalance(jobs, s, s.offsets[g], s.offsets[g + 1], a);
-  };
+  // ΣW and ΣT_net per group, added in member order. The price jump's error
+  // bound needs positive work and finite non-negative terms, and
+  // allocate_machines takes unvalidated profiles: any other input keeps the
+  // grant loop from one machine per group.
+  s.sum_work.resize(g_count);
+  s.sum_net.resize(g_count);
+  bool priced = true;
+  for (std::size_t g = 0; g < g_count; ++g) {
+    double work = 0.0;
+    double net = 0.0;
+    for (std::size_t i = s.offsets[g]; i < s.offsets[g + 1]; ++i) {
+      const JobProfile& p = s.profiles[i];
+      work += p.cpu_work;
+      net += p.t_net;
+      if (!(p.cpu_work > 0.0 && p.t_net >= 0.0)) priced = false;
+    }
+    s.sum_work[g] = work;
+    s.sum_net[g] = net;
+    if (!(std::isfinite(work) && std::isfinite(net))) priced = false;
+  }
 
   // Fast path: when the greedy never exhausts the machines — the common case
   // on a large cluster — its interleaving is irrelevant: every group simply
@@ -338,40 +472,35 @@ void allocate_core(std::span<const SchedJob> jobs, std::size_t g_count, std::siz
   // so the smallest a with imb(a+1) <= 0 is ⌈a*⌉ − 1. The fl-evaluated
   // imbalance differs from the real one only by summation rounding, which
   // moves the crossing by a relative ~|group|·ε — under one machine for any
-  // realistic M. So the search starts there and steps with the exact imb_at
+  // realistic M. So the search starts there and steps with the exact imbalance
   // test until imb(lo+1) <= 0 < imb(lo). By monotonicity that is the unique
   // answer a binary search over [1, M] finds, at 2–4 evaluations per group
   // instead of ~log₂M + 2.
   const auto solo_target = [&](std::size_t g) -> std::size_t {
     // Smallest a in [1, machines] where one more machine tips the group
     // network-bound (imb(a+1) <= 0); machines+1 if no crossing in range.
-    if (!(imb_at(g, machines + 1) <= 0.0)) return machines + 1;
-    double work = 0.0;
-    double net = 0.0;
-    for (std::size_t i = s.offsets[g]; i < s.offsets[g + 1]; ++i) {
-      work += jobs[s.members[i]].profile.cpu_work;
-      net += jobs[s.members[i]].profile.t_net;
-    }
-    // Guarded start: a zero or non-finite ΣT_net (allocate_machines takes
-    // unvalidated profiles) gives a NaN or infinite estimate, which the
-    // comparisons below clamp into [1, machines] (NaN fails both and starts
-    // at 1); the steps fix up any start point.
-    const double estimate = std::ceil(work / net) - 1.0;
+    if (!(segment_imbalance(s, g, machines + 1) <= 0.0)) return machines + 1;
+    // Guarded start: allocate_machines takes unvalidated profiles, so a zero
+    // ΣT_net starts at 1 and a non-finite estimate is clamped into
+    // [1, machines] below (NaN fails both comparisons and starts at 1); the
+    // steps fix up any start point.
+    const double estimate =
+        s.sum_net[g] > 0.0 ? std::ceil(s.sum_work[g] / s.sum_net[g]) - 1.0 : 1.0;
     std::size_t lo = 1;
     if (estimate >= static_cast<double>(machines))
       lo = machines;
     else if (estimate > 1.0)
       lo = static_cast<std::size_t>(estimate);
-    double imb_next = imb_at(g, lo + 1);
+    double imb_next = segment_imbalance(s, g, lo + 1);
     while (!(imb_next <= 0.0)) {  // crossing lies above: step up (imb(M+1) <= 0 bounds it)
       ++lo;
-      imb_next = imb_at(g, lo + 1);
+      imb_next = segment_imbalance(s, g, lo + 1);
     }
-    double imb_lo = imb_at(g, lo);
+    double imb_lo = segment_imbalance(s, g, lo);
     while (lo > 1 && imb_lo <= 0.0) {  // crossing lies below: step down
       imb_next = imb_lo;
       --lo;
-      imb_lo = imb_at(g, lo);
+      imb_lo = segment_imbalance(s, g, lo);
     }
     const double gain = std::abs(imb_lo) - std::abs(imb_next);
     return gain > 0.0 ? lo + 1 : lo;
@@ -387,10 +516,27 @@ void allocate_core(std::span<const SchedJob> jobs, std::size_t g_count, std::siz
     return;
   }
 
-  // Machine-constrained: replay the grant-by-grant greedy so contention ties
-  // resolve exactly as before.
+  // Machine-constrained: the grant-by-grant greedy decides who gets the
+  // contended machines, ties included. The price jump pre-grants the prefix
+  // it is certain to make; the loop below makes the rest.
+  static obs::Counter& constrained_calls =
+      obs::MetricsRegistry::instance().counter("scheduler.alloc_constrained");
+  static obs::Counter& jumped_grants =
+      obs::MetricsRegistry::instance().counter("scheduler.alloc_jumped_grants");
+  static obs::Counter& stepped_grants =
+      obs::MetricsRegistry::instance().counter("scheduler.alloc_stepped_grants");
+  constrained_calls.add();
   s.next_abs.resize(g_count);
   s.gain.resize(g_count);
+  if (!priced || !price_jump(s, g_count, remaining)) {
+    for (std::size_t g = 0; g < g_count; ++g) {
+      s.alloc[g] = 1;
+      const double now_abs = std::abs(segment_imbalance(s, g, 1));
+      s.next_abs[g] = std::abs(segment_imbalance(s, g, 2));
+      s.gain[g] = now_abs - s.next_abs[g];
+    }
+  }
+
   struct Entry {
     double gain = 0.0;
     std::size_t group = 0;
@@ -402,16 +548,15 @@ void allocate_core(std::span<const SchedJob> jobs, std::size_t g_count, std::siz
   // Heap over a reused array (std::priority_queue would allocate per call).
   thread_local std::vector<Entry> heap;
   heap.clear();
+  std::size_t jumped = 0;
   for (std::size_t g = 0; g < g_count; ++g) {
-    const double now_abs =
-        std::abs(segment_imbalance(jobs, s, s.offsets[g], s.offsets[g + 1], s.alloc[g]));
-    s.next_abs[g] =
-        std::abs(segment_imbalance(jobs, s, s.offsets[g], s.offsets[g + 1], s.alloc[g] + 1));
-    s.gain[g] = now_abs - s.next_abs[g];
+    jumped += s.alloc[g] - 1;
     heap.push_back(Entry{s.gain[g], g});
   }
   std::make_heap(heap.begin(), heap.end());
+  remaining -= jumped;
 
+  std::size_t stepped = 0;
   while (remaining > 0 && !heap.empty()) {
     std::pop_heap(heap.begin(), heap.end());
     const Entry top = heap.back();
@@ -421,13 +566,15 @@ void allocate_core(std::span<const SchedJob> jobs, std::size_t g_count, std::siz
     const std::size_t g = top.group;
     ++s.alloc[g];
     --remaining;
+    ++stepped;
     const double now_abs = s.next_abs[g];  // |imbalance| at the new allocation
-    s.next_abs[g] =
-        std::abs(segment_imbalance(jobs, s, s.offsets[g], s.offsets[g + 1], s.alloc[g] + 1));
+    s.next_abs[g] = std::abs(segment_imbalance(s, g, s.alloc[g] + 1));
     s.gain[g] = now_abs - s.next_abs[g];
     heap.push_back(Entry{s.gain[g], g});
     std::push_heap(heap.begin(), heap.end());
   }
+  jumped_grants.add(jumped);
+  stepped_grants.add(stepped);
 }
 
 struct CoreResult {
@@ -449,24 +596,17 @@ CoreResult evaluate_core(std::span<const SchedJob> jobs, std::size_t machines, S
   // above never moves a job into an empty group (an empty group is never the
   // most imbalanced when any non-empty one is, and its complementarity is 0).
   const std::size_t g_count = std::min(ng, jobs.size());
-  allocate_core(jobs, g_count, machines, s);
-
-  // Materialize GroupShapes for the model; reused inner vectors keep their
-  // capacity across candidates.
-  if (s.shapes.size() > g_count) s.shapes.resize(g_count);
-  while (s.shapes.size() < g_count) s.shapes.emplace_back();
-  for (std::size_t g = 0; g < g_count; ++g) {
-    GroupShape& shape = s.shapes[g];
-    shape.machines = s.alloc[g];
-    shape.jobs.clear();
-    for (std::size_t i = s.offsets[g]; i < s.offsets[g + 1]; ++i)
-      shape.jobs.push_back(jobs[s.members[i]].profile);
-  }
+  s.profiles.resize(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) s.profiles[i] = jobs[s.members[i]].profile;
+  allocate_core(g_count, machines, s);
 
   // One fold yields both: PerfModel::cluster_utilization and ::score are
-  // this same fold over the same shapes.
+  // this same fold over the same groups.
+  const std::span<const JobProfile> profiles(s.profiles);
   ScoreFold fold;
-  for (const GroupShape& shape : s.shapes) fold.add(PerfModel::group_term(shape));
+  for (std::size_t g = 0; g < g_count; ++g)
+    fold.add(PerfModel::group_term(
+        profiles.subspan(s.offsets[g], s.offsets[g + 1] - s.offsets[g]), s.alloc[g]));
   CoreResult r;
   r.g_count = g_count;
   r.util = fold.utilization();
@@ -520,17 +660,15 @@ std::vector<std::size_t> allocate_machines(const std::vector<std::vector<SchedJo
   if (groups.empty()) return {};
   if (machines < groups.size())
     throw std::invalid_argument("allocate_machines: fewer machines than groups");
-  // Flatten into the segment layout allocate_core works on.
+  // Flatten into the profile runs allocate_core works on.
   Scratch& s = scratch();
-  std::vector<SchedJob> flat;
+  s.profiles.clear();
   s.offsets.assign(1, 0);
   for (const auto& group : groups) {
-    flat.insert(flat.end(), group.begin(), group.end());
-    s.offsets.push_back(flat.size());
+    for (const SchedJob& j : group) s.profiles.push_back(j.profile);
+    s.offsets.push_back(s.profiles.size());
   }
-  s.members.resize(flat.size());
-  for (std::uint32_t i = 0; i < flat.size(); ++i) s.members[i] = i;
-  allocate_core(flat, groups.size(), machines, s);
+  allocate_core(groups.size(), machines, s);
   return {s.alloc.begin(), s.alloc.end()};
 }
 
