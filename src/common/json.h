@@ -6,10 +6,10 @@
 // Throws std::runtime_error on malformed input, which makes "the file is
 // valid JSON" a one-line assertion.
 //
-// Header-only and dependency-free; promoted from tests/json_mini.h so the
-// trace analysis engine and the harmony-report CLI can read exported traces
-// back in. Objects are std::map, so iteration order is key-sorted — parsing
-// and re-emitting a document is deterministic.
+// Header-only and dependency-free, so the tests, the trace analysis engine
+// and the harmony-report CLI all read exported documents back in with it.
+// Objects are std::map, so iteration order is key-sorted — parsing and
+// re-emitting a document is deterministic.
 #pragma once
 
 #include <cctype>

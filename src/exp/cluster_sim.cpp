@@ -153,7 +153,7 @@ void ClusterSim::place_fallback_isolated(SimJob& job) {
   if (job.group != nullptr || job.state == core::JobState::kFinished) return;
   const std::size_t need = job.spec.min_machines_without_spill(kMachineSpec);
   if (need > free_machines_) return;
-  GroupRun& g = create_group({}, need);
+  GroupRun& g = create_group(need);
   place_job_in_group(job, g, /*with_migration_delay=*/true);
   group_dops_.add(static_cast<double>(need));
   group_sizes_.add(1.0);
@@ -377,12 +377,11 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
     summary_.jobs.push_back(JobOutcome{job.spec.id, arrivals_[job.spec.id], job.finish_time});
     auto it = std::find(g.members.begin(), g.members.end(), job.spec.id);
     if (it != g.members.end()) g.members.erase(it);
-    --g.active_members;
     job.last_group = &g;
     job.group = nullptr;
     reindex_job(job);
     // A stopping group may have been waiting on exactly this job to drain.
-    if (g.stopping && g.active_members == 0) dissolve_group(g);
+    if (g.stopping && g.members.empty()) dissolve_group(g);
     on_job_finished(job);
     return;
   }
@@ -408,8 +407,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
 // ---------------------------------------------------------------------------
 // Group management
 
-ClusterSim::GroupRun& ClusterSim::create_group(const std::vector<core::JobId>& member_ids,
-                                               std::size_t machines) {
+ClusterSim::GroupRun& ClusterSim::create_group(std::size_t machines) {
   if (machines == 0) throw std::logic_error("create_group: zero machines");
   if (machines > free_machines_) throw std::logic_error("create_group: not enough machines");
   free_machines_ -= machines;
@@ -435,7 +433,6 @@ ClusterSim::GroupRun& ClusterSim::create_group(const std::vector<core::JobId>& m
     obs::Tracer::instant(obs::EventKind::kGroupCreate, obs::ClockDomain::kSim,
                          sim_.now() * kTraceUs, obs::kNoEntity,
                          static_cast<std::uint32_t>(g.id), obs::kNoEntity, machines);
-  for (core::JobId id : member_ids) place_job_in_group(jobs_[id], g, false);
   return g;
 }
 
@@ -447,7 +444,6 @@ void ClusterSim::place_job_in_group(SimJob& job, GroupRun& group, bool with_migr
   job.group = &group;
   job.iters_in_group = 0;
   group.members.push_back(job.spec.id);
-  ++group.active_members;
   if (job.state != core::JobState::kProfiling) job.state = core::JobState::kRunning;
   reindex_job(job);
   refresh_alpha(job);
@@ -496,14 +492,13 @@ void ClusterSim::park_job(SimJob& job, core::JobState state) {
                                 << ", iters=" << job.iterations_done << ")";
   auto it = std::find(g->members.begin(), g->members.end(), job.spec.id);
   if (it != g->members.end()) g->members.erase(it);
-  --g->active_members;
   job.group = nullptr;
   job.state = state;
   set_alpha(job.spec.id, 0.0);
   set_model_spilled(job.spec.id, false);
   reindex_job(job);
 
-  if (g->stopping && g->active_members == 0) {
+  if (g->stopping && g->members.empty()) {
     dissolve_group(*g);  // dissolve advances any pending regroup itself
   }
 
@@ -648,7 +643,7 @@ void ClusterSim::dissolve_emptied_groups(bool skip_stopping) {
   for (std::size_t gi = 0; gi < active_groups_storage_.size(); ++gi) {
     GroupRun& g = *active_groups_storage_[gi];
     if (g.dissolved || (skip_stopping && g.stopping)) continue;
-    if (g.members.empty() && g.active_members == 0) dissolve_group(g);
+    if (g.members.empty()) dissolve_group(g);
   }
   --group_iter_depth_;
 }
@@ -704,6 +699,44 @@ void ClusterSim::note_regroup(const SimJob* job, const GroupRun* group) {
                          group ? static_cast<std::uint32_t>(group->id) : obs::kNoEntity);
 }
 
+template <typename Call>
+auto ClusterSim::call_scheduler(Call&& call) {
+  const auto t0 = WallClock::now();
+  auto result = call();
+  sched_wall_seconds_ += wall_seconds_since(t0);
+  ++sched_invocations_;
+  if (obs::Tracer::enabled())
+    obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
+                         sim_.now() * kTraceUs);
+  return result;
+}
+
+ClusterSim::GroupRun& ClusterSim::form_planned_group(const std::vector<core::JobId>& jobs,
+                                                     std::size_t machines) {
+  GroupRun& g = create_group(machines);
+  std::size_t placed = 0;
+  std::vector<SimJob*> refused;
+  for (core::JobId id : jobs) {
+    SimJob& job = jobs_[id];
+    if (job.state == core::JobState::kFinished || job.group != nullptr) continue;
+    if (!fits_without_spill(g, job)) {
+      refused.push_back(&job);  // no-spill runs: cannot share this group
+      continue;
+    }
+    place_job_in_group(job, g, /*with_migration_delay=*/true);
+    group_dops_.add(static_cast<double>(machines));
+    ++placed;
+  }
+  if (placed == 0) {
+    dissolve_group(g);
+  } else {
+    group_sizes_.add(static_cast<double>(placed));
+    record_group_prediction(g);
+  }
+  for (SimJob* job : refused) place_fallback_isolated(*job);
+  return g;
+}
+
 // ---------------------------------------------------------------------------
 // Scheduling — event handlers
 
@@ -730,7 +763,7 @@ void ClusterSim::on_job_arrival(SimJob& job) {
       auto groups = live_groups();
       GroupRun* target;
       if (groups.empty()) {
-        target = &create_group({}, free_machines_);
+        target = &create_group(free_machines_);
       } else {
         target = groups.front();
       }
@@ -800,7 +833,7 @@ void ClusterSim::bootstrap_profiling() {
         std::min(waiting.size() - cursor, (waiting.size() + chunks - 1) / chunks);
     const std::size_t m = std::min(machines_per_chunk, free_machines_);
     if (m == 0) break;
-    GroupRun& g = create_group({}, m);
+    GroupRun& g = create_group(m);
     for (std::size_t k = 0; k < take; ++k) {
       SimJob* job = waiting[cursor++];
       set_state(*job, core::JobState::kProfiling);
@@ -828,13 +861,8 @@ void ClusterSim::schedule_on_spare_machines() {
   const auto idle = idle_sched_jobs();
   if (idle.empty()) return;
   scheduling_spare_ = true;
-  const auto t0 = WallClock::now();
-  const core::ScheduleDecision decision = core::schedule(idle, spare);
-  sched_wall_seconds_ += wall_seconds_since(t0);
-  ++sched_invocations_;
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
+  const core::ScheduleDecision decision =
+      call_scheduler([&] { return core::schedule(idle, spare); });
   apply_decision(decision);
   scheduling_spare_ = false;
 }
@@ -901,7 +929,7 @@ void ClusterSim::begin_pending(core::ScheduleDecision decision,
   note_regroup();
   for (GroupRun* g : involved) g->stopping = true;
   for (GroupRun* g : involved)
-    if (!g->dissolved && g->active_members == 0) dissolve_group(*g);
+    if (!g->dissolved && g->members.empty()) dissolve_group(*g);
   try_apply_pending();
   maybe_validate();
 }
@@ -910,8 +938,12 @@ void ClusterSim::try_apply_pending() {
   if (!pending_regroup_ || applying_pending_) return;
   applying_pending_ = true;
 
-  // Materialize every plan whose machines are available; jobs still draining
-  // out of stopping groups join later (park_job routes them here).
+  // Materialize every plan whose machines are available. Jobs still draining
+  // out of stopping groups join later (park_job routes them here) only if
+  // the plan placed a job now: a plan none of whose jobs has parked yet is
+  // dissolved at once, and its draining jobs later park into that dissolved
+  // target and wait as paused (ROADMAP.md item 2, "Make rule (3) re-place
+  // the jobs it drains").
   PendingRegroup& pr = *pending_regroup_;
   for (std::size_t i = 0; i < pr.decision.groups.size(); ++i) {
     if (pr.resolved[i]) continue;
@@ -931,29 +963,8 @@ void ClusterSim::try_apply_pending() {
     }
     if (plan.machines > free_machines_) continue;
 
-    GroupRun& g = create_group({}, plan.machines);
-    pr.targets[i] = &g;
+    pr.targets[i] = &form_planned_group(plan.jobs, plan.machines);
     pr.resolved[i] = true;
-    std::size_t placed = 0;
-    std::vector<SimJob*> refused;
-    for (core::JobId id : plan.jobs) {
-      SimJob& j = jobs_[id];
-      if (j.state == core::JobState::kFinished || j.group != nullptr) continue;
-      if (!fits_without_spill(g, j)) {
-        refused.push_back(&j);  // no-spill runs: cannot share this group
-        continue;
-      }
-      place_job_in_group(j, g, /*with_migration_delay=*/true);
-      group_dops_.add(static_cast<double>(plan.machines));
-      ++placed;
-    }
-    if (placed == 0) {
-      dissolve_group(g);
-    } else {
-      group_sizes_.add(static_cast<double>(placed));
-      record_group_prediction(g);
-    }
-    for (SimJob* j : refused) place_fallback_isolated(*j);
   }
 
   // Complete once every plan is resolved and every drained group is gone.
@@ -991,13 +1002,8 @@ void ClusterSim::on_job_profiled(SimJob& job) {
   // Steady state (§IV-B4 arrival rule).
   const auto idle = idle_sched_jobs();
   const RunningView view = running_view();
-  const auto t0 = WallClock::now();
-  const core::RegroupAction action = core::regroup_on_arrival(sched_view(job), idle, view.groups);
-  sched_wall_seconds_ += wall_seconds_since(t0);
-  ++sched_invocations_;
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
+  const core::RegroupAction action = call_scheduler(
+      [&] { return core::regroup_on_arrival(sched_view(job), idle, view.groups); });
 
   if (action.kind == core::RegroupAction::Kind::kAddToGroup &&
       action.group_index < view.owners.size()) {
@@ -1036,14 +1042,8 @@ void ClusterSim::run_initial_harmony_schedule() {
     if (job.state == core::JobState::kRunning) pool.push_back(sched_view(job));
   if (pool.empty()) return;
 
-  const std::size_t total_machines = config_.machines;
-  const auto t0 = WallClock::now();
-  core::ScheduleDecision decision = core::schedule(pool, total_machines);
-  sched_wall_seconds_ += wall_seconds_since(t0);
-  ++sched_invocations_;
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
+  core::ScheduleDecision decision =
+      call_scheduler([&] { return core::schedule(pool, config_.machines); });
 
   // Tear down every bootstrap group; decision groups form as drains finish.
   begin_pending(std::move(decision), live_groups());
@@ -1057,32 +1057,12 @@ void ClusterSim::apply_decision(const core::ScheduleDecision& decision) {
     if (plan.jobs.empty() || plan.machines == 0) continue;
     const std::size_t m = std::min(plan.machines, free_machines_);
     if (m == 0) break;
-    std::vector<SimJob*> placeable;
-    for (core::JobId id : plan.jobs) {
-      SimJob& job = jobs_[id];
-      if (job.state == core::JobState::kFinished || job.group != nullptr) continue;
-      placeable.push_back(&job);
-    }
-    if (placeable.empty()) continue;
-    GroupRun& g = create_group({}, m);
-    std::size_t placed = 0;
-    std::vector<SimJob*> refused;
-    for (SimJob* job : placeable) {
-      if (!fits_without_spill(g, *job)) {
-        refused.push_back(job);
-        continue;
-      }
-      place_job_in_group(*job, g, /*with_migration_delay=*/true);
-      group_dops_.add(static_cast<double>(m));
-      ++placed;
-    }
-    if (placed == 0) {
-      dissolve_group(g);
-    } else {
-      group_sizes_.add(static_cast<double>(placed));
-      record_group_prediction(g);
-    }
-    for (SimJob* job : refused) place_fallback_isolated(*job);
+    // Forming a group with nothing to place would still use up a group id.
+    const bool placeable = std::any_of(plan.jobs.begin(), plan.jobs.end(), [&](core::JobId id) {
+      const SimJob& job = jobs_[id];
+      return job.state != core::JobState::kFinished && job.group == nullptr;
+    });
+    if (placeable) form_planned_group(plan.jobs, m);
   }
   maybe_start_profiling();
   maybe_validate();
@@ -1133,14 +1113,10 @@ void ClusterSim::on_job_finished(SimJob& job) {
     if (view.owners[i] == job.last_group) group_index = i;
 
   const auto idle = idle_sched_jobs();
-  const auto t0 = WallClock::now();
-  const core::RegroupAction action = core::regroup_on_finish(
-      sched_view(job), group_index, idle, view.groups, free_machines_);
-  sched_wall_seconds_ += wall_seconds_since(t0);
-  ++sched_invocations_;
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
+  const core::RegroupAction action = call_scheduler([&] {
+    return core::regroup_on_finish(sched_view(job), group_index, idle, view.groups,
+                                   free_machines_);
+  });
 
   switch (action.kind) {
     case core::RegroupAction::Kind::kNone:
@@ -1196,7 +1172,7 @@ void ClusterSim::try_schedule_isolated() {
     m = std::max(m, next->spec.min_machines_without_spill(kMachineSpec));
     m = std::min(m, config_.machines);
     if (m > free_machines_) return;  // FIFO head-of-line blocking
-    GroupRun& g = create_group({}, m);
+    GroupRun& g = create_group(m);
     place_job_in_group(*next, g, /*with_migration_delay=*/false);
     group_dops_.add(static_cast<double>(m));
     group_sizes_.add(1.0);
@@ -1245,7 +1221,7 @@ void ClusterSim::try_schedule_naive() {
       if (m == 0) return;
     }
     scheduled_nothing_yet = false;
-    GroupRun& g = create_group({}, m);
+    GroupRun& g = create_group(m);
     for (std::size_t i = 0; i < take; ++i)
       place_job_in_group(*waiting[cursor + i], g, /*with_migration_delay=*/false);
     group_dops_.add(static_cast<double>(m));
@@ -1443,7 +1419,6 @@ std::string ClusterSim::debug_dump() const {
     if (g.dissolved) continue;
     out += "group " + std::to_string(g.id) + " m=" + std::to_string(g.machines) +
            " members=" + std::to_string(g.members.size()) +
-           " active=" + std::to_string(g.active_members) +
            (g.stopping ? " stopping" : "") + "\n";
   }
   return out;

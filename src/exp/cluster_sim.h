@@ -202,6 +202,11 @@ class ClusterSim {
   void place_fallback_isolated(SimJob& job);
 
   // --- scheduling ---------------------------------------------------------
+  // Runs one scheduler or regrouper call, `call()`, with the bookkeeping
+  // every call shares: its wall time, the invocation count and a kSchedule
+  // trace instant. Returns the call's result.
+  template <typename Call>
+  auto call_scheduler(Call&& call);
   void on_job_arrival(SimJob& job);
   void on_job_profiled(SimJob& job);
   void on_job_finished(SimJob& job);
@@ -257,12 +262,16 @@ class ClusterSim {
   // to their own drain logic).
   void dissolve_emptied_groups(bool skip_stopping);
 
-  GroupRun& create_group(const std::vector<core::JobId>& jobs, std::size_t machines);
+  GroupRun& create_group(std::size_t machines);
   void dissolve_group(GroupRun& group);
   void place_job_in_group(SimJob& job, GroupRun& group, bool with_migration_delay);
   void park_job(SimJob& job, core::JobState state);
   double migration_delay(const SimJob& job, std::size_t machines) const;
   void apply_decision(const core::ScheduleDecision& decision);
+  // Forms one planned group of `machines` machines: places each unfinished,
+  // ungrouped job of `jobs` that fits, dissolves the group again if none
+  // did, and gives every refused job its no-spill fallback group.
+  GroupRun& form_planned_group(const std::vector<core::JobId>& jobs, std::size_t machines);
   void maybe_start_profiling();
   // Work conservation: if unallocated machines and idle jobs exist, runs
   // Algorithm 1 over the idle pool for just those machines.
@@ -271,7 +280,8 @@ class ClusterSim {
   // DoP of the groups that benefit most (Eq. 2: more machines shrink COMP).
   void expand_groups_with_free_machines();
   // Starts a pipelined regroup: marks `involved` groups stopping and creates
-  // each decision group as soon as its jobs have parked and machines freed.
+  // each decision group as soon as its machines are free, with whichever of
+  // its jobs have parked by then (try_apply_pending).
   void begin_pending(core::ScheduleDecision decision, std::vector<GroupRun*> involved);
   void try_apply_pending();
   std::vector<GroupRun*> live_groups() const;

@@ -91,7 +91,6 @@ struct ClusterSim::GroupRun {
   bool stopping = false;
   bool dissolved = false;
   bool oom_recorded = false;
-  std::size_t active_members = 0;  // jobs currently cycling through subtasks
 
   std::unique_ptr<sim::FifoResource> cpu_fifo;
   std::unique_ptr<sim::FifoResource> net_fifo;

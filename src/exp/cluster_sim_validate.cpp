@@ -74,9 +74,6 @@ check::ValidationReport ClusterSim::validate_state() const {
           << check::group(g.id) << check::job(id) << "grouped job in state "
           << core::to_string(j.state);
     }
-    HARMONY_VALIDATE(v, g.active_members == g.members.size())
-        << check::group(g.id) << "active_members (" << g.active_members
-        << ") != member count (" << g.members.size() << ")";
   }
   for (const SimJob& j : jobs_) {
     if (j.group == nullptr) continue;

@@ -170,32 +170,19 @@ std::size_t pick_core(std::span<const SchedJob> jobs, std::size_t machines, Scra
   // far below meaningful cost differences.
   const double scale = std::max({std::abs(best_approx), total_cpu, total_net, 1e-300});
   const double tol = 1e-9 * scale;
-  std::size_t refined = 0;
-  for (std::size_t i = 0; i < range; ++i)
-    if (approx[i] <= best_approx + tol) ++refined;
 
+  // Ascending candidate order + strict '<' ties resolve to the smallest ng,
+  // exactly like the exhaustive scan. Even a wide plateau of tied candidates
+  // (e.g. thousands of identical jobs) costs at most that scan: the loop
+  // exact-evaluates a subset of the same candidates.
   std::size_t best_ng = min_groups;
   double best_cost = std::numeric_limits<double>::infinity();
-  if (refined > 64) {
-    // Degenerate plateau (e.g. thousands of identical jobs): fall back to the
-    // exhaustive exact scan rather than exact-evaluating a huge refined set.
-    for (std::size_t ng = min_groups; ng <= max_groups; ++ng) {
-      const double cost = exact_cost(ng);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_ng = ng;
-      }
-    }
-  } else {
-    // Ascending candidate order + strict '<' ties resolve to the smallest
-    // ng, exactly like the exhaustive scan.
-    for (std::size_t ng = min_groups; ng <= max_groups; ++ng) {
-      if (approx[ng - min_groups] > best_approx + tol) continue;
-      const double cost = exact_cost(ng);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_ng = ng;
-      }
+  for (std::size_t ng = min_groups; ng <= max_groups; ++ng) {
+    if (approx[ng - min_groups] > best_approx + tol) continue;
+    const double cost = exact_cost(ng);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_ng = ng;
     }
   }
   return best_ng;

@@ -7,8 +7,7 @@
 // COMP subtasks occupy the CPU. α_j is tuned by hill climbing: raising α
 // costs reload/deserialization time, lowering it costs GC pressure.
 //
-// Three pieces live here:
-//  * BlockManager  — block-granular accounting of where a job's input lives;
+// Two pieces live here:
 //  * spill_costs — a pure function turning (α, job, group, machine) into
 //    resident bytes, reload time and deserialization overhead — shared by
 //    the scheduler's predictions and the simulator's "ground truth";
@@ -17,48 +16,10 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
-#include "check/check.h"
 #include "cluster/machine.h"
 
 namespace harmony::core {
-
-// ---------------------------------------------------------------------------
-
-class BlockManager {
- public:
-  // Splits `total_bytes` of input into blocks of `block_bytes` (last one may
-  // be short). All blocks start in memory.
-  BlockManager(double total_bytes, double block_bytes);
-
-  std::size_t total_blocks() const noexcept { return blocks_.size(); }
-  std::size_t disk_blocks() const noexcept;
-  double alpha() const noexcept;
-
-  double memory_bytes() const noexcept;
-  double disk_bytes() const noexcept;
-
-  // Moves blocks between tiers until the disk fraction is as close to
-  // `target_alpha` as block granularity allows. Spills coldest-first (highest
-  // index) and reloads in the opposite order, so the memory-side prefix is
-  // stable across adjustments.
-  void set_alpha(double target_alpha);
-
-  // Test-only corruption hook: flips one block's tier without touching the
-  // ledger-facing accounting, so validate_block_manager can demonstrate
-  // detection of a skewed byte count / broken spill order.
-  void corrupt_block_for_test(std::size_t index);
-
- private:
-  friend void validate_block_manager(const BlockManager&, check::Validation&);
-
-  struct Block {
-    double bytes = 0.0;
-    bool on_disk = false;
-  };
-  std::vector<Block> blocks_;
-};
 
 // ---------------------------------------------------------------------------
 
@@ -71,7 +32,8 @@ struct SpillCosts {
 // Fixed per-machine runtime overhead per job (buffers, task state).
 inline constexpr double kPerJobOverheadBytes = 96.0 * cluster::kMiB;
 // CPU seconds to deserialize one byte (measured from the PS runtime's
-// serializer: ~1.6 GB/s on one core).
+// serializer, which bench_ps_microbench's BM_DeserializeDoubles times:
+// ~1.6 GB/s on one core).
 inline constexpr double kDeserializeSecPerByte = 1.0 / (1.6e9);
 // Managed-runtime expansion: resident object graphs (parsed objects, boxing,
 // indexing) are larger than the raw serialized bytes that move to/from disk.

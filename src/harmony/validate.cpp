@@ -1,11 +1,8 @@
 #include "harmony/validate.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 #include <unordered_set>
-
-#include "common/sorted_view.h"
 
 namespace harmony::core {
 
@@ -44,69 +41,6 @@ void validate_decision(const ScheduleDecision& decision, std::span<const SchedJo
     HARMONY_VALIDATE(v, placed.contains(pool[i].id))
         << check::job(pool[i].id) << "queue-prefix job at position " << i
         << " missing from the decision";
-}
-
-void validate_block_manager(const BlockManager& blocks, check::Validation& v) {
-  double disk = 0.0;
-  double memory = 0.0;
-  double total = 0.0;
-  std::size_t disk_count = 0;
-  bool seen_disk = false;
-  bool suffix_ok = true;
-  for (const auto& b : blocks.blocks_) {
-    total += b.bytes;
-    if (b.on_disk) {
-      disk += b.bytes;
-      ++disk_count;
-      seen_disk = true;
-    } else {
-      memory += b.bytes;
-      if (seen_disk) suffix_ok = false;  // memory block after a disk block
-    }
-  }
-  const double eps = 1e-6 * std::max(total, 1.0);
-  HARMONY_VALIDATE(v, std::abs(blocks.memory_bytes() + blocks.disk_bytes() - total) <= eps)
-      << "memory (" << blocks.memory_bytes() << ") + disk (" << blocks.disk_bytes()
-      << ") bytes do not partition the total (" << total << ")";
-  HARMONY_VALIDATE(v, std::abs(blocks.disk_bytes() - disk) <= eps)
-      << "disk_bytes() reports " << blocks.disk_bytes() << " but the blocks sum to " << disk
-      << " (skewed spill byte count)";
-  HARMONY_VALIDATE(v, blocks.disk_blocks() == disk_count)
-      << "disk_blocks() reports " << blocks.disk_blocks() << " but " << disk_count
-      << " blocks are on disk";
-  const double want_alpha =
-      blocks.blocks_.empty()
-          ? 0.0
-          : static_cast<double>(disk_count) / static_cast<double>(blocks.blocks_.size());
-  HARMONY_VALIDATE(v, std::abs(blocks.alpha() - want_alpha) <= 1e-12)
-      << "alpha() reports " << blocks.alpha() << " but the disk fraction is " << want_alpha;
-  HARMONY_VALIDATE(v, suffix_ok)
-      << "disk-resident blocks are not a suffix (spill order invariant broken)";
-}
-
-void validate_spill_store(const DiskSpillStore& store, check::Validation& v) {
-  common::MutexLock lock(store.mu_);
-  std::uint64_t ledger_sum = 0;
-  for (const auto& [key, payload] : common::sorted_view(store.sizes_)) {
-    ledger_sum += payload;
-    const auto path = store.path_for(key);
-    std::error_code ec;
-    const auto file_size = std::filesystem::file_size(path, ec);
-    HARMONY_VALIDATE(v, !ec) << check::job(key.job) << "spill file missing for block "
-                             << key.block << ": " << path.string();
-    if (ec) continue;
-    // File layout: u32 job + u64 block + u64 count + payload doubles.
-    const std::uint64_t expected = sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t) + payload;
-    HARMONY_VALIDATE(v, file_size == expected)
-        << check::job(key.job) << "block " << key.block << " file holds " << file_size
-        << " bytes, ledger expects " << expected;
-  }
-  HARMONY_VALIDATE(v, store.bytes_on_disk_ == ledger_sum)
-      << "bytes_on_disk (" << store.bytes_on_disk_ << ") != sum of per-block ledger entries ("
-      << ledger_sum << ")";
-  HARMONY_VALIDATE(v, store.spilled_total_ >= store.bytes_on_disk_)
-      << "cumulative spilled bytes (" << store.spilled_total_
-      << ") below current on-disk bytes (" << store.bytes_on_disk_ << ")";
 }
 
 void validate_incremental_state(const IncrementalScheduler& inc, check::Validation& v) {

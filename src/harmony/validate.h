@@ -1,4 +1,4 @@
-// Deep validators for the scheduler and spill subsystems: cross-check
+// Deep validators for the scheduler: cross-check Algorithm 1 decisions and
 // incrementally maintained state against brute-force recomputation.
 //
 // Everything here is read-only and side-effect free on the validated objects,
@@ -11,8 +11,6 @@
 #include "check/check.h"
 #include "harmony/incremental.h"
 #include "harmony/scheduler.h"
-#include "harmony/spill_manager.h"
-#include "harmony/spill_store.h"
 
 namespace harmony::core {
 
@@ -24,19 +22,6 @@ namespace harmony::core {
 //    the pool (Algorithm 1 grows candidate sets from the queue front).
 void validate_decision(const ScheduleDecision& decision, std::span<const SchedJob> pool,
                        std::size_t machines, check::Validation& v);
-
-// Block-ledger invariants of a BlockManager:
-//  * memory + disk bytes exactly partition the total;
-//  * alpha() equals the recomputed disk fraction;
-//  * disk-resident blocks form a suffix (spill is coldest-first, so the
-//    memory-side prefix must be stable across any set_alpha history).
-void validate_block_manager(const BlockManager& blocks, check::Validation& v);
-
-// Byte-accounting invariants of a DiskSpillStore, cross-checked against the
-// filesystem: bytes_on_disk() matches the sum of the per-block ledger, and
-// every ledger entry has a backing file of exactly the serialized size
-// (header + payload). Catches skewed accounting and lost/truncated spills.
-void validate_spill_store(const DiskSpillStore& store, check::Validation& v);
 
 // Structural invariants of an IncrementalScheduler (machine conservation,
 // membership index consistency, cached aggregates vs a from-scratch

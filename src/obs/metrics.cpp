@@ -174,35 +174,6 @@ MetricsRegistry::histogram_series() const {
   return out;
 }
 
-MetricsSnapshot delta_snapshot(const MetricsSnapshot& prev, const MetricsSnapshot& cur) {
-  MetricsSnapshot delta;
-  for (const auto& [name, value] : cur.counters) {
-    const auto it = prev.counters.find(name);
-    // A reset between snapshots makes the counter run backwards; the restart
-    // rule (whole current value is the delta) avoids unsigned wraparound.
-    const std::uint64_t base = (it != prev.counters.end() && it->second <= value)
-                                   ? it->second
-                                   : 0;
-    delta.counters.emplace(name, value - base);
-  }
-  delta.gauges = cur.gauges;  // levels, not flows: latest value wins
-  for (const auto& [name, h] : cur.histograms) {
-    MetricsSnapshot::HistogramState d = h;
-    const auto it = prev.histograms.find(name);
-    if (it != prev.histograms.end() && it->second.count <= h.count &&
-        it->second.bins.size() == h.bins.size()) {
-      d.count = h.count - it->second.count;
-      d.sum = h.sum - it->second.sum;
-      for (std::size_t i = 0; i < d.bins.size(); ++i) {
-        // Per-bin restart rule, same rationale as counters.
-        if (it->second.bins[i] <= h.bins[i]) d.bins[i] = h.bins[i] - it->second.bins[i];
-      }
-    }
-    delta.histograms.emplace(name, std::move(d));
-  }
-  return delta;
-}
-
 double histogram_state_percentile(const MetricsSnapshot::HistogramState& h, double q) {
   if (h.count == 0 || h.bins.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

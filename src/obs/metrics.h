@@ -1,7 +1,7 @@
 // Metrics registry (the observability layer's aggregate half).
 //
 // Named counters, gauges and histograms for run-level telemetry: scheduler
-// invocations, regroup events, spill bytes, queue depths, event-loop
+// invocations, regroup events, OOM events, queue depths, event-loop
 // throughput. Registration hands back a stable reference that call sites
 // cache (typically in a function-local static), so steady-state updates are
 // one relaxed atomic op with no lookup. Snapshots serialize to JSON for the
@@ -25,9 +25,9 @@
 
 namespace harmony::obs {
 
-// Point-in-time copy of every registered metric, cheap to diff. The unit the
-// time-series engine (obs/timeseries.h) works in: two snapshots one window
-// apart yield per-window deltas via delta_snapshot().
+// Point-in-time copy of every registered metric, cheap to diff. The
+// time-series engine (obs/timeseries.h) exports its cumulative view in this
+// form and turns consecutive samples into per-window deltas.
 struct MetricsSnapshot {
   struct HistogramState {
     double lo = 0.0;  // first bin's lower edge
@@ -40,15 +40,6 @@ struct MetricsSnapshot {
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramState> histograms;
 };
-
-// Per-window view of `cur` relative to `prev`: counter values and histogram
-// bins/count/sum become deltas (cur - prev); gauges keep their latest value
-// (a gauge is a level, not a flow). A counter or histogram whose current
-// value ran *backwards* (a reset() between the snapshots) is treated as
-// restarted: the whole current value is the window's delta, never a huge
-// unsigned wraparound. Metrics absent from `prev` (registered mid-window)
-// contribute their full current state; metrics absent from `cur` are dropped.
-MetricsSnapshot delta_snapshot(const MetricsSnapshot& prev, const MetricsSnapshot& cur);
 
 // Quantile over a (possibly delta) histogram state, q in [0, 1]: linear
 // interpolation within the covering bin, clamped to the envelope of occupied

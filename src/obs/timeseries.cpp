@@ -122,10 +122,10 @@ const TelemetryWindow& TimeSeriesEngine::sample(double now_sec) {
   w.end_sec = now_sec;
 
   // The series vectors are name-sorted (registry order), so every map insert
-  // is an O(1) emplace at the end. Counter/histogram deltas use the same
-  // restart rule as delta_snapshot(): a value that ran backwards (a reset
-  // between windows) contributes its whole current value, never an unsigned
-  // wraparound.
+  // is an O(1) emplace at the end. Counter/histogram deltas follow the
+  // restart rule: a value that ran backwards (a reset between windows)
+  // contributes its whole current value, never an unsigned wraparound. Gauges
+  // are levels, not flows: the latest value wins.
   for (auto& s : counter_series_) {
     const std::uint64_t value = s.metric->value();
     const std::uint64_t base = s.prev <= value ? s.prev : 0;

@@ -3,12 +3,13 @@
 // Turns cumulative MetricsRegistry state into windowed aggregates: at a
 // configurable sim-time cadence the engine reads its selected series (metric
 // pointers resolved once against the registry), diffs against the values at
-// the previous sample — the same restart-rule semantics as
-// obs::delta_snapshot — and pushes one TelemetryWindow — counter deltas and
-// rates, gauge last-values, per-window histogram count/sum/p50/p99 — onto a
-// fixed-capacity ring. Windows serialize to a byte-deterministic JSON Lines
-// schema ("harmony-telemetry-v1") and the cumulative filtered snapshot
-// exports as Prometheus text exposition.
+// the previous sample — a counter or histogram that ran backwards (a reset()
+// between samples) restarts, contributing its whole current value — and
+// pushes one TelemetryWindow — counter deltas and rates, gauge last-values,
+// per-window histogram count/sum/p50/p99 — onto a fixed-capacity ring.
+// Windows serialize to a byte-deterministic JSON Lines schema
+// ("harmony-telemetry-v1") and the cumulative filtered snapshot exports as
+// Prometheus text exposition.
 //
 // Determinism contract: the engine is driven by the *sim* clock (the caller
 // passes window timestamps), reads only through MetricsRegistry, and filters

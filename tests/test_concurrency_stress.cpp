@@ -1,9 +1,9 @@
 // Concurrency regression stress: hammers every threaded component — the
-// subtask executor, the master-side synchronizer, the throttled NIC, the
-// disk spill store, and LocalRuntime pause/resume — from many threads at
-// once. These tests exist to give ThreadSanitizer (the `tsan` preset) real
-// contention to chew on; under the plain build they double as functional
-// stress tests of the same code paths.
+// subtask executor, the master-side synchronizer, the throttled NIC and
+// LocalRuntime pause/resume — from many threads at once. These tests exist
+// to give ThreadSanitizer (the `tsan` preset) real contention to chew on;
+// under the plain build they double as functional stress tests of the same
+// code paths.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,9 +19,7 @@
 
 #include "harmony/executor.h"
 #include "harmony/runtime.h"
-#include "harmony/spill_store.h"
 #include "harmony/synchronizer.h"
-#include "harmony/validate.h"
 #include "ml/mlr.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -190,61 +188,6 @@ TEST(ConcurrencyStress, UnthrottledNicIsStillSafeUnderContention) {
   }
   senders.clear();
   EXPECT_EQ(nic.bytes_transferred(), 8u * 200u * 100u);
-}
-
-// ---------------------------------------------------------------------------
-// DiskSpillStore: spill/reload/remove/accessors from many threads at once.
-
-TEST(ConcurrencyStress, SpillStoreParallelSpillReloadRemove) {
-  // Pid-unique so concurrent ctest runs from different build trees coexist.
-  const fs::path dir = fs::temp_directory_path() /
-                       ("harmony-stress-spill-" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  {
-    DiskSpillStore store(dir);
-    constexpr int kJobs = 6;
-    constexpr std::size_t kBlocks = 24;
-    const std::vector<double> payload(128, 3.25);
-
-    // Writers: each thread owns one job id, so the file I/O is disjoint and
-    // only the shared ledger is contended — exactly the locking under test.
-    std::vector<std::jthread> threads;
-    for (int j = 0; j < kJobs; ++j) {
-      threads.emplace_back([&, j] {
-        const auto job = static_cast<JobId>(j);
-        for (std::size_t b = 0; b < kBlocks; ++b) store.spill(job, b, payload);
-        for (std::size_t b = 0; b < kBlocks; b += 2) {
-          const auto back = store.reload(job, b);
-          if (back != payload) ADD_FAILURE() << "reload corrupted job " << j;
-        }
-        for (std::size_t b = 1; b < kBlocks; b += 2) store.remove(job, b);
-      });
-    }
-    // Readers: hammer the accessors while writers run.
-    for (int r = 0; r < 2; ++r) {
-      threads.emplace_back([&] {
-        for (int i = 0; i < 400; ++i) {
-          (void)store.blocks_on_disk();
-          (void)store.bytes_on_disk();
-          (void)store.contains(0, 0);
-        }
-      });
-    }
-    threads.clear();
-
-    EXPECT_EQ(store.blocks_on_disk(), kJobs * kBlocks / 2);
-    check::Validation v("stress");
-    validate_spill_store(store, v);
-    EXPECT_TRUE(v.ok()) << v.report().to_string();
-
-    std::vector<std::jthread> cleaners;
-    for (int j = 0; j < kJobs; ++j)
-      cleaners.emplace_back([&, j] { store.remove_job(static_cast<JobId>(j)); });
-    cleaners.clear();
-    EXPECT_EQ(store.blocks_on_disk(), 0u);
-    EXPECT_EQ(store.bytes_on_disk(), 0u);
-  }
-  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Self-test for tools/detlint.py.
 
-Two layers:
+Three layers:
 
   * the checked-in corpus under tests/detlint_fixtures/ — every rule family
     has a `bad/` tree that must produce findings of exactly that family and a
     `good/` tree exercising the sanctioned alternatives (sorted_view,
     stable-id comparators, NSDMI / ctor coverage, seeded engines, justified
-    escapes) that must come back clean;
+    escapes) that must come back clean, and deleting the escape comment from
+    a copy of a `good/` tree turns the gate red;
   * synthetic trees materialized in a tempdir — include-closure resolution,
-    the facts cache, the step-summary table, and the guarantee that deleting
-    a real escape comment from the checkout turns the gate red.
+    the facts cache, the step-summary table;
+  * the checkout itself, which must stay clean.
 
 Registered in ctest as `test_detlint`. Run directly:
 python3 tests/test_detlint.py
@@ -85,6 +86,30 @@ class FixtureCorpusTest(unittest.TestCase):
         self.assertIn("range-for over unordered container 'counts_'", out, out)
         self.assertIn("range-for over unordered container 'ids_'", out, out)
         self.assertIn("iterator walk over unordered container 'counts_'", out, out)
+
+    def test_deleting_an_escape_comment_fails_the_gate(self):
+        # The escaped loop in the unordered-iteration `good` fixture is
+        # justified only by its escape comment; stripping it from a copy of
+        # the tree must turn the gate red at exactly that site. This pins the
+        # acceptance criterion that escapes are load-bearing, not decorative.
+        good = os.path.join(FIXTURES, "unordered_iteration", "good")
+        victim_rel = os.path.join("src", "sim", "hash_walk.cpp")
+        with open(os.path.join(good, victim_rel), encoding="utf-8") as f:
+            original = f.read()
+        marker = "// detlint: sorted-iteration("
+        self.assertIn(marker, original,
+                      "expected an escape comment in hash_walk.cpp")
+        with tempfile.TemporaryDirectory(prefix="detlint_selftest_") as root:
+            shutil.copytree(os.path.join(good, "src"), os.path.join(root, "src"))
+            stripped = "\n".join(l for l in original.splitlines()
+                                 if marker not in l) + "\n"
+            with open(os.path.join(root, victim_rel), "w", encoding="utf-8") as f:
+                f.write(stripped)
+            rc, out = run_detlint(root)
+        self.assertEqual(rc, 1, f"stripping the escape must fail the gate:\n{out}")
+        findings = [l for l in out.splitlines() if "[unordered-iteration]" in l]
+        self.assertEqual(len(findings), 1, out)
+        self.assertIn("src/sim/hash_walk.cpp:21", findings[0], out)
 
 
 class SyntheticTreeTest(unittest.TestCase):
@@ -169,28 +194,6 @@ class RealCheckoutTest(unittest.TestCase):
     def test_real_checkout_is_clean(self):
         rc, out = run_detlint(REPO)
         self.assertEqual(rc, 0, f"detlint must stay clean on the checkout:\n{out}")
-
-    def test_deleting_a_real_escape_comment_fails_the_gate(self):
-        # The destructor walk in spill_store.cpp is justified by an escape
-        # comment; stripping it from a copy of the tree must turn the gate
-        # red at exactly that site. This pins the acceptance criterion that
-        # escapes are load-bearing, not decorative.
-        victim_rel = os.path.join("src", "harmony", "spill_store.cpp")
-        with open(os.path.join(REPO, victim_rel), encoding="utf-8") as f:
-            original = f.read()
-        marker = "// detlint: sorted-iteration("
-        self.assertIn(marker, original,
-                      "expected a real escape comment in spill_store.cpp")
-        with tempfile.TemporaryDirectory(prefix="detlint_selftest_") as root:
-            shutil.copytree(os.path.join(REPO, "src"), os.path.join(root, "src"))
-            stripped = "\n".join(l for l in original.splitlines()
-                                 if marker not in l) + "\n"
-            with open(os.path.join(root, victim_rel), "w", encoding="utf-8") as f:
-                f.write(stripped)
-            rc, out = run_detlint(root)
-        self.assertEqual(rc, 1, f"stripping the escape must fail the gate:\n{out}")
-        self.assertIn("spill_store.cpp", out, out)
-        self.assertIn("[unordered-iteration]", out, out)
 
 
 if __name__ == "__main__":

@@ -6,15 +6,13 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "json_mini.h"
+#include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scratch_dir.h"
 
 namespace harmony::obs {
 namespace {
-
-using testing::parse_json;
 
 class TracerTest : public ::testing::Test {
  protected:
@@ -124,7 +122,7 @@ TEST_F(TracerTest, ChromeTraceExportIsValidJson) {
   std::ostringstream out;
   Tracer::instance().write_chrome_trace(out);
 
-  const auto doc = parse_json(out.str());
+  const auto doc = json::parse_json(out.str());
   EXPECT_EQ(doc.at("displayTimeUnit").string(), "ms");
   const auto& events = doc.at("traceEvents").array();
   std::size_t x_events = 0, instants = 0, metadata = 0;
@@ -231,7 +229,7 @@ TEST(MetricsRegistryTest, SnapshotJsonCarriesPercentiles) {
   auto& h = reg.histogram("test.pct_snapshot", 0.0, 100.0, 100);
   h.reset();
   for (int i = 0; i < 1000; ++i) h.observe((i + 0.5) / 10.0);
-  const auto doc = parse_json(reg.snapshot_json());
+  const auto doc = json::parse_json(reg.snapshot_json());
   const auto& hist = doc.at("histograms").at("test.pct_snapshot");
   EXPECT_NEAR(hist.at("p50").number(), 50.0, 0.2);
   EXPECT_NEAR(hist.at("p95").number(), 95.0, 0.2);
@@ -262,7 +260,7 @@ TEST(MetricsRegistryTest, SnapshotJsonRoundTrips) {
   h.observe(0.5);
   h.observe(3.5);
 
-  const auto doc = parse_json(reg.snapshot_json());
+  const auto doc = json::parse_json(reg.snapshot_json());
   EXPECT_DOUBLE_EQ(doc.at("counters").at("snap.counter").number(), 42.0);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("snap.gauge").number(), 1.5);
   const auto& hist = doc.at("histograms").at("snap.hist");
@@ -300,7 +298,7 @@ TEST(MetricsRegistryTest, BenchReportAttachKeepsJsonValid) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
-  const auto doc = parse_json(buf.str());
+  const auto doc = json::parse_json(buf.str());
   EXPECT_EQ(doc.at("benchmarks").array().size(), 1u);
   EXPECT_DOUBLE_EQ(
       doc.at("harmony_metrics").at("counters").at("attach.counter").number(), 9.0);
@@ -343,14 +341,14 @@ TEST(MetricsRegistryTest, BenchReportAttachHandlesEmptyRootObject) {
   bool ok = false;
   const std::string result = write_and_attach("{}\n", &ok);
   ASSERT_TRUE(ok);
-  const auto doc = parse_json(result);
+  const auto doc = json::parse_json(result);
   EXPECT_DOUBLE_EQ(
       doc.at("harmony_metrics").at("counters").at("attach.empty_root").number(), 3.0);
 
   // Same with interior whitespace in the empty object.
   const std::string spaced = write_and_attach("{  \n }\n", &ok);
   ASSERT_TRUE(ok);
-  parse_json(spaced);  // throws on invalid splice
+  json::parse_json(spaced);  // throws on invalid splice
 }
 
 TEST(MetricsRegistryTest, BenchReportAttachRejectsNonObjectDocuments) {
@@ -369,89 +367,7 @@ TEST(MetricsRegistryTest, BenchReportAttachRejectsNonObjectDocuments) {
   EXPECT_FALSE(ok);
 }
 
-TEST(DeltaSnapshotTest, CounterAndHistogramDeltasGaugesKeepLevel) {
-  auto& reg = MetricsRegistry::instance();
-  reg.reset();
-  auto& ctr = reg.counter("delta.requests");
-  auto& gauge = reg.gauge("delta.depth");
-  auto& hist = reg.histogram("delta.latency", 0.0, 100.0, 10);
-
-  ctr.add(5);
-  gauge.set(3.0);
-  hist.observe(10.0);
-  const MetricsSnapshot before = reg.snapshot();
-
-  ctr.add(7);
-  gauge.set(9.0);
-  hist.observe(10.0);
-  hist.observe(90.0);
-  const MetricsSnapshot after = reg.snapshot();
-
-  const MetricsSnapshot d = delta_snapshot(before, after);
-  EXPECT_EQ(d.counters.at("delta.requests"), 7u);
-  // A gauge is a level, not a flow: latest value, not 9 - 3.
-  EXPECT_DOUBLE_EQ(d.gauges.at("delta.depth"), 9.0);
-  const auto& h = d.histograms.at("delta.latency");
-  EXPECT_EQ(h.count, 2u);
-  EXPECT_DOUBLE_EQ(h.sum, 100.0);
-  EXPECT_EQ(h.bins[1], 1u);   // the second 10.0, first one subtracted out
-  EXPECT_EQ(h.bins[9], 1u);   // the 90.0
-}
-
-TEST(DeltaSnapshotTest, ResetBetweenSnapshotsIsNotUnsignedWraparound) {
-  MetricsSnapshot prev;
-  prev.counters["c"] = 100;
-  MetricsSnapshot cur;
-  cur.counters["c"] = 4;  // ran backwards: a reset() happened in between
-  const MetricsSnapshot d = delta_snapshot(prev, cur);
-  // The restarted counter contributes its whole current value, not 2^64 - 96.
-  EXPECT_EQ(d.counters.at("c"), 4u);
-
-  MetricsSnapshot hp;
-  hp.histograms["h"] = {0.0, 10.0, {5, 0}, 5, 25.0};
-  MetricsSnapshot hc;
-  hc.histograms["h"] = {0.0, 10.0, {2, 0}, 2, 4.0};
-  const MetricsSnapshot hd = delta_snapshot(hp, hc);
-  const auto& h = hd.histograms.at("h");
-  EXPECT_EQ(h.count, 2u);
-  EXPECT_DOUBLE_EQ(h.sum, 4.0);
-  EXPECT_EQ(h.bins[0], 2u);
-}
-
-TEST(DeltaSnapshotTest, EmptyWindowYieldsZeroDeltas) {
-  auto& reg = MetricsRegistry::instance();
-  reg.reset();
-  reg.counter("idle.ticks").add(42);
-  reg.histogram("idle.wait", 0.0, 10.0, 5).observe(3.0);
-  const MetricsSnapshot snap = reg.snapshot();
-  const MetricsSnapshot d = delta_snapshot(snap, snap);
-  EXPECT_EQ(d.counters.at("idle.ticks"), 0u);
-  const auto& h = d.histograms.at("idle.wait");
-  EXPECT_EQ(h.count, 0u);
-  EXPECT_DOUBLE_EQ(h.sum, 0.0);
-  EXPECT_DOUBLE_EQ(histogram_state_percentile(h, 0.99), 0.0);
-}
-
-TEST(DeltaSnapshotTest, MetricRegisteredMidWindowContributesFullState) {
-  MetricsSnapshot prev;
-  prev.counters["old"] = 1;
-  MetricsSnapshot cur;
-  cur.counters["old"] = 1;
-  cur.counters["fresh"] = 17;
-  cur.gauges["fresh.level"] = 2.5;
-  cur.histograms["fresh.hist"] = {0.0, 10.0, {3, 1}, 4, 8.0};
-  const MetricsSnapshot d = delta_snapshot(prev, cur);
-  EXPECT_EQ(d.counters.at("fresh"), 17u);
-  EXPECT_DOUBLE_EQ(d.gauges.at("fresh.level"), 2.5);
-  EXPECT_EQ(d.histograms.at("fresh.hist").count, 4u);
-  // Absent from cur means dropped, not carried forward.
-  MetricsSnapshot shrunk;
-  shrunk.counters["old"] = 2;
-  const MetricsSnapshot d2 = delta_snapshot(cur, shrunk);
-  EXPECT_EQ(d2.counters.count("fresh"), 0u);
-}
-
-TEST(DeltaSnapshotTest, WindowPercentileClampsToOccupiedBins) {
+TEST(HistogramStatePercentileTest, WindowPercentileClampsToOccupiedBins) {
   // Six samples in bin [0, 50): raw min/max don't survive deltas, so the
   // quantile is interpolated within the occupied-bin envelope.
   MetricsSnapshot::HistogramState h;
@@ -481,6 +397,12 @@ TEST(DeltaSnapshotTest, WindowPercentileClampsToOccupiedBins) {
   EXPECT_LE(histogram_state_percentile(split, 0.25), 100.0);
   EXPECT_GE(histogram_state_percentile(split, 0.99), 400.0);
   EXPECT_LE(histogram_state_percentile(split, 0.99), 450.0);
+  // An empty window (no sample since the last one) reads 0, not an edge.
+  MetricsSnapshot::HistogramState empty;
+  empty.lo = 0.0;
+  empty.hi = 10.0;
+  empty.bins = {0, 0, 0, 0, 0};
+  EXPECT_DOUBLE_EQ(histogram_state_percentile(empty, 0.99), 0.0);
 }
 
 TEST(MetricsRegistryTest, BenchReportAttachLeavesRejectedFileUntouched) {

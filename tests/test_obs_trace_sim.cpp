@@ -10,10 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "exp/arrivals.h"
 #include "exp/cluster_sim.h"
 #include "exp/workload.h"
-#include "json_mini.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -21,8 +21,6 @@ namespace harmony::exp {
 namespace {
 
 using obs::Tracer;
-using testing::JsonValue;
-using testing::parse_json;
 
 RunSummary run_harmony_20x40() {
   ClusterSimConfig config = ClusterSimConfig::harmony();
@@ -69,7 +67,7 @@ TEST(ObsTraceSim, ChromeTraceFormatAndCrossChecks) {
   Tracer::instance().clear();
 
   // Whole-document validity.
-  const JsonValue doc = parse_json(out.str());
+  const json::JsonValue doc = json::parse_json(out.str());
   EXPECT_EQ(doc.at("displayTimeUnit").string(), "ms");
   const auto& events = doc.at("traceEvents").array();
   ASSERT_GT(events.size(), 100u);
@@ -164,7 +162,7 @@ TEST(ObsTraceSim, MetricsRegistryMatchesSummary) {
   EXPECT_GT(reg.histogram("sim.event_queue_depth", 0.0, 4096.0, 64).count(), 0u);
 
   // The snapshot parses and carries the same totals.
-  const auto doc = parse_json(reg.snapshot_json());
+  const auto doc = json::parse_json(reg.snapshot_json());
   EXPECT_DOUBLE_EQ(doc.at("counters").at("sim.regroup_events").number(),
                    static_cast<double>(summary.regroup_events));
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("sim.makespan_sec").number(), summary.makespan);

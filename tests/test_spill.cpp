@@ -11,46 +11,6 @@ namespace harmony::core {
 namespace {
 
 using cluster::kGiB;
-using cluster::kMiB;
-
-TEST(BlockManager, SplitsIntoBlocks) {
-  BlockManager bm(10.0 * kMiB, 4.0 * kMiB);
-  EXPECT_EQ(bm.total_blocks(), 3u);  // 4 + 4 + 2
-  EXPECT_DOUBLE_EQ(bm.alpha(), 0.0);
-  EXPECT_DOUBLE_EQ(bm.memory_bytes(), 10.0 * kMiB);
-  EXPECT_DOUBLE_EQ(bm.disk_bytes(), 0.0);
-}
-
-TEST(BlockManager, SetAlphaMovesBlocks) {
-  BlockManager bm(100.0 * kMiB, 10.0 * kMiB);  // 10 blocks
-  bm.set_alpha(0.3);
-  EXPECT_EQ(bm.disk_blocks(), 3u);
-  EXPECT_NEAR(bm.alpha(), 0.3, 1e-12);
-  EXPECT_DOUBLE_EQ(bm.disk_bytes(), 30.0 * kMiB);
-
-  bm.set_alpha(0.1);  // reload two blocks
-  EXPECT_EQ(bm.disk_blocks(), 1u);
-  bm.set_alpha(1.0);
-  EXPECT_EQ(bm.disk_blocks(), 10u);
-  bm.set_alpha(0.0);
-  EXPECT_EQ(bm.disk_blocks(), 0u);
-}
-
-TEST(BlockManager, AlphaClampsAndRounds) {
-  BlockManager bm(40.0 * kMiB, 10.0 * kMiB);  // 4 blocks
-  bm.set_alpha(2.0);
-  EXPECT_DOUBLE_EQ(bm.alpha(), 1.0);
-  bm.set_alpha(-1.0);
-  EXPECT_DOUBLE_EQ(bm.alpha(), 0.0);
-  bm.set_alpha(0.6);  // rounds to 2/4 or 3/4
-  EXPECT_NEAR(bm.alpha(), 0.5, 0.26);
-}
-
-TEST(BlockManager, ZeroBytesStillValid) {
-  BlockManager bm(0.0, 1.0 * kMiB);
-  EXPECT_EQ(bm.total_blocks(), 1u);
-  bm.set_alpha(1.0);  // no crash
-}
 
 TEST(SpillCostModel, ResidentShrinksReloadGrowsWithAlpha) {
   const cluster::MachineSpec spec;

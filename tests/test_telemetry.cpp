@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "check/check.h"
+#include "common/json.h"
 #include "exp/workload.h"
 #include "harmony/incremental.h"
-#include "json_mini.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -32,7 +32,6 @@ using obs::SloSpec;
 using obs::TelemetryWindow;
 using obs::TimeSeriesConfig;
 using obs::TimeSeriesEngine;
-using testing::parse_json;
 
 // ---------------------------------------------------------------------------
 // TimeSeriesEngine
@@ -76,13 +75,31 @@ TEST(TimeSeriesEngine, WindowsDeltaRateAndFilter) {
   EXPECT_DOUBLE_EQ(w0.gauges.at("tst.depth"), 4.0);
   EXPECT_EQ(w0.histograms.at("tst.latency").count, 2u);
 
-  // Second window sees only what happened since the first sample.
+  // Second window sees only what happened since the first sample. A gauge
+  // is a level, not a flow, and a series registered mid-window contributes
+  // its whole value.
   events.add(6);
+  depth.set(9.0);
+  reg.counter("tst.late").add(3);
   const TelemetryWindow& w1 = engine.sample(120.0);
   EXPECT_EQ(w1.index, 1u);
   EXPECT_DOUBLE_EQ(w1.start_sec, 60.0);
   EXPECT_EQ(w1.counter_deltas.at("tst.events"), 6u);
   EXPECT_EQ(w1.histograms.at("tst.latency").count, 0u);
+  EXPECT_DOUBLE_EQ(w1.gauges.at("tst.depth"), 9.0);
+  EXPECT_EQ(w1.counter_deltas.at("tst.late"), 3u);
+
+  // A reset between samples makes the counter (36 -> 4) and the histogram
+  // (2 -> 1 samples) run backwards: the window restarts from zero and takes
+  // their whole current values, never an unsigned wraparound.
+  reg.reset();
+  events.add(4);
+  lat.observe(20.0);
+  const TelemetryWindow& w2 = engine.sample(180.0);
+  EXPECT_EQ(w2.counter_deltas.at("tst.events"), 4u);
+  const auto& h2 = w2.histograms.at("tst.latency");
+  EXPECT_EQ(h2.count, 1u);
+  EXPECT_DOUBLE_EQ(h2.sum, 20.0);
 }
 
 TEST(TimeSeriesEngine, BaselineAtConstructionHidesPriorAccumulation) {
@@ -127,7 +144,7 @@ TEST(TimeSeriesEngine, JsonlIsByteDeterministicAndParses) {
   EXPECT_EQ(la.back(), '}');
   EXPECT_EQ(la.rfind("{\"schema\":\"harmony-telemetry-v1\",\"window\":0,", 0), 0u);
 
-  const auto doc = parse_json(la);
+  const auto doc = json::parse_json(la);
   EXPECT_DOUBLE_EQ(doc.at("counters").at("tst.events").number(), 3.0);
   EXPECT_DOUBLE_EQ(doc.at("rates").at("tst.events").number(), 3.0 / 60.0);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("tst.depth").number(), 2.5);
@@ -137,7 +154,7 @@ TEST(TimeSeriesEngine, JsonlIsByteDeterministicAndParses) {
   const std::string spliced = TimeSeriesEngine::to_jsonl(
       a.windows().back(), ",\"slos\":[{\"name\":\"x\",\"state\":\"inactive\","
                           "\"value\":0,\"breached\":0}]");
-  const auto doc2 = parse_json(spliced);
+  const auto doc2 = json::parse_json(spliced);
   EXPECT_EQ(doc2.at("slos").array().size(), 1u);
 }
 
@@ -330,7 +347,7 @@ TEST(ServiceTelemetry, JsonlIsByteIdenticalAcrossRunsAndValidators) {
   std::string line;
   std::uint64_t expected = 0;
   while (std::getline(lines, line)) {
-    const auto doc = parse_json(line);
+    const auto doc = json::parse_json(line);
     EXPECT_EQ(doc.at("schema").string(), "harmony-telemetry-v1");
     EXPECT_DOUBLE_EQ(doc.at("window").number(), static_cast<double>(expected++));
   }
@@ -407,9 +424,9 @@ TEST_F(FlightRecorderTest, RingIsBoundedAndDumpCountIsCapped) {
   EXPECT_FALSE(std::filesystem::exists(dir_ / "flight-2.context.json"));
 
   // The trace half loads as JSON and carries the ring (newest 8 events).
-  const auto trace = parse_json(slurp(dir_ / "flight-0.trace.json"));
+  const auto trace = json::parse_json(slurp(dir_ / "flight-0.trace.json"));
   EXPECT_GE(trace.at("traceEvents").array().size(), 8u);
-  const auto context = parse_json(slurp(dir_ / "flight-0.context.json"));
+  const auto context = json::parse_json(slurp(dir_ / "flight-0.context.json"));
   EXPECT_EQ(context.at("schema").string(), "harmony-flight-v1");
   EXPECT_EQ(context.at("reason").string(), "test-dump");
   EXPECT_DOUBLE_EQ(context.at("events_in_ring").number(), 8.0);
@@ -444,7 +461,7 @@ TEST_F(FlightRecorderTest, CorruptionDumpNamesTheFailingValidator) {
   EXPECT_NE(context.find("\"reason\": \"check-failure\""), std::string::npos);
   EXPECT_NE(context.find("\"validator\": \"svc.service\""), std::string::npos);
   EXPECT_NE(context.find("\"seed\""), std::string::npos);  // run() context
-  const auto trace = parse_json(slurp(dir_ / "flight-0.trace.json"));
+  const auto trace = json::parse_json(slurp(dir_ / "flight-0.trace.json"));
   EXPECT_GT(trace.at("traceEvents").array().size(), 0u);  // arrivals/departures ring
 }
 

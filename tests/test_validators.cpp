@@ -3,11 +3,7 @@
 // broken invariant (not just "something failed").
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -15,15 +11,11 @@
 #include "exp/arrivals.h"
 #include "exp/cluster_sim.h"
 #include "exp/workload.h"
-#include "harmony/spill_manager.h"
-#include "harmony/spill_store.h"
 #include "harmony/validate.h"
 #include "sim/simulator.h"
 
 namespace harmony {
 namespace {
-
-namespace fs = std::filesystem;
 
 std::vector<exp::WorkloadSpec> small_workload(std::size_t n) {
   auto catalog = exp::make_catalog(2021);
@@ -105,84 +97,6 @@ TEST(ValidateDecision, WrongJobsScheduledCountDetected) {
   core::validate_decision(d, pool, 8, v);
   EXPECT_FALSE(v.ok());
   EXPECT_TRUE(v.report().mentions("jobs_scheduled")) << v.report().to_string();
-}
-
-// ---------------------------------------------------------------------------
-// Block manager (spill byte accounting)
-
-TEST(ValidateBlockManager, HealthyAfterSpillAndReload) {
-  core::BlockManager blocks(1000.0, 100.0);
-  blocks.set_alpha(0.6);
-  blocks.set_alpha(0.3);
-  check::Validation v("blocks");
-  core::validate_block_manager(blocks, v);
-  EXPECT_TRUE(v.ok()) << v.report().to_string();
-}
-
-TEST(ValidateBlockManager, CorruptedBlockBreaksSuffixInvariant) {
-  core::BlockManager blocks(1000.0, 100.0);
-  blocks.set_alpha(0.5);  // blocks 5..9 on disk
-  blocks.corrupt_block_for_test(0);  // flips a front (memory) block to disk
-  check::Validation v("blocks");
-  core::validate_block_manager(blocks, v);
-  EXPECT_FALSE(v.ok());
-  EXPECT_TRUE(v.report().mentions("suffix")) << v.report().to_string();
-}
-
-// ---------------------------------------------------------------------------
-// Disk spill store (ledger vs files on disk)
-
-class SpillStoreValidatorTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    // Pid-unique: concurrent ctest runs from different build trees must not
-    // clobber each other's spill files.
-    dir_ = fs::temp_directory_path() /
-           ("harmony-validate-store-test-" + std::to_string(::getpid()));
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-  fs::path dir_;
-};
-
-TEST_F(SpillStoreValidatorTest, HealthyLedgerPasses) {
-  core::DiskSpillStore store(dir_);
-  const std::vector<double> data(64, 1.5);
-  store.spill(1, 0, data);
-  store.spill(1, 1, data);
-  store.spill(2, 0, data);
-  store.remove(1, 1);
-  check::Validation v("store");
-  core::validate_spill_store(store, v);
-  EXPECT_TRUE(v.ok()) << v.report().to_string();
-}
-
-TEST_F(SpillStoreValidatorTest, TruncatedSpillFileDetected) {
-  core::DiskSpillStore store(dir_);
-  const std::vector<double> data(64, 1.5);
-  store.spill(3, 7, data);
-  // Tamper: truncate the on-disk file behind the ledger's back.
-  fs::path victim;
-  for (const auto& entry : fs::directory_iterator(store.dir()))
-    victim = entry.path();
-  ASSERT_FALSE(victim.empty());
-  std::ofstream(victim, std::ios::binary | std::ios::trunc).put('x');
-  check::Validation v("store");
-  core::validate_spill_store(store, v);
-  EXPECT_FALSE(v.ok());
-  EXPECT_TRUE(v.report().mentions("ledger expects")) << v.report().to_string();
-}
-
-TEST_F(SpillStoreValidatorTest, MissingSpillFileDetected) {
-  core::DiskSpillStore store(dir_);
-  const std::vector<double> data(16, 2.0);
-  store.spill(4, 0, data);
-  for (const auto& entry : fs::directory_iterator(store.dir()))
-    fs::remove(entry.path());
-  check::Validation v("store");
-  core::validate_spill_store(store, v);
-  EXPECT_FALSE(v.ok());
-  EXPECT_TRUE(v.report().mentions("missing")) << v.report().to_string();
 }
 
 // ---------------------------------------------------------------------------
