@@ -25,13 +25,24 @@ double SampleSet::max() const {
 double SampleSet::quantile(double q) const {
   assert(q >= 0.0 && q <= 1.0);
   if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  std::vector<double> work = samples_;
+  return select_quantile(work, q);
+}
+
+double select_quantile(std::span<double> samples, double q) {
+  assert(q >= 0.0 && q <= 1.0);
+  if (samples.empty()) return 0.0;
+  const double pos = q * static_cast<double>(samples.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(pos));
   const auto hi = static_cast<std::size_t>(std::ceil(pos));
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // Order statistics lo and hi (hi is lo or lo + 1): after the partial sort
+  // everything past lo is >= samples[lo], so the next one up is their minimum.
+  const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples.begin(), nth, samples.end());
+  const double at_lo = *nth;
+  const double at_hi = hi == lo ? at_lo : *std::min_element(nth + 1, samples.end());
+  return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
 double SampleSet::cdf_at(double x) const {

@@ -3,13 +3,16 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace harmony {
 
-// Stores raw samples; quantiles are computed on demand (sizes here are small:
-// tens to a few thousand scheduling decisions).
+// Stores raw samples; quantiles are computed on demand. Sizes run from a few
+// scheduling decisions to the ~400k decision latencies of a 10^7 s service
+// run, so a quantile selects its two order statistics (O(n)) rather than
+// sorting.
 class SampleSet {
  public:
   void add(double x) { samples_.push_back(x); }
@@ -21,7 +24,7 @@ class SampleSet {
   double mean() const;
   double min() const;
   double max() const;
-  // Linear-interpolated quantile, q in [0, 1].
+  // Linear-interpolated quantile, q in [0, 1]: select_quantile over a copy.
   double quantile(double q) const;
 
   // Fraction of samples <= x (empirical CDF).
@@ -36,6 +39,11 @@ class SampleSet {
  private:
   std::vector<double> samples_;
 };
+
+// Linear-interpolated quantile of `samples`, q in [0, 1]: the order
+// statistics at floor and ceil of q·(n − 1), interpolated exactly as over a
+// sorted copy. Reorders `samples`; 0 when empty.
+double select_quantile(std::span<double> samples, double q);
 
 // Equal-width bin histogram for utilization traces.
 class Histogram {

@@ -16,13 +16,37 @@ struct Contrib {
   double t_itr = 0.0;
 };
 
-Contrib contributions(double sum_cpu_work, double sum_t_net, double max_t_itr,
-                      std::size_t machines) {
+// Evaluated on every join probe, so it is forced inline there.
+[[gnu::always_inline]] inline Contrib contributions(double sum_cpu_work, double sum_t_net,
+                                                    double max_t_itr, std::size_t machines) {
   const double m = static_cast<double>(machines);
   const double sum_cpu = sum_cpu_work / m;
   const double t_itr = std::max({sum_cpu, sum_t_net, max_t_itr});
   if (t_itr <= 0.0) return {};
   return Contrib{m * sum_cpu / t_itr, m * sum_t_net / t_itr, t_itr};
+}
+
+// std::llround (halves away from zero) without the out-of-line libm call
+// that a join probe would otherwise make. Below 2^52 the fraction
+// x - trunc(x) is exact and from 2^52 up every double is an integer, so on
+// [0, 2^62) this is llround(x); anything else goes to the library.
+[[gnu::always_inline]] inline long long round_half_away(double x) {
+  if (!(x >= 0.0 && x < 0x1p62)) return std::llround(x);
+  auto whole = static_cast<long long>(x);
+  if (x - static_cast<double>(whole) >= 0.5) ++whole;
+  return whole;
+}
+
+// Balance-point DoP for aggregate work: Σ T_cpu(m) == Σ t_net at
+// m = sum_cpu_work / sum_t_net, clamped to [1, limit] (limit for pure-CPU
+// work). The machine count full Algorithm 1's allocation step converges to.
+// Evaluated on every join probe, so it is forced inline there.
+[[gnu::always_inline]] inline std::size_t balanced_dop(double sum_cpu_work, double sum_t_net,
+                                                       std::size_t limit) {
+  if (limit == 0) return 0;
+  if (sum_t_net <= 0.0) return limit;
+  const auto balance = static_cast<std::size_t>(round_half_away(sum_cpu_work / sum_t_net));
+  return std::clamp<std::size_t>(balance, 1, limit);
 }
 
 }  // namespace
@@ -123,14 +147,6 @@ std::size_t IncrementalScheduler::acquire_slot() {
   return groups_.size() - 1;
 }
 
-std::size_t IncrementalScheduler::balanced_dop(double sum_cpu_work, double sum_t_net,
-                                               std::size_t limit) const {
-  if (limit == 0) return 0;
-  if (sum_t_net <= 0.0) return limit;
-  const auto balance = static_cast<std::size_t>(std::llround(sum_cpu_work / sum_t_net));
-  return std::clamp<std::size_t>(balance, 1, limit);
-}
-
 void IncrementalScheduler::resize_to_balance(Group& g) {
   const std::size_t target =
       balanced_dop(g.sum_cpu_work, g.sum_t_net, g.machines + free_machines_);
@@ -145,38 +161,56 @@ void IncrementalScheduler::resize_to_balance(Group& g) {
 
 void IncrementalScheduler::adopt(const ScheduleDecision& decision,
                                  std::span<const SchedJob> pool) {
-  // Start from scratch: the decision is the authoritative grouping.
-  groups_.clear();
+  // The decision is the authoritative grouping: it fills slots 0..k-1 in plan
+  // order, exactly as a freshly built scheduler would, but the slots, their
+  // member storage and the job index's entries are reused from the previous
+  // grouping.
+  HARMONY_CHECK(std::adjacent_find(pool.begin(), pool.end(),
+                                   [](const SchedJob& a, const SchedJob& b) {
+                                     return a.id >= b.id;
+                                   }) == pool.end())
+      << "adopt needs the pool in strictly increasing id order";
   free_slots_.clear();
-  job_group_.clear();
   cursor_ = 0;
   free_machines_ = total_machines_;
   acc_cpu_ = acc_net_ = 0.0;
 
-  std::unordered_map<JobId, const SchedJob*> by_id;
-  by_id.reserve(pool.size());
-  for (const SchedJob& j : pool) by_id.emplace(j.id, &j);
-
+  std::size_t slot = 0;
+  std::size_t placed = 0;
   for (const GroupPlan& plan : decision.groups) {
     if (plan.jobs.empty() || plan.machines == 0) continue;
     HARMONY_CHECK(plan.machines <= free_machines_)
         << "decision over-allocates: " << plan.machines << " machines wanted, "
         << free_machines_ << " free";
-    const std::size_t slot = acquire_slot();
+    if (slot == groups_.size()) groups_.emplace_back();
     Group& g = groups_[slot];
     g.jobs.clear();
     g.machines = plan.machines;
     g.live = true;
     g.cpu_contrib = g.net_contrib = 0.0;
     for (JobId id : plan.jobs) {
-      const auto it = by_id.find(id);
-      HARMONY_CHECK(it != by_id.end())
+      const auto it = std::lower_bound(
+          pool.begin(), pool.end(), id,
+          [](const SchedJob& j, JobId want) { return j.id < want; });
+      HARMONY_CHECK(it != pool.end() && it->id == id)
           << check::job(id) << "decision places a job missing from the pool";
-      g.jobs.push_back(*it->second);
-      job_group_[id] = static_cast<std::uint32_t>(slot);
+      g.jobs.push_back(*it);
+      job_group_.insert_or_assign(id, static_cast<std::uint32_t>(slot));
+      ++placed;
     }
     free_machines_ -= plan.machines;
     refresh_group(g);
+    ++slot;
+  }
+  groups_.resize(slot);
+  // Every placed id now maps to its new slot, most by overwriting their old
+  // entry. Any further entries belong to jobs the decision dropped, so the
+  // index is rebuilt from the slots.
+  if (job_group_.size() != placed) {
+    job_group_.clear();
+    for (std::size_t s = 0; s < groups_.size(); ++s)
+      for (const SchedJob& j : groups_[s].jobs)
+        job_group_[j.id] = static_cast<std::uint32_t>(s);
   }
   rebuild_accumulators();
   rebaseline();
@@ -196,12 +230,16 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
   // members at the candidate DoP — O(group members) off cached aggregates.
   // The rotating cursor spreads successive joins so a bounded window still
   // covers the whole cluster over time.
-  std::size_t best_group = groups_.size();
+  // The cursor stays inside [0, slots) (see validate()), so stepping the
+  // slot index with a wrap visits (cursor_ + step) % slots without a divide.
+  const std::size_t slots = groups_.size();
+  std::size_t best_group = slots;
   double best_score = 0.0;
-  if (!groups_.empty()) {
+  if (slots > 0) {
     std::size_t probed = 0;
-    for (std::size_t step = 0; step < groups_.size() && probed < kJoinProbeLimit; ++step) {
-      const std::size_t idx = (cursor_ + step) % groups_.size();
+    std::size_t idx = cursor_;
+    for (std::size_t step = 0; step < slots && probed < kJoinProbeLimit;
+         ++step, idx = idx + 1 == slots ? 0 : idx + 1) {
       const Group& g = groups_[idx];
       if (!g.live || g.jobs.size() >= cap) continue;
       ++probed;
@@ -215,12 +253,12 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
           acc_cpu_ - g.cpu_contrib + c.cpu, acc_net_ - g.net_contrib + c.net,
           alloc_machines_ + static_cast<double>(dop) - static_cast<double>(g.machines),
           total_jobs_ + 1, nonempty_groups_);
-      if (best_group == groups_.size() || score > best_score) {
+      if (best_group == slots || score > best_score) {
         best_group = idx;
         best_score = score;
       }
     }
-    cursor_ = groups_.empty() ? 0 : (cursor_ + 1) % groups_.size();
+    cursor_ = cursor_ + 1 == slots ? 0 : cursor_ + 1;
   }
 
   // Option B: open a fresh group at the job's balance-point DoP.
@@ -237,7 +275,7 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
     new_t_itr = c.t_itr;
   }
 
-  const bool have_existing = best_group != groups_.size();
+  const bool have_existing = best_group != slots;
   if (!have_existing && new_dop == 0) return std::nullopt;
 
   // Ties go to the existing group: fewer groups, no machines drawn from the
@@ -390,6 +428,8 @@ void IncrementalScheduler::validate(check::Validation& v) const {
     acc_net += c.net;
   }
 
+  HARMONY_VALIDATE(v, groups_.empty() ? cursor_ == 0 : cursor_ < groups_.size())
+      << "join cursor " << cursor_ << " outside " << groups_.size() << " slots";
   HARMONY_VALIDATE(v, machines == total_machines_)
       << "machine conservation: groups + free pool = " << machines << ", cluster has "
       << total_machines_;

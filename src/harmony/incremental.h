@@ -152,11 +152,6 @@ class IncrementalScheduler {
                     std::size_t jobs, std::size_t groups) const;
   void note_peak();
   std::size_t acquire_slot();
-  // Balance-point DoP for aggregate work: Σ T_cpu(m) == Σ t_net at
-  // m = sum_cpu_work / sum_t_net, clamped to [1, limit] (limit for pure-CPU
-  // work). The machine count full Algorithm 1's allocation step converges to.
-  std::size_t balanced_dop(double sum_cpu_work, double sum_t_net,
-                           std::size_t limit) const;
   // Re-sizes a live group to balanced_dop over its members, moving machines
   // to/from the free pool and refreshing its aggregates.
   void resize_to_balance(Group& g);

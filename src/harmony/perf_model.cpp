@@ -6,16 +6,6 @@
 namespace harmony::core {
 namespace {
 
-// Weight of CPU utilization in the scalar score; the paper treats CPU as more
-// important than network "since CPU resources directly contribute to the job
-// progress" (§IV-B2).
-constexpr double kCpuWeight = 0.7;
-// Soft preference for fewer jobs per group ("for shorter JCTs and lower
-// memory pressure"): each extra job beyond the first costs this much of the
-// score. A tie-breaker, small enough that real utilization gains always
-// dominate at cluster scale.
-constexpr double kPerJobPenalty = 0.002;
-
 // Eq. 1's lane sums and slowest member over a group's profiles, accumulated
 // in member order. Every model quantity below reads these sums, so they all
 // add the same terms in the same order (the scheduler goldens pin the bits).
@@ -83,14 +73,6 @@ Utilization PerfModel::cluster_utilization(std::span<const GroupShape> groups) {
   ScoreFold fold;
   for (const GroupShape& g : groups) fold.add(group_term(g));
   return fold.utilization();
-}
-
-double PerfModel::score_scalar(const Utilization& u, std::size_t total_jobs,
-                               std::size_t total_groups) {
-  const double util = kCpuWeight * u.cpu + (1.0 - kCpuWeight) * u.net;
-  const double extra_jobs =
-      total_jobs > total_groups ? static_cast<double>(total_jobs - total_groups) : 0.0;
-  return util - kPerJobPenalty * extra_jobs;
 }
 
 double PerfModel::score(std::span<const GroupShape> groups) {

@@ -13,6 +13,16 @@
 
 namespace harmony::core {
 
+// Weight of CPU utilization in the scalar score; the paper treats CPU as more
+// important than network "since CPU resources directly contribute to the job
+// progress" (§IV-B2).
+inline constexpr double kCpuWeight = 0.7;
+// Soft preference for fewer jobs per group ("for shorter JCTs and lower
+// memory pressure"): each extra job beyond the first costs this much of the
+// score. A tie-breaker, small enough that real utilization gains always
+// dominate at cluster scale.
+inline constexpr double kPerJobPenalty = 0.002;
+
 // Two-dimensional utilization vector (Eq. 3 / Eq. 4).
 struct Utilization {
   double cpu = 0.0;
@@ -68,10 +78,16 @@ class PerfModel {
   static Utilization cluster_utilization(std::span<const GroupShape> groups);
 
   // Scalar objective the scheduler maximizes: weighted utilization minus the
-  // small-group preference penalty (weights in perf_model.cpp).
+  // small-group preference penalty (kCpuWeight, kPerJobPenalty). Defined
+  // here so the incremental scheduler's join probes evaluate it inline.
   static double score(std::span<const GroupShape> groups);
   static double score_scalar(const Utilization& u, std::size_t total_jobs,
-                             std::size_t total_groups);
+                             std::size_t total_groups) noexcept {
+    const double util = kCpuWeight * u.cpu + (1.0 - kCpuWeight) * u.net;
+    const double extra_jobs =
+        total_jobs > total_groups ? static_cast<double>(total_jobs - total_groups) : 0.0;
+    return util - kPerJobPenalty * extra_jobs;
+  }
 };
 
 // Eq. 4 and the score over a sequence of group terms, summed in the order

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 
 #include "common/logging.h"
 #include "harmony/scheduler.h"
@@ -74,6 +75,8 @@ struct SvcMetrics {
                         reg.counter("svc.telemetry_ticks"),
                         reg.histogram("svc.queue_delay_sec", 0.0, 3600.0, 72),
                         reg.histogram("svc.jct_sec", 0.0, 86400.0, 96),
+                        // Placed joins plus leaves, like the summary's
+                        // decision latency.
                         reg.histogram("svc.decision_latency_us", 0.0, 1000.0, 100),
                         reg.gauge("svc.queue_depth"),
                         reg.gauge("svc.running_jobs"),
@@ -83,9 +86,6 @@ struct SvcMetrics {
     return m;
   }
 };
-
-double mean_of(const SampleSet& s) { return s.empty() ? 0.0 : s.mean(); }
-double quantile_of(const SampleSet& s, double q) { return s.empty() ? 0.0 : s.quantile(q); }
 
 }  // namespace
 
@@ -252,7 +252,7 @@ bool Service::try_place(PendingJob& p) {
   const auto placed = placement_.join(p.job);
   if (!placed) return false;
   const double latency_us = 1e6 * wall_seconds_since(t0);
-  decision_latencies_us_.add(latency_us);
+  join_latencies_us_.add(latency_us);
   metrics.decision_latency_us.observe(latency_us);
 
   ++summary_.incremental_joins;
@@ -282,7 +282,9 @@ void Service::on_departure(core::JobId id, double arrival_time) {
   auto& metrics = SvcMetrics::instance();
   const auto t0 = WallClock::now();
   HARMONY_CHECK(placement_.leave(id)) << check::job(id) << "departure of an unplaced job";
-  decision_latencies_us_.add(1e6 * wall_seconds_since(t0));
+  const double latency_us = 1e6 * wall_seconds_since(t0);
+  leave_latencies_us_.add(latency_us);
+  metrics.decision_latency_us.observe(latency_us);
 
   ++summary_.incremental_leaves;
   metrics.leaves.add();
@@ -320,6 +322,7 @@ void Service::maybe_full_reschedule() {
 }
 
 void Service::full_reschedule() {
+  const auto t0 = WallClock::now();
   const auto pool = placement_.pool();
   if (pool.empty()) {
     // Nothing to repack (drift fired on free-pool growth after a full drain);
@@ -337,6 +340,7 @@ void Service::full_reschedule() {
   for (const core::SchedJob& j : pool)
     HARMONY_CHECK(placement_.contains(j.id))
         << check::job(j.id) << "full reschedule stranded a running job";
+  full_reschedule_latencies_us_.add(1e6 * wall_seconds_since(t0));
 
   ++summary_.full_reschedules;
   SvcMetrics::instance().full_reschedules.add();
@@ -448,12 +452,12 @@ ServiceSummary Service::run() {
   summary_.duration_sec = config_.duration_sec;
   summary_.running_at_end = running_;
   summary_.queued_at_end = queue_.size();
-  summary_.queue_delay_mean = mean_of(queue_delays_);
-  summary_.queue_delay_p50 = quantile_of(queue_delays_, 0.5);
-  summary_.queue_delay_p99 = quantile_of(queue_delays_, 0.99);
-  summary_.jct_mean = mean_of(jcts_);
-  summary_.jct_p50 = quantile_of(jcts_, 0.5);
-  summary_.jct_p99 = quantile_of(jcts_, 0.99);
+  summary_.queue_delay_mean = queue_delays_.mean();
+  summary_.queue_delay_p50 = queue_delays_.quantile(0.5);
+  summary_.queue_delay_p99 = queue_delays_.quantile(0.99);
+  summary_.jct_mean = jcts_.mean();
+  summary_.jct_p50 = jcts_.quantile(0.5);
+  summary_.jct_p99 = jcts_.quantile(0.99);
   summary_.final_score = placement_.current_score();
   summary_.final_drift = placement_.drift();
   summary_.live_groups_at_end = placement_.live_group_count();
@@ -462,8 +466,23 @@ ServiceSummary Service::run() {
       summary_.wall_seconds > 0.0
           ? static_cast<double>(summary_.scheduling_events) / summary_.wall_seconds
           : 0.0;
-  summary_.decision_latency_mean_us = mean_of(decision_latencies_us_);
-  summary_.decision_latency_p99_us = quantile_of(decision_latencies_us_, 0.99);
+  summary_.join_latency_mean_us = join_latencies_us_.mean();
+  summary_.join_latency_p99_us = join_latencies_us_.quantile(0.99);
+  summary_.leave_latency_mean_us = leave_latencies_us_.mean();
+  summary_.leave_latency_p99_us = leave_latencies_us_.quantile(0.99);
+  summary_.full_reschedule_mean_us = full_reschedule_latencies_us_.mean();
+  summary_.full_reschedule_p99_us = full_reschedule_latencies_us_.quantile(0.99);
+  // Joins and leaves together: one merged copy, selected in place, so the
+  // summary holds no more than one extra copy of the samples at a time.
+  std::vector<double> decisions = join_latencies_us_.samples();
+  const std::vector<double>& leaves = leave_latencies_us_.samples();
+  decisions.insert(decisions.end(), leaves.begin(), leaves.end());
+  if (!decisions.empty()) {
+    summary_.decision_latency_mean_us =
+        std::accumulate(decisions.begin(), decisions.end(), 0.0) /
+        static_cast<double>(decisions.size());
+  }
+  summary_.decision_latency_p99_us = select_quantile(decisions, 0.99);
   return summary_;
 }
 

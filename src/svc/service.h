@@ -121,8 +121,19 @@ struct ServiceSummary {
   // Wall-clock block (nondeterministic; excluded from report()).
   double wall_seconds = 0.0;
   double events_per_wall_sec = 0.0;
+  // Incremental decisions: placed joins plus leaves.
   double decision_latency_mean_us = 0.0;
   double decision_latency_p99_us = 0.0;
+  // The same split per decision class. A join is one placed job's
+  // IncrementalScheduler::join (declined joins are not timed), a leave one
+  // departure's leave, and a full reschedule the pool, core::repack and
+  // adopt of one escalation.
+  double join_latency_mean_us = 0.0;
+  double join_latency_p99_us = 0.0;
+  double leave_latency_mean_us = 0.0;
+  double leave_latency_p99_us = 0.0;
+  double full_reschedule_mean_us = 0.0;
+  double full_reschedule_p99_us = 0.0;
 
   // Deterministic multi-line rendering (bit-identical across repeats of the
   // same seeded config; pinned by test_svc golden tests and the CI smoke).
@@ -187,7 +198,10 @@ class Service {
 
   SampleSet queue_delays_;
   SampleSet jcts_;
-  SampleSet decision_latencies_us_;  // wall; excluded from the report
+  // Wall; excluded from the report.
+  SampleSet join_latencies_us_;
+  SampleSet leave_latencies_us_;
+  SampleSet full_reschedule_latencies_us_;
   ServiceSummary summary_;
 
   // Telemetry plumbing (null / empty when telemetry_interval_sec == 0).

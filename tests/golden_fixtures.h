@@ -1,8 +1,8 @@
 // Shared fixtures for the golden-determinism tests (test_scheduler_golden.cpp)
 // and the checked-in generator (tools/golden_gen.cpp).
 //
-// The golden values pin the *exact* behaviour of Algorithm 1 and the cluster
-// simulator for fixed seeds: any change to scheduling decisions or simulated
+// The golden values pin the *exact* behaviour of Algorithm 1, the cluster
+// simulator and the online service for fixed seeds: any change to scheduling decisions or simulated
 // metrics — including floating-point drift introduced by a performance
 // refactor — flips a hash or a recorded double and fails the test. Regenerate
 // deliberately with `golden-gen` only when a behaviour change is intended.
@@ -18,6 +18,7 @@
 #include "exp/cluster_sim.h"
 #include "exp/workload.h"
 #include "harmony/scheduler.h"
+#include "svc/service.h"
 
 namespace harmony::golden {
 
@@ -250,6 +251,91 @@ inline SimGolden run_sim_case(const SimCase& c) {
   for (const exp::JobOutcome& j : s.jobs) g.sum_finish_times += j.finish_time;
   g.avg_concurrent_jobs = sim.avg_concurrent_jobs();
   g.avg_concurrent_groups = sim.avg_concurrent_groups();
+  return g;
+}
+
+// --- Service end-to-end cases ----------------------------------------------
+
+// Online-service runs long enough for hundreds of drift-triggered full
+// reschedules (each an adopt() of a repack over ~150 running jobs) and
+// thousands of declined joins, so the goldens pin the incremental join/leave
+// path, adopt() and the summary's quantiles together.
+struct SvcCase {
+  const char* name;
+  svc::ServiceConfig config;
+};
+
+inline svc::ServiceConfig svc_case_config(svc::AdmissionPolicy admission,
+                                          std::uint64_t seed) {
+  svc::ServiceConfig c;
+  c.machines = 10000;
+  c.duration_sec = 1e6;
+  c.mean_interarrival_sec = 50.0;  // 0.02 jobs/s
+  c.admission = admission;
+  c.seed = seed;
+  return c;
+}
+
+inline std::vector<SvcCase> svc_cases() {
+  return {
+      {"svc_fifo_10000machines_seed1", svc_case_config(svc::AdmissionPolicy::kFifo, 1)},
+      {"svc_fifo_10000machines_seed7", svc_case_config(svc::AdmissionPolicy::kFifo, 7)},
+      {"svc_sjf_10000machines_seed7",
+       svc_case_config(svc::AdmissionPolicy::kShortestJct, 7)},
+  };
+}
+
+// ServiceSummary's deterministic block: every count, and the doubles the
+// report prints (compared bit for bit, not at the report's precision).
+struct SvcGolden {
+  std::uint64_t arrivals = 0;
+  std::uint64_t admitted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t running_at_end = 0;
+  std::uint64_t queued_at_end = 0;
+  std::uint64_t scheduling_events = 0;
+  std::uint64_t incremental_joins = 0;
+  std::uint64_t incremental_leaves = 0;
+  std::uint64_t groups_created = 0;
+  std::uint64_t full_reschedules = 0;
+  std::uint64_t live_groups_at_end = 0;
+  std::uint64_t free_machines_at_end = 0;
+  double jct_mean = 0.0;
+  double jct_p50 = 0.0;
+  double jct_p99 = 0.0;
+  double queue_delay_mean = 0.0;
+  double queue_delay_p50 = 0.0;
+  double queue_delay_p99 = 0.0;
+  double final_score = 0.0;
+  double final_drift = 0.0;
+};
+
+inline SvcGolden run_svc_case(const SvcCase& c) {
+  svc::Service service(c.config, exp::make_catalog());
+  const svc::ServiceSummary s = service.run();
+  SvcGolden g;
+  g.arrivals = s.arrivals;
+  g.admitted = s.admitted;
+  g.rejected = s.rejected;
+  g.completed = s.completed;
+  g.running_at_end = s.running_at_end;
+  g.queued_at_end = s.queued_at_end;
+  g.scheduling_events = s.scheduling_events;
+  g.incremental_joins = s.incremental_joins;
+  g.incremental_leaves = s.incremental_leaves;
+  g.groups_created = s.groups_created;
+  g.full_reschedules = s.full_reschedules;
+  g.live_groups_at_end = s.live_groups_at_end;
+  g.free_machines_at_end = s.free_machines_at_end;
+  g.jct_mean = s.jct_mean;
+  g.jct_p50 = s.jct_p50;
+  g.jct_p99 = s.jct_p99;
+  g.queue_delay_mean = s.queue_delay_mean;
+  g.queue_delay_p50 = s.queue_delay_p50;
+  g.queue_delay_p99 = s.queue_delay_p99;
+  g.final_score = s.final_score;
+  g.final_drift = s.final_drift;
   return g;
 }
 

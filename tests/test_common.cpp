@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -136,6 +140,54 @@ TEST_P(QuantileSweep, MatchesClosedFormOnLinearRamp) {
 
 INSTANTIATE_TEST_SUITE_P(Quantiles, QuantileSweep,
                          ::testing::Values(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0));
+
+// The quantile selects two order statistics instead of sorting; it must
+// return exactly what interpolating over a sorted copy returns.
+double sorted_reference_quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const auto hi = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+TEST(SampleSet, QuantileMatchesSortReference) {
+  Rng rng(29);
+  std::vector<std::pair<std::string, std::vector<double>>> sets;
+  for (const std::size_t n : {1u, 2u, 3u, 1000u, 200000u}) {
+    std::vector<double> v;
+    for (std::size_t i = 0; i < n; ++i) v.push_back(rng.exponential(7000.0));
+    sets.emplace_back("exponential n=" + std::to_string(n), std::move(v));
+  }
+  sets.emplace_back("all equal", std::vector<double>(1000, 3.25));
+  {
+    // Heavy ties: a few distinct values, most of them zero, as in the
+    // service's queue delays.
+    std::vector<double> v;
+    for (int i = 0; i < 5000; ++i)
+      v.push_back(rng.bernoulli(0.9) ? 0.0 : static_cast<double>(rng.uniform_int(1, 4)));
+    sets.emplace_back("heavy ties", std::move(v));
+  }
+  {
+    std::vector<double> v;
+    for (int i = 0; i < 4001; ++i) v.push_back(rng.normal(-50.0, 30.0));
+    sets.emplace_back("negative", std::move(v));
+  }
+
+  std::vector<double> qs = {0.0, 1e-9, 0.01, 0.5, 0.99, 1.0};
+  for (int i = 0; i < 50; ++i) qs.push_back(rng.uniform(0.0, 1.0));
+
+  for (const auto& [name, values] : sets) {
+    SampleSet s;
+    for (double x : values) s.add(x);
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    for (double q : qs) {
+      EXPECT_EQ(s.quantile(q), sorted_reference_quantile(sorted, q)) << name << " q=" << q;
+    }
+    EXPECT_EQ(s.samples(), values) << name << ": quantile must not reorder the samples";
+  }
+}
 
 TEST(SampleSet, CdfMonotone) {
   SampleSet s;

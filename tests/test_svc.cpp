@@ -6,6 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -232,6 +237,196 @@ TEST(IncrementalScheduler, EquivalenceWithFullRepackWithinSlack) {
   check::Validation v("equivalence");
   core::validate_incremental_vs_full(inc, 0.35, v);
   EXPECT_TRUE(v.ok()) << v.report().to_string();
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Slot-by-slot equality of two schedulers' observable state, every double
+// compared bit for bit.
+void expect_same_state(const core::IncrementalScheduler& a,
+                       const core::IncrementalScheduler& b,
+                       std::span<const core::SchedJob> ids, const std::string& where) {
+  ASSERT_EQ(a.groups().size(), b.groups().size()) << where;
+  for (std::size_t i = 0; i < a.groups().size(); ++i) {
+    const auto& ga = a.groups()[i];
+    const auto& gb = b.groups()[i];
+    ASSERT_EQ(ga.jobs.size(), gb.jobs.size()) << where << " slot " << i;
+    for (std::size_t k = 0; k < ga.jobs.size(); ++k) {
+      EXPECT_EQ(ga.jobs[k].id, gb.jobs[k].id) << where << " slot " << i;
+      EXPECT_EQ(bits(ga.jobs[k].profile.cpu_work), bits(gb.jobs[k].profile.cpu_work));
+      EXPECT_EQ(bits(ga.jobs[k].profile.t_net), bits(gb.jobs[k].profile.t_net));
+    }
+    EXPECT_EQ(ga.machines, gb.machines) << where << " slot " << i;
+    EXPECT_EQ(ga.live, gb.live) << where << " slot " << i;
+    EXPECT_EQ(bits(ga.sum_cpu_work), bits(gb.sum_cpu_work)) << where << " slot " << i;
+    EXPECT_EQ(bits(ga.sum_t_net), bits(gb.sum_t_net)) << where << " slot " << i;
+    EXPECT_EQ(bits(ga.max_t_itr), bits(gb.max_t_itr)) << where << " slot " << i;
+    EXPECT_EQ(bits(ga.cpu_contrib), bits(gb.cpu_contrib)) << where << " slot " << i;
+    EXPECT_EQ(bits(ga.net_contrib), bits(gb.net_contrib)) << where << " slot " << i;
+  }
+  EXPECT_EQ(a.free_machines(), b.free_machines()) << where;
+  EXPECT_EQ(a.running_jobs(), b.running_jobs()) << where;
+  EXPECT_EQ(a.live_group_count(), b.live_group_count()) << where;
+  EXPECT_EQ(bits(a.current_score()), bits(b.current_score())) << where;
+  EXPECT_EQ(bits(a.drift()), bits(b.drift())) << where;
+  for (const core::SchedJob& j : ids)
+    EXPECT_EQ(a.contains(j.id), b.contains(j.id)) << where << " job " << j.id;
+}
+
+// One seeded join or leave, drawn from the scheduler's own state so two
+// equal states draw the same operation.
+struct ChurnOutcome {
+  bool joined = false;
+  std::optional<core::IncrementalScheduler::JoinResult> join;
+  bool left = false;
+};
+
+ChurnOutcome churn_step(core::IncrementalScheduler& inc, Rng& rng, core::JobId& next,
+                        double join_probability) {
+  ChurnOutcome out;
+  if (rng.bernoulli(join_probability) || inc.running_jobs() == 0) {
+    out.joined = true;
+    out.join = inc.join(job(next++, rng.uniform(150.0, 450.0), rng.uniform(4.0, 12.0)));
+  } else {
+    const auto pool = inc.pool();
+    const auto pick = rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1);
+    out.left = inc.leave(pool[static_cast<std::size_t>(pick)].id);
+  }
+  return out;
+}
+
+TEST(IncrementalScheduler, AdoptIsHistoryFree) {
+  // adopt() reuses the previous grouping's slots, member storage and index
+  // entries; what it builds must still depend on the (decision, pool) alone. A scheduler with
+  // a history of joins, leaves and adopts is compared, at every adopt, with
+  // a freshly built one that adopts the same decision, and then both take the
+  // same 50 seeded joins and leaves. The whole sequence stays under the 4096
+  // mutations after which the scheduler re-sums its accumulators, a count a
+  // fresh scheduler restarts.
+  constexpr std::size_t kMachines = 1000;
+  core::IncrementalScheduler inc(kDriftThreshold, kMachines);
+  Rng rng(41);
+  core::JobId next = 0;
+  std::size_t shrinks = 0;
+  std::size_t grows = 0;
+  std::size_t drops = 0;
+  for (int round = 0; round < 24; ++round) {
+    // Join-heavy rounds grow the pool, every third round shrinks it.
+    const double join_probability = round % 3 == 2 ? 0.35 : 0.75;
+    for (int step = 0; step < 60; ++step) churn_step(inc, rng, next, join_probability);
+
+    const auto pool = inc.pool();
+    // A full repack places every job; Algorithm 1 proper may place a prefix
+    // and drop the rest.
+    const core::ScheduleDecision decision = round % 2 == 0
+                                                ? core::repack(pool, kMachines)
+                                                : core::schedule(pool, kMachines);
+    const std::size_t slots_before = inc.groups().size();
+    inc.adopt(decision, pool);
+    core::IncrementalScheduler fresh(kDriftThreshold, kMachines);
+    fresh.adopt(decision, pool);
+    const std::string where = "round " + std::to_string(round);
+    expect_same_state(inc, fresh, pool, where);
+    if (inc.groups().size() < slots_before) ++shrinks;
+    if (inc.groups().size() > slots_before) ++grows;
+    if (inc.running_jobs() < pool.size()) ++drops;
+    for (const core::SchedJob& j : pool) {
+      const bool planned = std::any_of(
+          decision.groups.begin(), decision.groups.end(), [&](const core::GroupPlan& g) {
+            return std::find(g.jobs.begin(), g.jobs.end(), j.id) != g.jobs.end();
+          });
+      EXPECT_EQ(inc.contains(j.id), planned) << where << " job " << j.id;
+    }
+
+    core::IncrementalScheduler reused = inc;
+    Rng rng_reused(1000 + static_cast<std::uint64_t>(round));
+    Rng rng_fresh(1000 + static_cast<std::uint64_t>(round));
+    core::JobId next_reused = next;
+    core::JobId next_fresh = next;
+    for (int step = 0; step < 50; ++step) {
+      const ChurnOutcome a = churn_step(reused, rng_reused, next_reused, 0.5);
+      const ChurnOutcome b = churn_step(fresh, rng_fresh, next_fresh, 0.5);
+      ASSERT_EQ(a.joined, b.joined) << where << " step " << step;
+      EXPECT_EQ(a.left, b.left) << where << " step " << step;
+      ASSERT_EQ(a.join.has_value(), b.join.has_value()) << where << " step " << step;
+      if (a.join) {
+        EXPECT_EQ(a.join->group, b.join->group) << where << " step " << step;
+        EXPECT_EQ(a.join->created_group, b.join->created_group) << where << " step " << step;
+        EXPECT_EQ(bits(a.join->group_t_itr), bits(b.join->group_t_itr))
+            << where << " step " << step;
+      }
+    }
+    expect_same_state(reused, fresh, reused.pool(), where + " after 50 steps");
+  }
+  EXPECT_GT(shrinks, 0u);
+  EXPECT_GT(grows, 0u);
+  EXPECT_GT(drops, 0u);
+}
+
+// A new group opens at the job's balance point, cpu_work / t_net rounded
+// half away from zero as std::llround rounds it, then clamped to [1, free
+// machines]. t_net = 1 makes the ratio exactly cpu_work, so the exact halves,
+// the doubles next to them, the range where every double is an integer and
+// a ratio past 2^62 (which takes the library call) are all reachable.
+TEST(IncrementalScheduler, BalancePointRoundsLikeLlround) {
+  constexpr std::size_t kMachines = std::size_t{1} << 62;
+  std::vector<double> ratios = {0.25,
+                                0.5,
+                                std::nextafter(0.5, 0.0),
+                                1.5,
+                                2.5,
+                                std::nextafter(2.5, 0.0),
+                                std::nextafter(2.5, 3.0),
+                                12.0,
+                                0x1p52 - 0.5,
+                                0x1p52,
+                                0x1p52 + 1.0,
+                                0x1p53 + 2.0,
+                                0x1p61 + 0x1p10,
+                                0x1p62 + 0x1p40};
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) ratios.push_back(rng.uniform(0.0, 5000.0));
+  for (int i = 0; i < 200; ++i)
+    ratios.push_back(static_cast<double>(rng.uniform_int(0, 1 << 20)) + 0.5);
+  for (const double ratio : ratios) {
+    core::IncrementalScheduler inc(kDriftThreshold, kMachines);
+    const auto placed = inc.join(job(0, ratio, 1.0));
+    ASSERT_TRUE(placed.has_value()) << ratio;
+    ASSERT_TRUE(placed->created_group) << ratio;
+    const auto want = std::clamp<std::size_t>(
+        static_cast<std::size_t>(std::llround(ratio)), 1, kMachines);
+    EXPECT_EQ(inc.groups()[placed->group].machines, want) << std::hexfloat << ratio;
+  }
+}
+
+TEST(IncrementalScheduler, AdoptRejectsMissingJobsAndUnorderedPools) {
+  const std::vector<core::SchedJob> pool = {job(1, 200.0, 8.0), job(3, 260.0, 9.0),
+                                            job(5, 300.0, 10.0)};
+  const core::ScheduleDecision decision = core::repack(pool, 40);
+  {
+    core::IncrementalScheduler inc(kDriftThreshold, 40);
+    EXPECT_NO_THROW(inc.adopt(decision, pool));
+    EXPECT_EQ(inc.running_jobs(), 3u);
+  }
+  // Planned ids absent from the pool: one inside its id range, one past it.
+  for (const std::size_t missing : {1u, 2u}) {
+    std::vector<core::SchedJob> partial = pool;
+    partial.erase(partial.begin() + static_cast<std::ptrdiff_t>(missing));
+    core::IncrementalScheduler inc(kDriftThreshold, 40);
+    EXPECT_THROW(inc.adopt(decision, partial), check::CheckError) << "missing job "
+                                                                  << pool[missing].id;
+  }
+  // The pool out of id order, and with a duplicated id.
+  {
+    const std::vector<core::SchedJob> unordered = {pool[1], pool[0], pool[2]};
+    core::IncrementalScheduler inc(kDriftThreshold, 40);
+    EXPECT_THROW(inc.adopt(decision, unordered), check::CheckError);
+  }
+  {
+    const std::vector<core::SchedJob> duplicated = {pool[0], pool[1], pool[1], pool[2]};
+    core::IncrementalScheduler inc(kDriftThreshold, 40);
+    EXPECT_THROW(inc.adopt(decision, duplicated), check::CheckError);
+  }
 }
 
 TEST(IncrementalScheduler, CorruptionInjectionIsDetected) {

@@ -304,9 +304,13 @@ int main(int argc, char** argv) {
     // stdout surface (CI smokes diff two same-seed runs byte-for-byte).
     std::fprintf(stderr,
                  "wall %.3f s | %.0f scheduling events/s | decision latency "
-                 "mean %.1f us p99 %.1f us\n",
+                 "mean %.1f us p99 %.1f us | join mean %.1f us p99 %.1f us | leave "
+                 "mean %.1f us p99 %.1f us | full reschedule mean %.1f us p99 %.1f us\n",
                  summary.wall_seconds, summary.events_per_wall_sec,
-                 summary.decision_latency_mean_us, summary.decision_latency_p99_us);
+                 summary.decision_latency_mean_us, summary.decision_latency_p99_us,
+                 summary.join_latency_mean_us, summary.join_latency_p99_us,
+                 summary.leave_latency_mean_us, summary.leave_latency_p99_us,
+                 summary.full_reschedule_mean_us, summary.full_reschedule_p99_us);
     if (svc_config.validate_every_events != 0)
       std::fprintf(stderr, "validation: %zu passes, all invariants clean\n",
                    summary.validations_run);
