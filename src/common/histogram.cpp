@@ -66,12 +66,12 @@ std::string SampleSet::cdf_table(std::size_t points) const {
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
+    : lo_(lo), hi_(hi), top_(std::nextafter(hi, lo)), counts_(bins, 0) {
   assert(hi > lo && bins > 0);
 }
 
 void Histogram::add(double x) {
-  const double clamped = std::clamp(x, lo_, std::nextafter(hi_, lo_));
+  const double clamped = std::clamp(x, lo_, top_);
   const auto idx = static_cast<std::size_t>((clamped - lo_) / (hi_ - lo_) *
                                             static_cast<double>(counts_.size()));
   counts_[std::min(idx, counts_.size() - 1)]++;

@@ -59,6 +59,7 @@ class Histogram {
  private:
   double lo_;
   double hi_;
+  double top_;  // largest sample kept in range: the double just below hi_
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
 };

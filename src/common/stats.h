@@ -72,6 +72,34 @@ class WindowedAverage {
   double sum_ = 0.0;
 };
 
+// Count, sum, min and max of a stream, without keeping its samples. mean()
+// divides a left fold from 0.0 in insertion order by the count, so it is bit
+// for bit SampleSet::mean() over the same samples; min() and max() keep the
+// first extreme seen, as std::min_element / std::max_element do.
+class RunningStats {
+ public:
+  void add(double x) noexcept {
+    if (count_ == 0 || x < min_) min_ = x;
+    if (count_ == 0 || max_ < x) max_ = x;
+    sum_ += x;
+    ++count_;
+  }
+
+  std::size_t size() const noexcept { return count_; }
+  bool empty() const noexcept { return count_ == 0; }
+  double mean() const noexcept {
+    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+  }
+  double min() const noexcept { return min_; }  // 0 when empty, like SampleSet
+  double max() const noexcept { return max_; }
+
+ private:
+  std::size_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+};
+
 // Relative error |a-b| / max(|b|, eps); the paper's 5 % similarity and benefit
 // thresholds are expressed with this. Inline: the regrouper's pair scan calls
 // it once per idle-job pair.

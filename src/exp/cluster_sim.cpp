@@ -125,6 +125,7 @@ void ClusterSim::set_alpha(core::JobId id, double alpha) {
   if (job_alpha_[id] == alpha) return;
   job_alpha_[id] = alpha;
   job_resident_valid_[id] = 0;
+  if (GroupRun* g = jobs_[id].group) g->occ.valid = false;
 }
 
 void ClusterSim::set_model_spilled(core::JobId id, bool spilled) {
@@ -132,13 +133,20 @@ void ClusterSim::set_model_spilled(core::JobId id, bool spilled) {
   if (job_model_spilled_[id] == v) return;
   job_model_spilled_[id] = v;
   job_resident_valid_[id] = 0;
+  if (GroupRun* g = jobs_[id].group) g->occ.valid = false;
 }
 
-double ClusterSim::group_occupancy(const GroupRun& group) const {
+void ClusterSim::refresh_occupancy(GroupRun& group) {
+  if (group.occ.valid) return;
   double resident = 0.0;
-  for (core::JobId id : group.members)
+  std::size_t spilling = 0;
+  for (core::JobId id : group.members) {
     resident += job_resident_bytes(jobs_[id], group.machines);
-  return resident / kMachineSpec.memory_bytes;
+    if (job_alpha_[id] > 0.0) ++spilling;
+  }
+  group.occ.occupancy = resident / kMachineSpec.memory_bytes;
+  group.occ.spilling = spilling;
+  group.occ.valid = true;
 }
 
 bool ClusterSim::fits_without_spill(const GroupRun& group, const SimJob& job) const {
@@ -212,7 +220,8 @@ double ClusterSim::comm_half_duration(SimJob& job) {
 double ClusterSim::comp_duration(SimJob& job) {
   GroupRun& g = *job.group;
   const double base = job.spec.cpu_work / static_cast<double>(g.machines);
-  const double occ = group_occupancy(g);
+  refresh_occupancy(g);
+  const double occ = g.occ.occupancy;
 
   double gc = cluster::gc_slowdown(occ);
   if (cluster::oom(occ)) {
@@ -309,9 +318,8 @@ void ClusterSim::begin_push(SimJob& job, double pull_duration, double comp_dur) 
                           job.spec.id, static_cast<std::uint32_t>(g.id));
   // Background reload for the next iteration starts now; co-located spilling
   // jobs share the disk.
-  std::size_t spilling = 0;
-  for (core::JobId id : g.members)
-    if (job_alpha_[id] > 0.0) ++spilling;
+  refresh_occupancy(g);
+  const std::size_t spilling = g.occ.spilling;
   const core::SpillCosts costs = core::spill_costs(
       job.spec.input_bytes(), job.spec.model_bytes(), job_alpha_[job.spec.id],
       g.machines, kMachineSpec);
@@ -377,6 +385,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
     summary_.jobs.push_back(JobOutcome{job.spec.id, arrivals_[job.spec.id], job.finish_time});
     auto it = std::find(g.members.begin(), g.members.end(), job.spec.id);
     if (it != g.members.end()) g.members.erase(it);
+    g.occ.valid = false;
     job.last_group = &g;
     job.group = nullptr;
     reindex_job(job);
@@ -444,6 +453,7 @@ void ClusterSim::place_job_in_group(SimJob& job, GroupRun& group, bool with_migr
   job.group = &group;
   job.iters_in_group = 0;
   group.members.push_back(job.spec.id);
+  group.occ.valid = false;
   if (job.state != core::JobState::kProfiling) job.state = core::JobState::kRunning;
   reindex_job(job);
   refresh_alpha(job);
@@ -492,6 +502,7 @@ void ClusterSim::park_job(SimJob& job, core::JobState state) {
                                 << ", iters=" << job.iterations_done << ")";
   auto it = std::find(g->members.begin(), g->members.end(), job.spec.id);
   if (it != g->members.end()) g->members.erase(it);
+  g->occ.valid = false;
   job.group = nullptr;
   job.state = state;
   set_alpha(job.spec.id, 0.0);
@@ -535,6 +546,7 @@ void ClusterSim::dissolve_group(GroupRun& group) {
                          static_cast<std::uint32_t>(group.id));
   free_machines_ += group.machines;
   group.machines = 0;
+  group.occ.valid = false;
   // The GroupRun object stays alive (resources may still fire no-op events);
   // it simply no longer participates in views or utilization accounting.
   try_apply_pending();
@@ -553,7 +565,7 @@ void ClusterSim::dissolve_group(GroupRun& group) {
 // them in, so reading them needs no sort; the idle list holds the scheduler's
 // view of each job, so reading it needs no gather either.
 
-void ClusterSim::update_submit_index(std::vector<core::JobId>& index, core::JobId id,
+void ClusterSim::update_submit_index(std::deque<core::JobId>& index, core::JobId id,
                                      bool member) {
   const auto it = std::lower_bound(
       index.begin(), index.end(), id,
@@ -905,6 +917,7 @@ void ClusterSim::expand_groups_with_free_machines() {
     if (best == groups.size()) break;
     --free_machines_;
     ++groups[best]->machines;
+    groups[best]->occ.valid = false;
     gains[best] = gain_of(groups[best]);
   }
 }
@@ -1258,7 +1271,7 @@ void ClusterSim::record_group_prediction(GroupRun& group) {
   group.predict_start = sim_.now();
   group.cpu_busy_at_predict = group.cpu_busy();
   group.net_busy_at_predict = group.net_busy();
-  group.actual_iteration_times = SampleSet{};
+  group.actual_iteration_times = RunningStats{};
 }
 
 void ClusterSim::settle_group_prediction(GroupRun& group) {
@@ -1341,9 +1354,6 @@ void ClusterSim::sample_utilization() {
   jobs_running.set(static_cast<double>(running_jobs));
   groups_live.set(static_cast<double>(running_groups));
   free_machines.set(static_cast<double>(free_machines_));
-
-  // Keep sampling while anything is active or still to come.
-  if (unfinished_count_ > 0) sim_.schedule_in(window, [this] { sample_utilization(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -1354,7 +1364,12 @@ RunSummary ClusterSim::run() {
     SimJob* j = &jobs_[i];
     sim_.schedule_at(arrivals_[i], [this, j] { on_job_arrival(*j); });
   }
-  sim_.schedule_in(kUtilSampleWindowSec, [this] { sample_utilization(); });
+  // The sampler fires once per window from the simulator's recurring slot,
+  // off the heap, while anything is active or still to come.
+  sim_.schedule_recurring(sim_.now() + kUtilSampleWindowSec, kUtilSampleWindowSec, [this] {
+    sample_utilization();
+    return unfinished_count_ > 0;
+  });
   sim_.run(200'000'000ULL);
 
   for (GroupRun& g : groups_)

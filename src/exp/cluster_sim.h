@@ -27,6 +27,7 @@
 #include "cluster/machine.h"
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "exp/metrics.h"
 #include "exp/workload.h"
 #include "harmony/profiler.h"
@@ -162,6 +163,7 @@ class ClusterSim {
     kSkewedSpillAlpha,      // a job's disk ratio pushed outside [0, 1]
     kBrokenMembership,      // group drops a member that still points at it
     kStaleIdleProfile,      // an idle-view entry misses a profile refresh
+    kStaleOccupancyMemo,    // a group's occupancy memo misses an invalidation
   };
   void corrupt_for_test(Corruption kind);
 
@@ -183,7 +185,10 @@ class ClusterSim {
   double comm_half_duration(SimJob& job);
 
   // --- memory / spill -----------------------------------------------------
-  double group_occupancy(const GroupRun& group) const;
+  // Brings the group's occupancy memo (GroupRun::occ) up to date: if a
+  // change since the last fold marked it stale, refolds job_resident_bytes
+  // and the α > 0 count over the members, in member order.
+  void refresh_occupancy(GroupRun& group);
   // Memoized: the footprint depends only on (spec, alpha, model_spilled,
   // machines), so the result is cached per job and invalidated whenever the
   // spill state changes (set_alpha / set_model_spilled). The machine count is
@@ -247,7 +252,7 @@ class ClusterSim {
   // Inserts `id` into (member) or erases it from (!member) an index kept in
   // submit order. The order is total, so the lower_bound position is the
   // unique insert/erase point.
-  void update_submit_index(std::vector<core::JobId>& index, core::JobId id, bool member);
+  void update_submit_index(std::deque<core::JobId>& index, core::JobId id, bool member);
   // The idle view's entry for `id` (or its insert point), by the same
   // lower_bound in the pinned order.
   std::vector<core::SchedJob>::iterator idle_position(core::JobId id);
@@ -315,14 +320,15 @@ class ClusterSim {
   std::size_t free_machines_ = 0;
 
   // Hot per-job scalars as struct-of-arrays, dense by JobId. The occupancy
-  // walk (group_occupancy -> job_resident_bytes) runs on every COMP subtask,
-  // so these stay packed instead of striding through SimJob records. Submit
-  // times are arrivals_ (already dense by id, immutable after construction).
+  // fold (refresh_occupancy -> job_resident_bytes) reads them for every
+  // member, so these stay packed instead of striding through SimJob records.
+  // Submit times are arrivals_ (already dense by id, immutable after
+  // construction).
   std::vector<double> job_alpha_;                 // spill ratio, [0, 1]
   std::vector<std::uint8_t> job_model_spilled_;   // bool; model data on disk
   // Resident-bytes memo: valid when job_resident_valid_[id] != 0 AND the
   // queried machine count equals job_resident_machines_[id]. Mutable because
-  // group_occupancy is logically const.
+  // job_resident_bytes is logically const.
   mutable std::vector<double> job_resident_cache_;
   mutable std::vector<std::uint32_t> job_resident_machines_;
   mutable std::vector<std::uint8_t> job_resident_valid_;
@@ -330,8 +336,10 @@ class ClusterSim {
   // Job-state indexes, maintained by reindex_job(). Both are kept in the
   // pinned (submit_time, id) scheduling order by ordered insert/erase, so no
   // scheduling pass sorts them.
-  // Arrived && kWaiting.
-  std::vector<core::JobId> waiting_by_submit_;
+  // Arrived && kWaiting. A deque: admission erases the oldest job, the
+  // front, and arrivals insert at or near the back, so neither shifts the
+  // rest of a backlog that can run to tens of thousands of jobs.
+  std::deque<core::JobId> waiting_by_submit_;
   // kProfiled || kPaused: the idle pool every Algorithm 1 / regroup call
   // sees, held as each job's sched_view. An entry is written on insert and
   // refreshed whenever the profiler records a sample for the job (a profiled
@@ -358,7 +366,8 @@ class ClusterSim {
   double concurrent_jobs_sum_ = 0.0;
   double concurrent_groups_sum_ = 0.0;
   std::size_t concurrency_windows_ = 0;
-  SampleSet alpha_samples_;
+  // Every α the hill climb sets; alpha_stats() reads its mean, min and max.
+  RunningStats alpha_samples_;
   SampleSet iteration_walls_;
   RunSummary summary_;
   double sched_wall_seconds_ = 0.0;

@@ -92,6 +92,19 @@ struct ClusterSim::GroupRun {
   bool dissolved = false;
   bool oom_recorded = false;
 
+  // Memory state the pipeline reads on every COMP (occupancy) and PUSH
+  // (spilling members share the disk), memoized by
+  // ClusterSim::refresh_occupancy's member-order fold. It goes stale --
+  // valid = false -- when a member joins or leaves, the machine count
+  // changes, or a member's α or model-spill flag changes, and is refolded on
+  // the next read.
+  struct Occupancy {
+    double occupancy = 0.0;    // resident bytes / machine memory
+    std::size_t spilling = 0;  // members with α > 0
+    bool valid = false;
+  };
+  Occupancy occ;
+
   std::unique_ptr<sim::FifoResource> cpu_fifo;
   std::unique_ptr<sim::FifoResource> net_fifo;
   std::unique_ptr<sim::SharedResource> cpu_shared;
@@ -114,7 +127,7 @@ struct ClusterSim::GroupRun {
   double predict_start = 0.0;
   double cpu_busy_at_predict = 0.0;
   double net_busy_at_predict = 0.0;
-  SampleSet actual_iteration_times;
+  RunningStats actual_iteration_times;
 
   double cpu_busy() const {
     return cpu_fifo ? cpu_fifo->busy_time() : cpu_shared->work_completed();

@@ -155,6 +155,31 @@ check::ValidationReport ClusterSim::validate_state() const {
         << want << " (stale memo: missed invalidation)";
   }
 
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+
+  // -- group occupancy memo vs a fresh member-order fold --------------------
+  // Same fold, same order, so a valid memo matches bit for bit; a mismatch
+  // means a membership, machine-count or spill-state change skipped the
+  // group's invalidation.
+  for (const GroupRun& g : groups_) {
+    if (!g.occ.valid) continue;
+    double resident = 0.0;
+    std::size_t spilling = 0;
+    for (core::JobId id : g.members) {
+      if (id >= jobs_.size()) continue;  // reported by the membership checks
+      resident += job_resident_bytes_uncached(jobs_[id], g.machines);
+      if (job_alpha_[id] > 0.0) ++spilling;
+    }
+    const double occupancy = resident / kMachineSpec.memory_bytes;
+    HARMONY_VALIDATE(v, same_bits(g.occ.occupancy, occupancy) && g.occ.spilling == spilling)
+        << check::group(g.id) << "occupancy memo holds " << g.occ.occupancy << " with "
+        << g.occ.spilling << " spilling members but a fresh fold over its "
+        << g.members.size() << " members gives " << occupancy << " with " << spilling
+        << " (stale occupancy memo: missed invalidation)";
+  }
+
   // -- job-state indexes vs a from-scratch rebuild --------------------------
   std::vector<core::JobId> want_waiting;
   std::vector<core::JobId> want_idle;
@@ -180,7 +205,8 @@ check::ValidationReport ClusterSim::validate_state() const {
   };
   std::sort(want_waiting.begin(), want_waiting.end(), by_submit);
   std::sort(want_idle.begin(), want_idle.end(), by_submit);
-  HARMONY_VALIDATE(v, waiting_by_submit_ == want_waiting)
+  HARMONY_VALIDATE(v, std::equal(waiting_by_submit_.begin(), waiting_by_submit_.end(),
+                                 want_waiting.begin(), want_waiting.end()))
       << "waiting index (" << waiting_by_submit_.size()
       << " ids) diverges from a from-scratch rebuild sorted by (submit, id) ("
       << want_waiting.size() << " ids): bad index entry or broken tie-break order";
@@ -193,9 +219,6 @@ check::ValidationReport ClusterSim::validate_state() const {
       << want_idle.size() << " ids): bad index entry or broken tie-break order";
   // Each idle entry is the scheduler's view of its job, bit for bit: a missed
   // refresh would otherwise only show as decisions that silently drift.
-  const auto same_bits = [](double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-  };
   for (const core::SchedJob& e : idle_by_submit_) {
     if (e.id >= jobs_.size()) continue;  // reported by the id check above
     const core::JobProfile want = sched_view(jobs_[e.id]).profile;
@@ -320,6 +343,17 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
       if (idle_by_submit_.empty()) break;
       idle_by_submit_.front().profile.cpu_work *= 1.5;
       return;
+    }
+    case Corruption::kStaleOccupancyMemo: {
+      // A group's memo keeps a value no fold over its members gives, as if
+      // a member had left without invalidating it.
+      for (GroupRun& g : groups_)
+        if (!g.dissolved && !g.members.empty()) {
+          refresh_occupancy(g);
+          g.occ.occupancy += 0.25;
+          return;
+        }
+      break;
     }
     case Corruption::kBrokenMembership: {
       // Group forgets a member that still points at it.

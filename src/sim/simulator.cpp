@@ -48,9 +48,29 @@ void Simulator::cancel(EventId id) {
   if (arena_.cancel(slot, gen)) maybe_compact();
 }
 
+void Simulator::fire_recurring() {
+  const double t = recurring_.time;
+  HARMONY_DCHECK(t >= now_) << "recurring event " << recurring_.seq << " fires at " << t
+                            << " but clock is at " << now_;
+  now_ = t;
+  ++fired_;
+  // Disarmed while it runs, as a firing heap event has left the arena.
+  recurring_armed_ = false;
+  if (recurring_fn_()) {
+    recurring_ = EventNode{t + recurring_period_, next_seq_++, 0, 0};
+    recurring_armed_ = true;
+  } else {
+    recurring_fn_.reset();
+  }
+}
+
 bool Simulator::step() {
   EventNode node;
-  while (pop_node(node)) {
+  while (!heap_.empty()) {
+    // A heap minimum after the slot -- live or a cancelled orphan -- means
+    // every live node is after it too.
+    if (recurring_armed_ && node_before(recurring_, heap_.front())) break;
+    pop_node(node);
     if (!arena_.begin_fire(node.slot, node.gen)) continue;  // cancelled orphan
     // Pops must be time-monotonic or causality breaks silently downstream.
     HARMONY_DCHECK(node.time >= now_)
@@ -61,7 +81,9 @@ bool Simulator::step() {
     arena_.fire_and_release(node.slot);
     return true;
   }
-  return false;
+  if (!recurring_armed_) return false;
+  fire_recurring();
+  return true;
 }
 
 void Simulator::run(std::uint64_t max_events) {
@@ -93,6 +115,11 @@ void Simulator::validate(check::Validation& v) const {
     HARMONY_VALIDATE(v, min_live->time >= now_)
         << "clock " << now_ << " ran past pending event " << min_live->seq << " at "
         << min_live->time << " (event-queue pops would be non-monotonic)";
+  }
+  if (recurring_armed_) {
+    HARMONY_VALIDATE(v, recurring_.time >= now_)
+        << "clock " << now_ << " ran past the recurring event " << recurring_.seq << " at "
+        << recurring_.time << " (event-queue pops would be non-monotonic)";
   }
   for (std::size_t i = 1; i < heap_.size(); ++i) {
     const EventNode& parent = heap_[(i - 1) / 2];

@@ -13,6 +13,13 @@
 // randomized order test in test_sim.cpp pin it. Cancellation never touches
 // the heap: a node whose generation no longer matches its arena slot is an
 // orphan, dropped when popped or swept out when orphans pile up.
+//
+// Beside the heap sits one recurring slot: a periodic callback (a run's
+// utilization sampler, a service's telemetry tick) that would otherwise pay
+// a heap push, a heap pop and an arena slot on every firing. It holds one
+// node, fires in the same (time, seq) order as a heap node, and re-arms
+// itself with the sequence number a self-rescheduling event would draw, so
+// it is a faster way to hold that one event, not a second queue.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +30,7 @@
 
 #include "check/check.h"
 #include "sim/event_arena.h"
+#include "sim/small_fn.h"
 
 namespace harmony::sim {
 
@@ -68,6 +76,23 @@ class Simulator {
     return schedule_at(now_ + dt, std::forward<F>(cb));
   }
 
+  // Arms the recurring slot: `cb` (a bool() callable) fires at absolute time
+  // `t` with a sequence number drawn now. While it returns true it re-arms
+  // at its firing time + `period`, with a sequence number drawn as it
+  // returns -- where an event that reschedules itself as its last statement
+  // would land, fired_ and pending() included. Returning false disarms it
+  // for good. There is one slot: arming it again while in use throws.
+  template <typename F>
+  void schedule_recurring(double t, double period, F&& cb) {
+    if (t < now_) throw std::invalid_argument("Simulator: scheduling into the past");
+    if (!(period > 0.0)) throw std::invalid_argument("Simulator: recurring period must be > 0");
+    if (recurring_fn_) throw std::logic_error("Simulator: the recurring slot is in use");
+    recurring_fn_ = RecurringFn(std::forward<F>(cb));
+    recurring_ = EventNode{t, next_seq_++, 0, 0};
+    recurring_period_ = period;
+    recurring_armed_ = true;
+  }
+
   // Cancels a pending event; cancelling an already-fired or unknown id is a
   // harmless no-op (resources rely on this when they reschedule completions).
   // The queue node becomes an orphan and is dropped when popped; when orphans
@@ -82,19 +107,23 @@ class Simulator {
   // would otherwise spin forever).
   void run(std::uint64_t max_events = UINT64_MAX);
 
-  bool empty() const noexcept { return arena_.live() == 0; }
+  bool empty() const noexcept { return pending() == 0; }
+  // Heap events and recurring-slot firings alike.
   std::uint64_t events_fired() const noexcept { return fired_; }
-  // Live (non-cancelled) pending events; observability samples this as the
-  // event-queue depth.
-  std::size_t pending() const noexcept { return arena_.live(); }
+  // Live (non-cancelled) pending events, an armed recurring slot included;
+  // observability samples this as the event-queue depth. Inside a callback
+  // the firing event itself is no longer pending.
+  std::size_t pending() const noexcept {
+    return arena_.live() + (recurring_armed_ ? 1 : 0);
+  }
   // Queue nodes including cancelled orphans awaiting a pop or a compaction;
   // bounded at 2 * pending() + a constant (see cancel()).
   std::size_t queue_nodes() const noexcept { return heap_.size(); }
 
   // Deep validator: cross-checks the incrementally maintained queue state
   // against a brute-force scan — every live event has exactly one queue node,
-  // the queue minimum over live events is >= the clock (pops are therefore
-  // time-monotonic), and the heap property holds.
+  // the queue minimum over live events and an armed recurring slot are >= the
+  // clock (pops are therefore time-monotonic), and the heap property holds.
   void validate(check::Validation& v) const;
 
   // Test-only corruption hook: forces the clock to `t` without draining the
@@ -109,9 +138,18 @@ class Simulator {
   void push_node(const EventNode& n);
   bool pop_node(EventNode& out);
   void maybe_compact();
+  void fire_recurring();
 
   std::vector<EventNode> heap_;  // min-heap by node_before
   EventArena arena_;
+
+  // The recurring slot: its next (time, seq) while armed (slot/gen unused),
+  // its period and its callback (set from arming until it returns false).
+  using RecurringFn = SmallFn<48, bool>;
+  EventNode recurring_;
+  double recurring_period_ = 0.0;
+  RecurringFn recurring_fn_;
+  bool recurring_armed_ = false;
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 1;

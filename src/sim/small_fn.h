@@ -11,18 +11,18 @@
 
 namespace harmony::sim {
 
-// A void() callable with `Capacity` bytes of inline storage. A callable
-// larger than Capacity is a compile error (grow the capacity at the call
-// site) — silently heap-boxing would defeat the allocation-free contract the
-// event arena relies on.
-template <std::size_t Capacity = 48>
+// An R() callable (void() by default) with `Capacity` bytes of inline
+// storage. A callable larger than Capacity is a compile error (grow the
+// capacity at the call site) — silently heap-boxing would defeat the
+// allocation-free contract the event arena relies on.
+template <std::size_t Capacity = 48, typename R = void>
 class SmallFn {
  public:
   SmallFn() noexcept = default;
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, SmallFn> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
+                                        std::is_invocable_r_v<R, std::decay_t<F>&>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
     using Fn = std::decay_t<F>;
     static_assert(sizeof(Fn) <= Capacity, "callable exceeds SmallFn capacity");
@@ -31,7 +31,7 @@ class SmallFn {
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "SmallFn requires nothrow-movable callables");
     ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));  // lint: allow-naked-new placement into inline storage
-    invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
+    invoke_ = [](void* p) -> R { return (*static_cast<Fn*>(p))(); };
     manage_ = [](void* dst, void* src) {
       if (dst != nullptr)
         ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));  // lint: allow-naked-new placement relocate
@@ -53,7 +53,7 @@ class SmallFn {
 
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
-  void operator()() { invoke_(buf_); }
+  R operator()() { return invoke_(buf_); }
 
   void reset() noexcept {
     if (invoke_ != nullptr) {
@@ -76,7 +76,7 @@ class SmallFn {
   }
 
   alignas(std::max_align_t) unsigned char buf_[Capacity];
-  void (*invoke_)(void*) = nullptr;
+  R (*invoke_)(void*) = nullptr;
   // manage_(dst, src): move-construct src's payload into dst (when dst is
   // non-null), then destroy src's payload. One pointer covers both relocate
   // and destroy so the inline footprint stays two words past the buffer.

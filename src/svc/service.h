@@ -209,7 +209,6 @@ class Service {
   std::vector<obs::SloMonitor> slo_monitors_;
   std::unique_ptr<std::ofstream> telemetry_file_;
   std::string telemetry_jsonl_;
-  double next_tick_sec_ = 0.0;
   double last_sample_sec_ = 0.0;
 };
 

@@ -234,6 +234,15 @@ struct SimGolden {
   double sum_finish_times = 0.0;  // order-independent digest of every JCT
   double avg_concurrent_jobs = 0.0;
   double avg_concurrent_groups = 0.0;
+  std::uint64_t events_fired = 0;  // DES events, heap and recurring slot alike
+  double alpha_mean = 0.0;
+  double alpha_min = 0.0;
+  double alpha_max = 0.0;
+  std::uint64_t alpha_jobs_at_one = 0;
+  std::uint64_t iteration_errors = 0;  // prediction_errors().group_iteration_rel_error
+  double iteration_error_mean = 0.0;
+  std::uint64_t utilization_errors = 0;  // prediction_errors().utilization_rel_error
+  double utilization_error_mean = 0.0;
 };
 
 inline SimGolden run_sim_case(const SimCase& c) {
@@ -251,6 +260,17 @@ inline SimGolden run_sim_case(const SimCase& c) {
   for (const exp::JobOutcome& j : s.jobs) g.sum_finish_times += j.finish_time;
   g.avg_concurrent_jobs = sim.avg_concurrent_jobs();
   g.avg_concurrent_groups = sim.avg_concurrent_groups();
+  g.events_fired = sim.events_fired();
+  const exp::AlphaStats alpha = sim.alpha_stats();
+  g.alpha_mean = alpha.mean;
+  g.alpha_min = alpha.min;
+  g.alpha_max = alpha.max;
+  g.alpha_jobs_at_one = alpha.jobs_at_one;
+  const exp::PredictionErrors& errors = sim.prediction_errors();
+  g.iteration_errors = errors.group_iteration_rel_error.size();
+  g.iteration_error_mean = errors.group_iteration_rel_error.mean();
+  g.utilization_errors = errors.utilization_rel_error.size();
+  g.utilization_error_mean = errors.utilization_rel_error.mean();
   return g;
 }
 

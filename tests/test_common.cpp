@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -213,6 +214,44 @@ TEST(Histogram, BinsAndClamping) {
   EXPECT_EQ(h.bins()[4], 2u);
   EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
   EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
+}
+
+// Samples at or above hi land in the last bin: hi itself, the double just
+// below it, and anything larger.
+TEST(Histogram, TopEdgeClampsIntoLastBin) {
+  for (const double hi : {10.0, 0.3, 1000.0}) {
+    Histogram h(0.0, hi, 7);
+    h.add(hi);
+    h.add(std::nextafter(hi, 0.0));
+    h.add(2.0 * hi);
+    h.add(std::numeric_limits<double>::infinity());
+    EXPECT_EQ(h.bins().back(), 4u) << "hi = " << hi;
+    EXPECT_EQ(h.total(), 4u) << "hi = " << hi;
+    h.add(0.0);
+    EXPECT_EQ(h.bins().front(), 1u) << "hi = " << hi;
+  }
+}
+
+// RunningStats keeps no samples, yet reports what a SampleSet over the same
+// stream reports, bit for bit: its mean is the same left fold. The stream
+// spans twelve orders of magnitude, so a different summation order would
+// round differently.
+TEST(RunningStats, MatchesSampleSetBitForBit) {
+  RunningStats running;
+  SampleSet samples;
+  EXPECT_EQ(running.mean(), samples.mean());
+  EXPECT_EQ(running.min(), samples.min());
+  EXPECT_EQ(running.max(), samples.max());
+  Rng rng(43);
+  for (int i = 0; i < 100000; ++i) {
+    const double x = rng.uniform(0.0, 1.0) * std::pow(10.0, rng.uniform_int(-6, 6));
+    running.add(x);
+    samples.add(x);
+  }
+  EXPECT_EQ(running.size(), samples.size());
+  EXPECT_EQ(running.mean(), samples.mean());
+  EXPECT_EQ(running.min(), samples.min());
+  EXPECT_EQ(running.max(), samples.max());
 }
 
 TEST(TextTable, RendersAlignedColumns) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -185,8 +186,31 @@ TEST(EventQueue, ValidatorDetectsClockCorruption) {
 // compaction; about a third of all events end up cancelled. Every pop is the
 // (time, seq) minimum and seq grows with scheduling order, so the fire order
 // must equal a stable sort by time of the events never cancelled.
-TEST(EventQueue, FireOrderMatchesStableSortUnderTiesAndCancels) {
-  enum class State : std::uint8_t { kPending, kFired, kCancelled };
+//
+// A periodic tick rides along: every kTickPeriod it schedules an event for
+// its own next instant (a tie scheduled before its re-arm), cancels the
+// heap's first live node, and after kTicks firings stops. It runs once from
+// the recurring slot and once as an event that reschedules itself as its
+// last statement; the slot's firings are logged under the schedule index
+// its re-arm takes, so the stable sort places them where that event's would.
+enum class QueueState : std::uint8_t { kPending, kFired, kCancelled };
+
+struct QueueScenario {
+  std::vector<double> time_of;  // indexed by scheduling order
+  std::vector<bool> is_tick;
+  std::vector<QueueState> state;
+  std::vector<std::size_t> fired;
+  std::vector<std::size_t> pending_seen;  // pending() inside each callback
+  std::uint64_t events_fired = 0;
+  std::size_t compactions = 0;
+  std::size_t ticks = 0;
+  std::size_t first_node_cancels = 0;
+};
+
+constexpr double kTickPeriod = 2.0;
+constexpr std::size_t kTicks = 12;
+
+QueueScenario run_queue_scenario(bool recurring_slot) {
   static constexpr double kOffsets[] = {0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0};
   static constexpr double kSuccessorDelays[] = {0.0, 0.0, 1.0, 2.5};
   constexpr int kWaves = 5;
@@ -195,75 +219,184 @@ TEST(EventQueue, FireOrderMatchesStableSortUnderTiesAndCancels) {
 
   Simulator sim;
   Rng rng(7);
-  std::vector<double> time_of;  // indexed by scheduling order
+  QueueScenario r;
   std::vector<EventId> id_of;
-  std::vector<State> state;
-  std::vector<std::size_t> fired;
-  std::size_t compactions = 0;
 
+  auto note = [&](double t, bool tick) {
+    r.time_of.push_back(t);
+    r.is_tick.push_back(tick);
+    r.state.push_back(QueueState::kPending);
+    id_of.push_back(kInvalidEvent);
+    return r.time_of.size() - 1;
+  };
   auto cancel = [&](std::size_t k) {
     const std::size_t nodes = sim.queue_nodes();
     sim.cancel(id_of[k]);
-    if (state[k] == State::kPending) state[k] = State::kCancelled;
-    if (sim.queue_nodes() < nodes) ++compactions;
+    if (r.state[k] == QueueState::kPending) r.state[k] = QueueState::kCancelled;
+    if (sim.queue_nodes() < nodes) ++r.compactions;
+  };
+  auto fire = [&](std::size_t k) {
+    r.fired.push_back(k);
+    r.pending_seen.push_back(sim.pending());
+    if (r.state[k] == QueueState::kPending) r.state[k] = QueueState::kFired;
   };
   std::function<void(double)> schedule = [&](double t) {
-    const std::size_t k = time_of.size();
-    time_of.push_back(t);
-    state.push_back(State::kPending);
-    id_of.push_back(sim.schedule_at(t, [&, k] {
-      fired.push_back(k);
-      if (state[k] == State::kPending) state[k] = State::kFired;
-      if (time_of.size() < kMaxEvents && rng.bernoulli(0.3))
+    const std::size_t k = note(t, false);
+    id_of[k] = sim.schedule_at(t, [&, k] {
+      fire(k);
+      if (r.time_of.size() < kMaxEvents && rng.bernoulli(0.3))
         schedule(sim.now() + kSuccessorDelays[rng.uniform_int(0, 3)]);
-      if (rng.bernoulli(0.05))
-        cancel(static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(k))));
-    }));
+      if (rng.bernoulli(0.05)) {
+        const auto j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(k)));
+        if (!r.is_tick[j]) cancel(j);
+      }
+    });
   };
+
+  // The tick's body; true while it should fire again.
+  std::size_t tick_k = 0;
+  auto tick = [&] {
+    fire(tick_k);
+    std::size_t first = r.state.size();
+    for (std::size_t k = 0; k < r.state.size(); ++k) {
+      if (r.state[k] != QueueState::kPending || r.is_tick[k]) continue;
+      if (first == r.state.size() || r.time_of[k] < r.time_of[first]) first = k;
+    }
+    if (first < r.state.size()) {
+      cancel(first);
+      ++r.first_node_cancels;
+    }
+    schedule(sim.now() + kTickPeriod);
+    return ++r.ticks < kTicks;
+  };
+  std::function<void(double)> schedule_tick_event = [&](double t) {
+    tick_k = note(t, true);
+    id_of[tick_k] = sim.schedule_at(t, [&] {
+      if (tick()) schedule_tick_event(sim.now() + kTickPeriod);
+    });
+  };
+  if (recurring_slot) {
+    tick_k = note(kTickPeriod, true);
+    sim.schedule_recurring(kTickPeriod, kTickPeriod, [&] {
+      if (!tick()) return false;
+      tick_k = note(sim.now() + kTickPeriod, true);
+      return true;
+    });
+  } else {
+    schedule_tick_event(kTickPeriod);
+  }
+
   auto validate = [&] {
     check::Validation v("sim");
     sim.validate(v);
     return v.report();
   };
-
   for (int wave = 0; wave < kWaves; ++wave) {
     for (std::size_t i = 0; i < kWaveEvents; ++i)
       schedule(sim.now() + kOffsets[rng.uniform_int(0, 7)]);
     while (sim.pending() > 1000) {
       sim.run(100);
       const auto report = validate();
-      ASSERT_TRUE(report.ok()) << report.to_string();
+      EXPECT_TRUE(report.ok()) << report.to_string();
     }
     std::vector<std::size_t> pending;
-    for (std::size_t k = 0; k < state.size(); ++k)
-      if (state[k] == State::kPending) pending.push_back(k);
+    for (std::size_t k = 0; k < r.state.size(); ++k)
+      if (r.state[k] == QueueState::kPending && !r.is_tick[k]) pending.push_back(k);
     rng.shuffle(pending);
     for (std::size_t i = 0; i < pending.size() * 2 / 3; ++i) cancel(pending[i]);
     const auto report = validate();
-    ASSERT_TRUE(report.ok()) << report.to_string();
+    EXPECT_TRUE(report.ok()) << report.to_string();
   }
   sim.run();
-  ASSERT_TRUE(sim.empty());
+  EXPECT_TRUE(sim.empty());
+  r.events_fired = sim.events_fired();
+  return r;
+}
 
-  std::vector<std::size_t> want;
-  for (std::size_t k = 0; k < time_of.size(); ++k)
-    if (state[k] != State::kCancelled) want.push_back(k);
-  std::stable_sort(want.begin(), want.end(),
-                   [&](std::size_t a, std::size_t b) { return time_of[a] < time_of[b]; });
-  ASSERT_EQ(fired.size(), want.size());
-  const auto diverge = std::mismatch(fired.begin(), fired.end(), want.begin());
-  EXPECT_TRUE(diverge.first == fired.end())
-      << "pop " << (diverge.first - fired.begin()) << " fired event " << *diverge.first
-      << " at t=" << time_of[*diverge.first] << ", expected event " << *diverge.second
-      << " at t=" << time_of[*diverge.second];
+TEST(EventQueue, FireOrderMatchesStableSortUnderTiesAndCancels) {
+  const QueueScenario slot = run_queue_scenario(/*recurring_slot=*/true);
+  const QueueScenario event = run_queue_scenario(/*recurring_slot=*/false);
 
-  // The scenario exercised what it claims to.
-  const auto cancelled = static_cast<std::size_t>(
-      std::count(state.begin(), state.end(), State::kCancelled));
-  EXPECT_GE(time_of.size(), 9000u);
-  EXPECT_GT(cancelled, time_of.size() / 4);
-  EXPECT_LT(cancelled, time_of.size() / 2);
-  EXPECT_GE(compactions, 3u);
+  for (const QueueScenario* r : {&slot, &event}) {
+    SCOPED_TRACE(r == &slot ? "recurring slot" : "self-rescheduling event");
+    std::vector<std::size_t> want;
+    for (std::size_t k = 0; k < r->time_of.size(); ++k)
+      if (r->state[k] != QueueState::kCancelled) want.push_back(k);
+    std::stable_sort(want.begin(), want.end(), [&](std::size_t a, std::size_t b) {
+      return r->time_of[a] < r->time_of[b];
+    });
+    ASSERT_EQ(r->fired.size(), want.size());
+    const auto diverge = std::mismatch(r->fired.begin(), r->fired.end(), want.begin());
+    EXPECT_TRUE(diverge.first == r->fired.end())
+        << "pop " << (diverge.first - r->fired.begin()) << " fired event " << *diverge.first
+        << " at t=" << r->time_of[*diverge.first] << ", expected event " << *diverge.second
+        << " at t=" << r->time_of[*diverge.second];
+    EXPECT_EQ(r->events_fired, r->fired.size());
+
+    // The scenario exercised what it claims to.
+    const auto cancelled = static_cast<std::size_t>(
+        std::count(r->state.begin(), r->state.end(), QueueState::kCancelled));
+    EXPECT_GE(r->time_of.size(), 9000u);
+    EXPECT_GT(cancelled, r->time_of.size() / 4);
+    EXPECT_LT(cancelled, r->time_of.size() / 2);
+    EXPECT_GE(r->compactions, 3u);
+    // The tick stopped on its false return, with more than its own last tie
+    // still to fire, and each firing found a live first node to cancel.
+    EXPECT_EQ(r->ticks, kTicks);
+    EXPECT_EQ(std::count(r->is_tick.begin(), r->is_tick.end(), true),
+              static_cast<std::ptrdiff_t>(kTicks));
+    const auto last_tick = std::find_if(r->fired.rbegin(), r->fired.rend(),
+                                        [&](std::size_t k) { return r->is_tick[k]; });
+    EXPECT_GT(last_tick - r->fired.rbegin(), 1);
+    EXPECT_EQ(r->first_node_cancels, kTicks);
+    // Events fired at a tick's instant, scheduled before and after the
+    // re-arm that placed it there.
+    std::size_t ties_before = 0;
+    std::size_t ties_after = 0;
+    for (std::size_t t = 0; t < r->time_of.size(); ++t) {
+      if (!r->is_tick[t]) continue;
+      for (std::size_t k = 0; k < r->time_of.size(); ++k) {
+        if (r->is_tick[k] || r->state[k] != QueueState::kFired) continue;
+        if (r->time_of[k] != r->time_of[t]) continue;
+        (k < t ? ties_before : ties_after)++;
+      }
+    }
+    EXPECT_GE(ties_before, kTicks - 1);
+    EXPECT_GT(ties_after, 0u);
+  }
+
+  // The slot is indistinguishable from the event it replaces.
+  EXPECT_EQ(slot.time_of, event.time_of);
+  EXPECT_EQ(slot.fired, event.fired);
+  EXPECT_EQ(slot.pending_seen, event.pending_seen);
+  EXPECT_EQ(slot.events_fired, event.events_fired);
+}
+
+// The recurring slot's bookkeeping: one slot, counted as pending while armed,
+// never moving the clock backwards, and free again once it stops.
+TEST(EventQueue, RecurringSlotArmsOnceAndCountsAsPending) {
+  Simulator sim;
+  std::vector<double> at;
+  sim.schedule_recurring(1.5, 2.0, [&] {
+    at.push_back(sim.now());
+    return at.size() < 3;
+  });
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_FALSE(sim.empty());
+  EXPECT_THROW(sim.schedule_recurring(2.0, 1.0, [] { return false; }), std::logic_error);
+  check::Validation v("sim");
+  sim.validate(v);
+  EXPECT_TRUE(v.report().ok()) << v.report().to_string();
+  sim.run();
+  EXPECT_EQ(at, (std::vector<double>{1.5, 3.5, 5.5}));
+  EXPECT_EQ(sim.events_fired(), 3u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_THROW(sim.schedule_recurring(1.0, 1.0, [] { return false; }), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_recurring(6.0, 0.0, [] { return false; }), std::invalid_argument);
+  sim.schedule_recurring(6.0, 1.0, [] { return false; });
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(sim.events_fired(), 4u);
 }
 
 // ---------------------------------------------------------------------------

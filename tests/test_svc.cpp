@@ -20,6 +20,7 @@
 #include "harmony/incremental.h"
 #include "harmony/scheduler.h"
 #include "harmony/validate.h"
+#include "obs/metrics.h"
 #include "svc/admission.h"
 #include "svc/service.h"
 
@@ -513,6 +514,38 @@ TEST(Service, RejectsClosedLoopBatchArrivals) {
   auto config = small_service_config();
   config.arrival_kind = "batch";
   EXPECT_THROW(svc::Service(config, exp::make_catalog()), check::CheckError);
+}
+
+// svc.decision_latency_us resolves the latencies it records: its p99 lands
+// in the exact p99's bin or a neighbouring one. The check needs the exact
+// p99 inside the histogram's range, which a sanitizer build can exceed.
+TEST(Service, DecisionLatencyHistogramResolvesItsP99) {
+  auto& registry = obs::MetricsRegistry::instance();
+  registry.reset();
+  svc::ServiceConfig config;
+  config.machines = 10000;
+  config.duration_sec = 1e6;
+  config.mean_interarrival_sec = 50.0;
+  config.seed = 1;
+  svc::Service service(config, exp::make_catalog());
+  const svc::ServiceSummary s = service.run();
+
+  const obs::HistogramMetric* latency = nullptr;
+  for (const auto& [name, h] : registry.histogram_series())
+    if (name == "svc.decision_latency_us") latency = h;
+  ASSERT_NE(latency, nullptr);
+  const auto state = latency->state();
+  ASSERT_EQ(state.count, s.incremental_joins + s.incremental_leaves);
+  ASSERT_GT(state.count, 10000u);
+  if (s.decision_latency_p99_us >= state.hi)
+    GTEST_SKIP() << "exact p99 " << s.decision_latency_p99_us << " us is past the range";
+  const double width = (state.hi - state.lo) / static_cast<double>(state.bins.size());
+  const auto bin_of = [&](double x) {
+    return static_cast<long>(std::floor((x - state.lo) / width));
+  };
+  const double p99 = latency->percentile(0.99);
+  EXPECT_LE(std::abs(bin_of(p99) - bin_of(s.decision_latency_p99_us)), 1)
+      << "histogram p99 " << p99 << " us vs exact " << s.decision_latency_p99_us << " us";
 }
 
 TEST(Service, StateValidatesCleanAfterRunAndCorruptionIsDetected) {

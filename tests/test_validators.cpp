@@ -242,6 +242,31 @@ TEST(ClusterSimValidate, StaleIdleProfileNamesTheJob) {
   }
 }
 
+// Each group memoizes its occupancy and spilling-member count; a memo that
+// misses an invalidation is reported against that group.
+TEST(ClusterSimValidate, StaleOccupancyMemoNamesTheGroup) {
+  exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
+  config.machines = 24;
+  config.validate = true;
+  auto workload = small_workload(12);
+  exp::ClusterSim sim(config, workload, exp::batch_arrivals(workload.size()));
+  sim.schedule_corruption_for_test(3000.0, exp::ClusterSim::Corruption::kStaleOccupancyMemo);
+  try {
+    sim.run();
+    FAIL() << "stale occupancy memo escaped validation";
+  } catch (const check::CheckError& e) {
+    const auto report = sim.validate_state();
+    ASSERT_EQ(report.failures.size(), 1u) << report.to_string();
+    const check::FailureReport& failure = report.failures.front();
+    EXPECT_TRUE(report.mentions("stale occupancy memo")) << report.to_string();
+    ASSERT_NE(failure.group, check::kNoEntity) << report.to_string();
+    EXPECT_EQ(e.report().group, failure.group);
+    EXPECT_NE(failure.to_string().find("group " + std::to_string(failure.group)),
+              std::string::npos)
+        << failure.to_string();
+  }
+}
+
 TEST(ClusterSimValidate, PostRunCorruptionCaughtByDirectCall) {
   exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
   config.machines = 24;
