@@ -72,9 +72,6 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
   jobs_.reserve(n);
   job_alpha_.assign(n, 0.0);
   job_model_spilled_.assign(n, 0);
-  job_resident_cache_.assign(n, 0.0);
-  job_resident_machines_.assign(n, 0);
-  job_resident_valid_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     // The seed is the draw rng_.fork() would make; the engine itself is built
     // lazily (SimJob::noise_rng).
@@ -86,7 +83,7 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
       job.err_net = 1.0 + rng_.uniform(-e, e);
     }
   }
-  unfinished_count_ = jobs_.size();
+  jobs_in_state_[static_cast<std::size_t>(core::JobState::kWaiting)] = n;
 }
 
 ClusterSim::~ClusterSim() = default;
@@ -94,8 +91,7 @@ ClusterSim::~ClusterSim() = default;
 // ---------------------------------------------------------------------------
 // Memory / spill
 
-double ClusterSim::job_resident_bytes_uncached(const SimJob& job,
-                                               std::size_t machines) const {
+double ClusterSim::job_resident_bytes(const SimJob& job, std::size_t machines) const {
   const core::SpillCosts c =
       core::spill_costs(job.spec.input_bytes(), job.spec.model_bytes(),
                         job_alpha_[job.spec.id], machines, kMachineSpec);
@@ -110,21 +106,9 @@ double ClusterSim::job_resident_bytes_uncached(const SimJob& job,
   return std::max(resident, 0.0);
 }
 
-double ClusterSim::job_resident_bytes(const SimJob& job, std::size_t machines) const {
-  const core::JobId id = job.spec.id;
-  if (job_resident_valid_[id] != 0 && job_resident_machines_[id] == machines)
-    return job_resident_cache_[id];
-  const double resident = job_resident_bytes_uncached(job, machines);
-  job_resident_cache_[id] = resident;
-  job_resident_machines_[id] = static_cast<std::uint32_t>(machines);
-  job_resident_valid_[id] = 1;
-  return resident;
-}
-
 void ClusterSim::set_alpha(core::JobId id, double alpha) {
   if (job_alpha_[id] == alpha) return;
   job_alpha_[id] = alpha;
-  job_resident_valid_[id] = 0;
   if (GroupRun* g = jobs_[id].group) g->occ.valid = false;
 }
 
@@ -132,7 +116,6 @@ void ClusterSim::set_model_spilled(core::JobId id, bool spilled) {
   const std::uint8_t v = spilled ? 1 : 0;
   if (job_model_spilled_[id] == v) return;
   job_model_spilled_[id] = v;
-  job_resident_valid_[id] = 0;
   if (GroupRun* g = jobs_[id].group) g->occ.valid = false;
 }
 
@@ -264,12 +247,7 @@ void ClusterSim::start_iteration(SimJob& job) {
   job.in_flight = true;
   job.iter_start_time = sim_.now();
   const double d_pull = comm_half_duration(job);
-  auto next = [this, &job, d_pull] { begin_comp(job, d_pull); };
-  if (g.net_fifo) {
-    g.net_fifo->submit(d_pull, next);
-  } else {
-    g.net_shared->submit(d_pull, next);
-  }
+  g.net->submit(d_pull, [this, &job, d_pull] { begin_comp(job, d_pull); });
 }
 
 void ClusterSim::begin_comp(SimJob& job, double pull_duration) {
@@ -281,14 +259,9 @@ void ClusterSim::begin_comp(SimJob& job, double pull_duration) {
                           job.spec.id, static_cast<std::uint32_t>(g.id));
   auto submit = [this, &job, &g, pull_duration] {
     const double d_comp = comp_duration(job);
-    auto next = [this, &job, pull_duration, d_comp] {
+    g.cpu->submit(d_comp, [this, &job, pull_duration, d_comp] {
       begin_push(job, pull_duration, d_comp);
-    };
-    if (g.cpu_fifo) {
-      g.cpu_fifo->submit(d_comp, next);
-    } else {
-      g.cpu_shared->submit(d_comp, next);
-    }
+    });
   };
   // The COMP subtask cannot start until this job's disk-side blocks for the
   // iteration have been reloaded (they stream in the background since the
@@ -327,18 +300,13 @@ void ClusterSim::begin_push(SimJob& job, double pull_duration, double comp_dur) 
       sim_.now() + costs.reload_seconds * static_cast<double>(std::max<std::size_t>(1, spilling));
 
   const double d_push = comm_half_duration(job);
-  auto next = [this, &job, pull_duration, comp_dur, d_push] {
+  g.net->submit(d_push, [this, &job, pull_duration, comp_dur, d_push] {
     if (obs::Tracer::enabled() && job.group != nullptr)
       obs::Tracer::complete(obs::EventKind::kSubtaskPush, obs::ClockDomain::kSim,
                             (sim_.now() - d_push) * kTraceUs, d_push * kTraceUs,
                             job.spec.id, static_cast<std::uint32_t>(job.group->id));
     end_iteration(job, pull_duration + d_push, comp_dur);
-  };
-  if (g.net_fifo) {
-    g.net_fifo->submit(d_push, next);
-  } else {
-    g.net_shared->submit(d_push, next);
-  }
+  });
 }
 
 void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_duration_s) {
@@ -350,7 +318,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
   profiler_.record(job.spec.id, g.machines, comp_duration_s, comm_duration);
   // The sample moved the job's measured profile; an idle job's view entry
   // must follow it.
-  if (job.in_idle_index) idle_position(job.spec.id)->profile = sched_view(job).profile;
+  if (idle_state(job.state)) idle_position(job.spec.id)->profile = sched_view(job).profile;
 
   const double wall = sim_.now() - job.iter_start_time;
   if (obs::Tracer::enabled())
@@ -379,7 +347,6 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
 
   // Finished?
   if (job.iterations_done >= job.spec.iterations) {
-    job.state = core::JobState::kFinished;
     job.finish_time = sim_.now();
     job.noise.reset();  // no subtask draws after the last iteration
     summary_.jobs.push_back(JobOutcome{job.spec.id, arrivals_[job.spec.id], job.finish_time});
@@ -388,7 +355,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
     g.occ.valid = false;
     job.last_group = &g;
     job.group = nullptr;
-    reindex_job(job);
+    set_state(job, core::JobState::kFinished);
     // A stopping group may have been waiting on exactly this job to drain.
     if (g.stopping && g.members.empty()) dissolve_group(g);
     on_job_finished(job);
@@ -424,19 +391,16 @@ ClusterSim::GroupRun& ClusterSim::create_group(std::size_t machines) {
   GroupRun& g = groups_.emplace_back();  // deque: address stable forever
   g.id = next_group_id_++;
   g.machines = machines;
-  const std::string tag = "g" + std::to_string(g.id);
   if (config_.exec == ExecModel::kPipelined) {
-    g.cpu_fifo = std::make_unique<sim::FifoResource>(sim_, tag + "-cpu");
-    g.net_fifo = std::make_unique<sim::FifoResource>(sim_, tag + "-net");
+    g.cpu = std::make_unique<sim::FifoResource>(sim_);
+    g.net = std::make_unique<sim::FifoResource>(sim_);
   } else {
     // Contended execution: concurrent steps split the capacity and pay an
     // interference penalty — the naive co-location behaviour of Fig. 5a.
-    g.cpu_shared =
-        std::make_unique<sim::SharedResource>(sim_, tag + "-cpu", 1.0, kContentionPenalty);
-    g.net_shared =
-        std::make_unique<sim::SharedResource>(sim_, tag + "-net", 1.0, kContentionPenalty);
+    g.cpu = std::make_unique<sim::SharedResource>(sim_, 1.0, kContentionPenalty);
+    g.net = std::make_unique<sim::SharedResource>(sim_, 1.0, kContentionPenalty);
   }
-  active_groups_storage_.push_back(&g);
+  active_groups_.push_back(&g);
   obs::MetricsRegistry::instance().counter("sim.groups_created").add();
   if (obs::Tracer::enabled())
     obs::Tracer::instant(obs::EventKind::kGroupCreate, obs::ClockDomain::kSim,
@@ -454,8 +418,9 @@ void ClusterSim::place_job_in_group(SimJob& job, GroupRun& group, bool with_migr
   job.iters_in_group = 0;
   group.members.push_back(job.spec.id);
   group.occ.valid = false;
-  if (job.state != core::JobState::kProfiling) job.state = core::JobState::kRunning;
-  reindex_job(job);
+  // A profiling job goes on profiling in its group; any other job runs.
+  set_state(job, job.state == core::JobState::kProfiling ? core::JobState::kProfiling
+                                                         : core::JobState::kRunning);
   refresh_alpha(job);
   // Every co-tenant's memory share just shrank: recompute everyone's α for
   // the group's occupancy target.
@@ -504,10 +469,9 @@ void ClusterSim::park_job(SimJob& job, core::JobState state) {
   if (it != g->members.end()) g->members.erase(it);
   g->occ.valid = false;
   job.group = nullptr;
-  job.state = state;
   set_alpha(job.spec.id, 0.0);
   set_model_spilled(job.spec.id, false);
-  reindex_job(job);
+  set_state(job, state);
 
   if (g->stopping && g->members.empty()) {
     dissolve_group(*g);  // dissolve advances any pending regroup itself
@@ -583,49 +547,31 @@ std::vector<core::SchedJob>::iterator ClusterSim::idle_position(core::JobId id) 
       [this](const core::SchedJob& e, core::JobId key) { return submit_order_less(e.id, key); });
 }
 
-void ClusterSim::reindex_job(SimJob& job) {
+void ClusterSim::set_state(SimJob& job, core::JobState state) {
   const core::JobId id = job.spec.id;
-  const bool waiting = job.arrived && job.state == core::JobState::kWaiting;
-  if (waiting != job.in_waiting_index) {
-    update_submit_index(waiting_by_submit_, id, waiting);
-    job.in_waiting_index = waiting;
-  }
-  const bool idle =
-      job.state == core::JobState::kProfiled || job.state == core::JobState::kPaused;
-  if (idle != job.in_idle_index) {
+  const core::JobState was = job.state;
+  const bool grouped = job.group != nullptr;
+  job.state = state;
+
+  const bool was_waiting = job.indexed_arrived && was == core::JobState::kWaiting;
+  const bool waiting = job.arrived && state == core::JobState::kWaiting;
+  if (waiting != was_waiting) update_submit_index(waiting_by_submit_, id, waiting);
+  if (idle_state(state) != idle_state(was)) {
     const auto it = idle_position(id);
-    if (idle) {
+    if (idle_state(state)) {
       idle_by_submit_.insert(it, sched_view(job));
     } else {
       idle_by_submit_.erase(it);
     }
-    job.in_idle_index = idle;
   }
-  const bool profiling = job.state == core::JobState::kProfiling;
-  if (profiling != job.counted_profiling) {
-    profiling ? ++profiling_count_ : --profiling_count_;
-    job.counted_profiling = profiling;
-  }
-  const bool paused = job.state == core::JobState::kPaused;
-  if (paused != job.counted_paused) {
-    paused ? ++paused_count_ : --paused_count_;
-    job.counted_paused = paused;
-  }
-  const bool profiled_ungrouped =
-      job.state == core::JobState::kProfiled && job.group == nullptr;
-  if (profiled_ungrouped != job.counted_profiled_ungrouped) {
+  --jobs_in_state_[static_cast<std::size_t>(was)];
+  ++jobs_in_state_[static_cast<std::size_t>(state)];
+  const bool was_profiled_ungrouped = was == core::JobState::kProfiled && !job.indexed_grouped;
+  const bool profiled_ungrouped = state == core::JobState::kProfiled && !grouped;
+  if (profiled_ungrouped != was_profiled_ungrouped)
     profiled_ungrouped ? ++profiled_ungrouped_count_ : --profiled_ungrouped_count_;
-    job.counted_profiled_ungrouped = profiled_ungrouped;
-  }
-  if (job.state == core::JobState::kFinished && !job.counted_finished) {
-    job.counted_finished = true;
-    --unfinished_count_;
-  }
-}
-
-void ClusterSim::set_state(SimJob& job, core::JobState state) {
-  job.state = state;
-  reindex_job(job);
+  job.indexed_arrived = job.arrived;
+  job.indexed_grouped = grouped;
 }
 
 std::vector<ClusterSim::SimJob*> ClusterSim::waiting_jobs_by_submit() {
@@ -638,26 +584,15 @@ std::vector<ClusterSim::SimJob*> ClusterSim::waiting_jobs_by_submit() {
   return waiting;
 }
 
-std::vector<ClusterSim::GroupRun*>& ClusterSim::active_groups() {
-  if (group_iter_depth_ == 0) {
-    std::erase_if(active_groups_storage_, [](GroupRun* g) { return g->dissolved; });
-  }
-  return active_groups_storage_;
-}
-
 void ClusterSim::dissolve_emptied_groups(bool skip_stopping) {
   // Indexed iteration: dissolve can re-enter through try_apply_pending and
-  // append freshly created groups, which must be visited too. The depth guard
-  // keeps nested active_groups() calls from compacting the storage (and
-  // shifting indices) while this loop is in flight.
-  active_groups();
-  ++group_iter_depth_;
-  for (std::size_t gi = 0; gi < active_groups_storage_.size(); ++gi) {
-    GroupRun& g = *active_groups_storage_[gi];
+  // append freshly created groups, which must be visited too. Nothing but
+  // the sampler removes entries, so the indices stay put.
+  for (std::size_t gi = 0; gi < active_groups_.size(); ++gi) {
+    GroupRun& g = *active_groups_[gi];
     if (g.dissolved || (skip_stopping && g.stopping)) continue;
     if (g.members.empty()) dissolve_group(g);
   }
-  --group_iter_depth_;
 }
 
 // ---------------------------------------------------------------------------
@@ -679,8 +614,7 @@ core::SchedJob ClusterSim::sched_view(const SimJob& job) const {
 
 ClusterSim::RunningView ClusterSim::running_view() const {
   RunningView out;
-  auto* self = const_cast<ClusterSim*>(this);
-  for (GroupRun* g : self->active_groups()) {
+  for (GroupRun* g : active_groups_) {
     if (g->dissolved || g->stopping) continue;
     core::RunningGroup rg;
     rg.machines = g->machines;
@@ -697,7 +631,7 @@ ClusterSim::RunningView ClusterSim::running_view() const {
 
 std::vector<ClusterSim::GroupRun*> ClusterSim::live_groups() const {
   std::vector<GroupRun*> out;
-  for (GroupRun* g : const_cast<ClusterSim*>(this)->active_groups())
+  for (GroupRun* g : active_groups_)
     if (!g->dissolved && !g->stopping) out.push_back(g);
   return out;
 }
@@ -799,12 +733,13 @@ void ClusterSim::maybe_start_profiling() {
 
   // Steady state: profile into the group with the fewest machines (or the
   // one already profiling), up to the concurrency cap (§IV-B1). Only the
-  // oldest cap - profiling_count_ waiting jobs can be admitted, so the cost
-  // is O(cap), not O(backlog). Snapshot them before placing: set_state
-  // erases each admitted job from waiting_by_submit_.
-  if (profiling_count_ >= kMaxProfilingJobs || groups.empty()) return;
+  // oldest cap - profiling waiting jobs can be admitted, so the cost is
+  // O(cap), not O(backlog). Snapshot them before placing: set_state erases
+  // each admitted job from waiting_by_submit_.
+  const std::size_t profiling = jobs_in(core::JobState::kProfiling);
+  if (profiling >= kMaxProfilingJobs || groups.empty()) return;
   const std::size_t admit =
-      std::min(kMaxProfilingJobs - profiling_count_, waiting_by_submit_.size());
+      std::min(kMaxProfilingJobs - profiling, waiting_by_submit_.size());
   const std::vector<core::JobId> oldest(waiting_by_submit_.begin(),
                                         waiting_by_submit_.begin() + admit);
   for (core::JobId job_id : oldest) {
@@ -884,7 +819,8 @@ void ClusterSim::expand_groups_with_free_machines() {
   // machines shrink COMP (Eq. 2), shortening the remaining groups' cycles.
   if (config_.grouping != GroupingPolicy::kHarmony) return;
   if (pending_regroup_ || free_machines_ == 0) return;
-  if (!waiting_by_submit_.empty() || paused_count_ > 0 || profiled_ungrouped_count_ > 0)
+  if (!waiting_by_submit_.empty() || jobs_in(core::JobState::kPaused) > 0 ||
+      profiled_ungrouped_count_ > 0)
     return;  // backlog exists: machines belong to new groups instead
 
   // A grant changes only the winner's marginal gain, so compute each group's
@@ -1007,7 +943,8 @@ void ClusterSim::on_job_profiled(SimJob& job) {
     // Wait until the whole initial batch has profiles, then run Algorithm 1
     // over everything. (Arrived jobs in kWaiting are exactly the waiting
     // index; kProfiling implies arrived.)
-    const bool all_profiled = waiting_by_submit_.empty() && profiling_count_ == 0;
+    const bool all_profiled =
+        waiting_by_submit_.empty() && jobs_in(core::JobState::kProfiling) == 0;
     if (all_profiled) run_initial_harmony_schedule();
     return;  // keeps iterating in its bootstrap group meanwhile
   }
@@ -1153,7 +1090,7 @@ void ClusterSim::on_job_finished(SimJob& job) {
     case core::RegroupAction::Kind::kReschedule: {
       // Damp churn: full reschedules pay drain and migration costs, so they
       // are rate-limited; the cheap kReplace repairs are not.
-      if (sim_.now() - last_reschedule_time_ < config_.reschedule_cooldown_sec) break;
+      if (sim_.now() - last_reschedule_time_ < kRescheduleCooldownSec) break;
       std::vector<GroupRun*> involved;
       for (std::size_t idx : action.groups_involved)
         if (idx < view.owners.size()) involved.push_back(view.owners[idx]);
@@ -1269,8 +1206,8 @@ void ClusterSim::record_group_prediction(GroupRun& group) {
                             group.predicted_titr * kTraceUs,
                             core::PerfModel::group_bound(shape) == core::Bound::kCpu);
   group.predict_start = sim_.now();
-  group.cpu_busy_at_predict = group.cpu_busy();
-  group.net_busy_at_predict = group.net_busy();
+  group.cpu_busy_at_predict = group.cpu->work_served();
+  group.net_busy_at_predict = group.net->work_served();
   group.actual_iteration_times = RunningStats{};
 }
 
@@ -1283,8 +1220,8 @@ void ClusterSim::settle_group_prediction(GroupRun& group) {
   prediction_errors_.group_iteration_rel_error.add(
       relative_error(actual_titr, group.predicted_titr));
 
-  const double u_cpu = (group.cpu_busy() - group.cpu_busy_at_predict) / elapsed;
-  const double u_net = (group.net_busy() - group.net_busy_at_predict) / elapsed;
+  const double u_cpu = (group.cpu->work_served() - group.cpu_busy_at_predict) / elapsed;
+  const double u_net = (group.net->work_served() - group.net_busy_at_predict) / elapsed;
   const double err = 0.5 * (std::abs(u_cpu - group.predicted_util.cpu) +
                             std::abs(u_net - group.predicted_util.net));
   prediction_errors_.utilization_rel_error.add(
@@ -1298,10 +1235,11 @@ void ClusterSim::sample_utilization() {
   double net_busy_machines = 0.0;
   std::size_t running_jobs = 0;
   std::size_t running_groups = 0;
-  for (GroupRun* g : active_groups()) {
-    if (g->dissolved) continue;
-    const double cpu_now = g->cpu_busy();
-    const double net_now = g->net_busy();
+  // The one compaction point: no event handler is walking the list here.
+  std::erase_if(active_groups_, [](const GroupRun* g) { return g->dissolved; });
+  for (GroupRun* g : active_groups_) {
+    const double cpu_now = g->cpu->work_served();
+    const double net_now = g->net->work_served();
     const double m = static_cast<double>(g->machines);
     cpu_busy_machines += m * std::min(1.0, (cpu_now - g->last_cpu_busy) / window);
     net_busy_machines += m * std::min(1.0, (net_now - g->last_net_busy) / window);
@@ -1316,24 +1254,17 @@ void ClusterSim::sample_utilization() {
   timeline_.add_sample(sim_.now(),
                        core::Utilization{cpu_busy_machines / total, net_busy_machines / total});
   if (config_.debug_trace) {
-    std::size_t waiting = 0, paused = 0, profiled = 0, finished = 0;
-    for (const SimJob& j : jobs_) {
-      waiting += j.state == core::JobState::kWaiting;
-      paused += j.state == core::JobState::kPaused;
-      profiled += j.state == core::JobState::kProfiled && j.group == nullptr;
-      finished += j.state == core::JobState::kFinished;
-    }
     std::string groups_desc;
-    for (const GroupRun& g : groups_)
-      if (!g.dissolved)
-        groups_desc += " [" + std::to_string(g.members.size()) + "j/" +
-                       std::to_string(g.machines) + "m" + (g.stopping ? "!" : "") + "]";
+    for (const GroupRun* g : active_groups_)
+      groups_desc += " [" + std::to_string(g->members.size()) + "j/" +
+                     std::to_string(g->machines) + "m" + (g->stopping ? "!" : "") + "]";
     std::fprintf(stderr,
                  "t=%7.0f cpu=%.2f net=%.2f free=%zu wait=%zu paused=%zu idleprof=%zu "
                  "done=%zu pend=%d%s\n",
                  sim_.now(), cpu_busy_machines / total, net_busy_machines / total, free_machines_,
-                 waiting, paused, profiled, finished, pending_regroup_ ? 1 : 0,
-                 groups_desc.c_str());
+                 jobs_in(core::JobState::kWaiting), jobs_in(core::JobState::kPaused),
+                 profiled_ungrouped_count_, jobs_in(core::JobState::kFinished),
+                 pending_regroup_ ? 1 : 0, groups_desc.c_str());
   }
   if (running_jobs > 0) {
     concurrent_jobs_sum_ += static_cast<double>(running_jobs);
@@ -1344,9 +1275,10 @@ void ClusterSim::sample_utilization() {
   static obs::HistogramMetric& queue_depth =
       obs::MetricsRegistry::instance().histogram("sim.event_queue_depth", 0.0, 4096.0, 64);
   queue_depth.observe(static_cast<double>(sim_.pending()));
-  // Live-telemetry level gauges (deterministic: sim state at sim-clock
-  // sampling points), windowed by obs::TimeSeriesEngine alongside the svc.*
-  // series when a telemetry consumer is attached.
+  // Level gauges (deterministic: sim state at sim-clock sampling points).
+  // They reach the end-of-run registry snapshot (--metrics, --report) only:
+  // no telemetry engine samples sim.* (the service's engine keeps svc.*
+  // alone, and harmony-sim takes telemetry flags only with --service).
   static obs::Gauge& jobs_running = obs::MetricsRegistry::instance().gauge("sim.jobs_running");
   static obs::Gauge& groups_live = obs::MetricsRegistry::instance().gauge("sim.groups_live");
   static obs::Gauge& free_machines =
@@ -1368,7 +1300,7 @@ RunSummary ClusterSim::run() {
   // off the heap, while anything is active or still to come.
   sim_.schedule_recurring(sim_.now() + kUtilSampleWindowSec, kUtilSampleWindowSec, [this] {
     sample_utilization();
-    return unfinished_count_ > 0;
+    return jobs_in(core::JobState::kFinished) < jobs_.size();
   });
   sim_.run(200'000'000ULL);
 

@@ -16,6 +16,7 @@
 // machines, time, memory pressure and noise.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -82,10 +83,6 @@ struct ClusterSimConfig {
   // corrupt state. Validation is read-only and consumes no randomness, so
   // results are bit-identical with it on or off.
   bool validate = false;
-
-  // Minimum simulated time between successive kReschedule regroups; cheap
-  // kReplace repairs are always allowed (churn damping).
-  double reschedule_cooldown_sec = 900.0;
 
   // α re-optimization cadence (iterations between hill-climb observations).
   std::size_t alpha_update_every = 2;
@@ -189,12 +186,9 @@ class ClusterSim {
   // change since the last fold marked it stale, refolds job_resident_bytes
   // and the α > 0 count over the members, in member order.
   void refresh_occupancy(GroupRun& group);
-  // Memoized: the footprint depends only on (spec, alpha, model_spilled,
-  // machines), so the result is cached per job and invalidated whenever the
-  // spill state changes (set_alpha / set_model_spilled). The machine count is
-  // part of the cache key, so DoP changes need no explicit invalidation.
+  // The job's resident footprint per machine at DoP `machines`, from its
+  // spec, α and model-spill flag.
   double job_resident_bytes(const SimJob& job, std::size_t machines) const;
-  double job_resident_bytes_uncached(const SimJob& job, std::size_t machines) const;
   void set_alpha(core::JobId id, double alpha);
   void set_model_spilled(core::JobId id, bool spilled);
   void refresh_alpha(SimJob& job);
@@ -223,8 +217,8 @@ class ClusterSim {
   // Idle (profiled or paused) jobs in submit order, as the scheduler sees
   // them: the idle_by_submit_ index itself, so reading it costs nothing. The
   // span aliases the index, whose entries the next job-state change
-  // (reindex_job) may move, so callers pass it to the scheduler or
-  // regrouper before applying any decision.
+  // (set_state) may move, so callers pass it to the scheduler or regrouper
+  // before applying any decision.
   std::span<const core::SchedJob> idle_sched_jobs() const { return idle_by_submit_; }
   // The running groups as the regrouper sees them — live, not stopping, with
   // at least one kRunning member — and, index for index, the GroupRun behind
@@ -235,13 +229,17 @@ class ClusterSim {
   };
   RunningView running_view() const;
 
-  // Central state-transition point: assigns job.state and refreshes the
-  // job-state indexes (waiting/idle lists, per-state counters) that replace
-  // whole-pool scans on the event path.
+  // The one job-state write. Also called after a job arrives, joins or
+  // leaves a group: it diffs the job's (arrived, state, grouped) against the
+  // snapshot it last indexed and moves the job between the waiting and idle
+  // indexes, the per-state counts and the profiled-ungrouped count, which
+  // replace whole-pool scans on the event path.
   void set_state(SimJob& job, core::JobState state);
-  // Re-derives the job's index memberships after a state/group/arrival
-  // mutation; idempotent.
-  void reindex_job(SimJob& job);
+  // Jobs currently in state `s`; jobs that have not arrived count as
+  // kWaiting.
+  std::size_t jobs_in(core::JobState s) const noexcept {
+    return jobs_in_state_[static_cast<std::size_t>(s)];
+  }
   // The pinned scheduling order: by submit time, ties broken by job id. This
   // is a total order, so every scheduling pass sees one well-defined sequence
   // regardless of how the waiting set was assembled.
@@ -260,9 +258,6 @@ class ClusterSim {
   // materialized from the incrementally sorted waiting_by_submit_ index, so
   // no per-call sort.
   std::vector<SimJob*> waiting_jobs_by_submit();
-  // Non-dissolved groups in creation order; compacts lazily so event-path
-  // iteration costs O(live groups), not O(groups ever created).
-  std::vector<GroupRun*>& active_groups();
   // Dissolves every empty, drained group (optionally leaving stopping groups
   // to their own drain logic).
   void dissolve_emptied_groups(bool skip_stopping);
@@ -326,14 +321,8 @@ class ClusterSim {
   // construction).
   std::vector<double> job_alpha_;                 // spill ratio, [0, 1]
   std::vector<std::uint8_t> job_model_spilled_;   // bool; model data on disk
-  // Resident-bytes memo: valid when job_resident_valid_[id] != 0 AND the
-  // queried machine count equals job_resident_machines_[id]. Mutable because
-  // job_resident_bytes is logically const.
-  mutable std::vector<double> job_resident_cache_;
-  mutable std::vector<std::uint32_t> job_resident_machines_;
-  mutable std::vector<std::uint8_t> job_resident_valid_;
 
-  // Job-state indexes, maintained by reindex_job(). Both are kept in the
+  // Job-state indexes, maintained by set_state(). Both are kept in the
   // pinned (submit_time, id) scheduling order by ordered insert/erase, so no
   // scheduling pass sorts them.
   // Arrived && kWaiting. A deque: admission erases the oldest job, the
@@ -346,16 +335,17 @@ class ClusterSim {
   // job still iterating in, or draining from, its bootstrap group), so it
   // always equals sched_view(job); validate_state checks that bit for bit.
   std::vector<core::SchedJob> idle_by_submit_;
-  std::size_t profiling_count_ = 0;
-  std::size_t paused_count_ = 0;
+  // One count per core::JobState, indexed by its value; see jobs_in().
+  static constexpr std::size_t kJobStates =
+      static_cast<std::size_t>(core::JobState::kFinished) + 1;
+  std::array<std::size_t, kJobStates> jobs_in_state_{};
   std::size_t profiled_ungrouped_count_ = 0;
-  std::size_t unfinished_count_ = 0;
-  // Non-dissolved groups in creation order (dissolved entries are dropped on
-  // the next active_groups() call). Compaction is deferred while any caller
-  // iterates the storage by index, so dissolve chains cannot shift entries
-  // under the iteration.
-  std::vector<GroupRun*> active_groups_storage_;
-  std::size_t group_iter_depth_ = 0;
+  // Every group created since the last utilization sample plus every group
+  // live then, in creation order, so event-path iteration costs O(live
+  // groups), not O(groups ever created). Readers skip dissolved entries;
+  // only sample_utilization drops them, never while an event handler walks
+  // the list by index.
+  std::vector<GroupRun*> active_groups_;
 
   UtilizationTimeline timeline_;
   PredictionErrors prediction_errors_;

@@ -39,15 +39,24 @@ inline constexpr double kAlphaFloorOccupancy = 0.85;
 inline constexpr std::size_t kMaxProfilingJobs = 4;
 // Utilization sampling window: the paper's one-minute cadence (§V).
 inline constexpr double kUtilSampleWindowSec = 60.0;
+// Minimum simulated time between successive kReschedule regroups; cheap
+// kReplace repairs are always allowed (churn damping).
+inline constexpr double kRescheduleCooldownSec = 900.0;
+
+// kProfiled || kPaused: the jobs the idle view (idle_by_submit_) holds.
+inline bool idle_state(core::JobState s) noexcept {
+  return s == core::JobState::kProfiled || s == core::JobState::kPaused;
+}
 
 // Cold per-job record. The hot scalars the memory model reads on every
-// iteration (spill ratio, model-spill flag, submit time, resident-bytes
-// cache) live in ClusterSim's dense struct-of-arrays indexed by JobId — see
-// job_alpha_ and friends — so the occupancy walk touches packed doubles
-// instead of striding through these records.
+// iteration (spill ratio, model-spill flag, submit time) live in
+// ClusterSim's dense struct-of-arrays indexed by JobId — see job_alpha_ and
+// friends — so the occupancy walk touches packed doubles instead of striding
+// through these records.
 struct ClusterSim::SimJob {
   const WorkloadSpec& spec;  // ClusterSim::specs_[id]
   bool arrived = false;  // submission event has fired
+  // Written only by ClusterSim::set_state.
   core::JobState state = core::JobState::kWaiting;
   std::size_t iterations_done = 0;
   std::size_t iters_in_group = 0;
@@ -67,14 +76,11 @@ struct ClusterSim::SimJob {
   std::uint64_t noise_seed = 0;
   std::unique_ptr<Rng> noise;
 
-  // Index memberships maintained by ClusterSim::reindex_job. They mirror the
-  // predicates the event handlers used to evaluate with whole-pool scans.
-  bool in_waiting_index = false;
-  bool in_idle_index = false;
-  bool counted_profiling = false;
-  bool counted_paused = false;
-  bool counted_profiled_ungrouped = false;
-  bool counted_finished = false;
+  // `arrived` and whether the job had a group, as of the last set_state
+  // call. With `state` they are the snapshot set_state diffs the job's
+  // current values against.
+  bool indexed_arrived = false;
+  bool indexed_grouped = false;
 
   SimJob(const WorkloadSpec& s, std::uint64_t seed) : spec(s), noise_seed(seed) {}
 
@@ -105,10 +111,10 @@ struct ClusterSim::GroupRun {
   };
   Occupancy occ;
 
-  std::unique_ptr<sim::FifoResource> cpu_fifo;
-  std::unique_ptr<sim::FifoResource> net_fifo;
-  std::unique_ptr<sim::SharedResource> cpu_shared;
-  std::unique_ptr<sim::SharedResource> net_shared;
+  // The group's two lanes: FIFO under pipelined execution, processor
+  // sharing under contended execution (create_group picks).
+  std::unique_ptr<sim::Resource> cpu;
+  std::unique_ptr<sim::Resource> net;
 
   // Group-level spill control (§IV-C): one hill-climbed occupancy target per
   // group; every member's α is the smallest ratio fitting that target, so
@@ -128,13 +134,6 @@ struct ClusterSim::GroupRun {
   double cpu_busy_at_predict = 0.0;
   double net_busy_at_predict = 0.0;
   RunningStats actual_iteration_times;
-
-  double cpu_busy() const {
-    return cpu_fifo ? cpu_fifo->busy_time() : cpu_shared->work_completed();
-  }
-  double net_busy() const {
-    return net_fifo ? net_fifo->busy_time() : net_shared->work_completed();
-  }
 };
 
 }  // namespace harmony::exp

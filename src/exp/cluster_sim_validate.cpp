@@ -5,6 +5,7 @@
 // the incremental code keys off. All checks are read-only and consume no
 // randomness, so running them cannot perturb a simulation.
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -128,10 +129,8 @@ check::ValidationReport ClusterSim::validate_state() const {
       const double bound_occ = std::max(target, cluster::kGcThreshold);
       const double share = kMachineSpec.memory_bytes / static_cast<double>(g.members.size());
       for (core::JobId id : g.members) {
-        const SimJob& j = jobs_[id];
         if (job_model_spilled_[id] != 0) continue;
-        // Brute force on purpose: the memoized path is what is being audited.
-        const double resident = job_resident_bytes_uncached(j, g.machines);
+        const double resident = job_resident_bytes(jobs_[id], g.machines);
         HARMONY_VALIDATE(v, resident <= bound_occ * share * (1.0 + 1e-9))
             << check::job(id) << check::group(g.id) << "resident bytes " << resident
             << " exceed the occupancy bound " << bound_occ << " x share " << share
@@ -139,20 +138,6 @@ check::ValidationReport ClusterSim::validate_state() const {
             << " (byte accounting skewed vs alpha shares)";
       }
     }
-  }
-
-  // -- resident-bytes memo vs a from-scratch recomputation ------------------
-  // Every valid cache entry must equal the uncached model evaluated at the
-  // cached machine count; a mismatch means a spill-state write skipped its
-  // invalidation hook.
-  for (core::JobId id = 0; id < jobs_.size(); ++id) {
-    if (job_resident_valid_[id] == 0) continue;
-    const double want =
-        job_resident_bytes_uncached(jobs_[id], job_resident_machines_[id]);
-    HARMONY_VALIDATE(v, job_resident_cache_[id] == want)
-        << check::job(id) << "resident-bytes cache holds " << job_resident_cache_[id]
-        << " but recomputing at " << job_resident_machines_[id] << " machines gives "
-        << want << " (stale memo: missed invalidation)";
   }
 
   const auto same_bits = [](double a, double b) {
@@ -169,7 +154,7 @@ check::ValidationReport ClusterSim::validate_state() const {
     std::size_t spilling = 0;
     for (core::JobId id : g.members) {
       if (id >= jobs_.size()) continue;  // reported by the membership checks
-      resident += job_resident_bytes_uncached(jobs_[id], g.machines);
+      resident += job_resident_bytes(jobs_[id], g.machines);
       if (job_alpha_[id] > 0.0) ++spilling;
     }
     const double occupancy = resident / kMachineSpec.memory_bytes;
@@ -183,20 +168,16 @@ check::ValidationReport ClusterSim::validate_state() const {
   // -- job-state indexes vs a from-scratch rebuild --------------------------
   std::vector<core::JobId> want_waiting;
   std::vector<core::JobId> want_idle;
-  std::size_t want_profiling = 0;
-  std::size_t want_paused = 0;
+  std::array<std::size_t, kJobStates> want_in_state{};
   std::size_t want_profiled_ungrouped = 0;
-  std::size_t finished = 0;
   for (const SimJob& j : jobs_) {
     if (j.arrived && j.state == core::JobState::kWaiting)
       want_waiting.push_back(j.spec.id);
     if (j.state == core::JobState::kProfiled || j.state == core::JobState::kPaused)
       want_idle.push_back(j.spec.id);
-    want_profiling += j.state == core::JobState::kProfiling;
-    want_paused += j.state == core::JobState::kPaused;
+    ++want_in_state[static_cast<std::size_t>(j.state)];
     want_profiled_ungrouped +=
         j.state == core::JobState::kProfiled && j.group == nullptr;
-    finished += j.state == core::JobState::kFinished;
   }
   // Both indexes must hold exactly their job sets, sorted by the pinned
   // (submit_time, id) total order.
@@ -229,29 +210,26 @@ check::ValidationReport ClusterSim::validate_state() const {
         << ", t_net " << e.profile.t_net << ") but sched_view gives (" << want.cpu_work
         << ", " << want.t_net << "): stale entry (missed profile refresh)";
   }
-  HARMONY_VALIDATE(v, profiling_count_ == want_profiling)
-      << "profiling counter " << profiling_count_ << " != recount " << want_profiling;
-  HARMONY_VALIDATE(v, paused_count_ == want_paused)
-      << "paused counter " << paused_count_ << " != recount " << want_paused;
+  for (std::size_t s = 0; s < kJobStates; ++s)
+    HARMONY_VALIDATE(v, jobs_in_state_[s] == want_in_state[s])
+        << core::to_string(static_cast<core::JobState>(s)) << " count " << jobs_in_state_[s]
+        << " != recount " << want_in_state[s];
   HARMONY_VALIDATE(v, profiled_ungrouped_count_ == want_profiled_ungrouped)
       << "profiled-ungrouped counter " << profiled_ungrouped_count_ << " != recount "
       << want_profiled_ungrouped;
-  HARMONY_VALIDATE(v, unfinished_count_ == jobs_.size() - finished)
-      << "unfinished counter " << unfinished_count_ << " != recount "
-      << (jobs_.size() - finished);
 
-  // -- active-groups cache --------------------------------------------------
-  // The storage may lag (dissolved entries compact lazily) but must hold
+  // -- active-groups list ---------------------------------------------------
+  // The list may lag (the sampler drops dissolved entries) but must hold
   // every live group exactly once and only pointers groups_ owns.
   {
     std::unordered_map<const GroupRun*, std::size_t> storage_count;
-    for (const GroupRun* g : active_groups_storage_) ++storage_count[g];
+    for (const GroupRun* g : active_groups_) ++storage_count[g];
     std::unordered_set<const GroupRun*> owned;
     for (const GroupRun& g : groups_) owned.insert(&g);
-    // Walk the storage vector and the owning deque — both deterministic — and
-    // only *look up* the pointer-keyed map, so no failure report depends on
+    // Walk the list and the owning deque — both deterministic — and only
+    // *look up* the pointer-keyed map, so no failure report depends on
     // pointer-hash iteration order.
-    for (const GroupRun* g : active_groups_storage_)
+    for (const GroupRun* g : active_groups_)
       HARMONY_VALIDATE(v, owned.contains(g))
           << "active-groups cache holds a pointer groups_ does not own";
     for (const GroupRun& g : groups_) {
@@ -312,7 +290,7 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
       // Insert a job that is not waiting into the waiting index, at its
       // submit-order position.
       for (const SimJob& j : jobs_) {
-        if (j.in_waiting_index) continue;
+        if (j.arrived && j.state == core::JobState::kWaiting) continue;
         update_submit_index(waiting_by_submit_, j.spec.id, /*member=*/true);
         return;
       }
@@ -328,8 +306,8 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
       break;
     }
     case Corruption::kSkewedSpillAlpha: {
-      // Raw write on purpose: bypasses set_alpha so neither the range check
-      // nor the cache invalidation sees it (the validator must catch both).
+      // Raw write on purpose: bypasses set_alpha, so no range check and no
+      // occupancy-memo invalidation sees it (the validator must catch both).
       for (const SimJob& j : jobs_)
         if (j.group != nullptr) {
           job_alpha_[j.spec.id] = 1.5;

@@ -1,9 +1,9 @@
 // Job metadata shared by the scheduler, the simulator and the real runtime.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 
 namespace harmony::core {
 
@@ -44,19 +44,6 @@ struct JobProfile {
   }
 
   bool valid() const noexcept { return cpu_work > 0.0 && t_net > 0.0; }
-};
-
-// Static job description known at submission.
-struct JobSpec {
-  JobId id = kNoJob;
-  std::string name;
-  // Total iterations to convergence (the simulator's convergence proxy; the
-  // real runtime watches the objective value instead).
-  std::size_t iterations_required = 0;
-  // Memory footprint, cluster-wide: workers hold input, servers hold model.
-  double input_bytes = 0.0;
-  double model_bytes = 0.0;
-  double submit_time = 0.0;
 };
 
 }  // namespace harmony::core

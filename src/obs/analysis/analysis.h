@@ -163,10 +163,6 @@ struct AnalysisOptions {
   // Window for bound classification and utilization roll-ups; the paper
   // samples utilization at 1-minute intervals.
   double window_sec = 60.0;
-  std::size_t cdf_points = 20;
-  std::size_t top_stragglers = 5;
-  // Minimum iteration samples after a prediction before it is scored.
-  std::size_t min_prediction_samples = 3;
 };
 
 struct RunAnalysis {

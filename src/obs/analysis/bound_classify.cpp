@@ -30,15 +30,8 @@ namespace harmony::obs::analysis::internal {
 
 namespace {
 
-// Busy seconds of `spans` (sorted by start) inside [t0, t1).
-double busy_in(const std::vector<const TraceEvent*>& spans, double t0, double t1) {
-  double busy = 0.0;
-  for (const TraceEvent* s : spans) {
-    if (start_sec(*s) >= t1) break;
-    busy += overlap_sec(*s, t0, t1);
-  }
-  return busy;
-}
+// Iteration samples a prediction needs inside its horizon to be scored.
+constexpr std::size_t kMinPredictionSamples = 3;
 
 PredictionCheck score_prediction(const GroupEvents& g, const TraceEvent& p,
                                  const AnalysisOptions& options) {
@@ -68,7 +61,7 @@ PredictionCheck score_prediction(const GroupEvents& g, const TraceEvent& p,
 
   const double comp_busy = busy_in(g.comps, t0, t1);
   const double comm_busy = busy_in(g.comms, t0, t1);
-  if (iter_n < options.min_prediction_samples || comp_busy + comm_busy <= 0.0)
+  if (iter_n < kMinPredictionSamples || comp_busy + comm_busy <= 0.0)
     return check;  // not enough signal: left unscored
 
   check.measured = true;

@@ -20,6 +20,8 @@ inline double end_sec(const TraceEvent& e) noexcept {
 
 // Seconds of overlap between a span event and [t0, t1).
 double overlap_sec(const TraceEvent& e, double t0_sec, double t1_sec) noexcept;
+// Busy seconds of `spans` (sorted by start) inside [t0, t1).
+double busy_in(const std::vector<const TraceEvent*>& spans, double t0_sec, double t1_sec);
 
 struct JobEvents {
   std::uint32_t job = 0;

@@ -15,26 +15,21 @@ namespace harmony::obs::analysis::internal {
 
 namespace {
 
-double busy_in(const std::vector<const TraceEvent*>& spans, double t0, double t1) {
-  double busy = 0.0;
-  for (const TraceEvent* s : spans) {
-    if (start_sec(*s) >= t1) break;
-    busy += overlap_sec(*s, t0, t1);
-  }
-  return busy;
-}
+// Points on the reported JCT CDF.
+constexpr std::size_t kCdfPoints = 20;
+// Slowest jobs the straggler attribution reports.
+constexpr std::size_t kTopStragglers = 5;
 
-std::vector<CdfPoint> cdf_of(std::vector<double> samples, std::size_t points) {
+std::vector<CdfPoint> cdf_of(std::vector<double> samples) {
   std::vector<CdfPoint> cdf;
-  if (samples.empty() || points == 0) return cdf;
+  if (samples.empty()) return cdf;
   std::sort(samples.begin(), samples.end());
   const double lo = samples.front();
   const double hi = samples.back();
-  const std::size_t n = std::max<std::size_t>(points, 2);
-  cdf.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x =
-        lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(n - 1);
+  cdf.reserve(kCdfPoints);
+  for (std::size_t i = 0; i < kCdfPoints; ++i) {
+    const double x = lo + (hi - lo) * static_cast<double>(i) /
+                              static_cast<double>(kCdfPoints - 1);
     const auto le = std::upper_bound(samples.begin(), samples.end(), x) - samples.begin();
     cdf.push_back(CdfPoint{x, static_cast<double>(le) / static_cast<double>(samples.size())});
   }
@@ -107,7 +102,7 @@ void rollup_cluster(const TraceIndex& index, const RunTotals* totals, RunAnalysi
   jcts.reserve(out.jobs.size());
   for (const JobAnalysis& job : out.jobs)
     if (job.jct_sec > 0.0) jcts.push_back(job.jct_sec);
-  out.jct_cdf = cdf_of(std::move(jcts), out.options.cdf_points);
+  out.jct_cdf = cdf_of(std::move(jcts));
 
   // --- straggler attribution ----------------------------------------------
   double iter_sum = 0.0;
@@ -127,7 +122,7 @@ void rollup_cluster(const TraceIndex& index, const RunTotals* totals, RunAnalysi
         return a->mean_iteration_sec > b->mean_iteration_sec;
       return a->job < b->job;
     });
-    const std::size_t top = std::min(out.options.top_stragglers, ranked.size());
+    const std::size_t top = std::min(kTopStragglers, ranked.size());
     out.stragglers.reserve(top);
     for (std::size_t i = 0; i < top; ++i) {
       const JobAnalysis& job = *ranked[i];

@@ -10,6 +10,15 @@ double overlap_sec(const TraceEvent& e, double t0_sec, double t1_sec) noexcept {
   return t > s ? t - s : 0.0;
 }
 
+double busy_in(const std::vector<const TraceEvent*>& spans, double t0_sec, double t1_sec) {
+  double busy = 0.0;
+  for (const TraceEvent* s : spans) {
+    if (start_sec(*s) >= t1_sec) break;
+    busy += overlap_sec(*s, t0_sec, t1_sec);
+  }
+  return busy;
+}
+
 TraceIndex build_index(std::vector<TraceEvent> events) {
   TraceIndex index;
 

@@ -6,8 +6,7 @@
 
 namespace harmony::sim {
 
-FifoResource::FifoResource(Simulator& sim, std::string name)
-    : sim_(sim), name_(std::move(name)) {}
+FifoResource::FifoResource(Simulator& sim) : sim_(sim) {}
 
 void FifoResource::submit(double duration, DoneFn on_done) {
   if (duration < 0.0) throw std::invalid_argument("FifoResource: negative duration");
@@ -36,9 +35,8 @@ void FifoResource::start_next() {
   });
 }
 
-SharedResource::SharedResource(Simulator& sim, std::string name, double capacity,
-                               double interference)
-    : sim_(sim), name_(std::move(name)), capacity_(capacity), interference_(interference) {
+SharedResource::SharedResource(Simulator& sim, double capacity, double interference)
+    : sim_(sim), capacity_(capacity), interference_(interference) {
   if (capacity <= 0.0) throw std::invalid_argument("SharedResource: capacity must be > 0");
   if (interference < 0.0) throw std::invalid_argument("SharedResource: negative interference");
 }
@@ -49,14 +47,12 @@ double SharedResource::per_task_rate() const noexcept {
   return capacity_ / n / (1.0 + interference_ * (n - 1.0));
 }
 
-TaskId SharedResource::submit(double work, DoneFn on_done) {
+void SharedResource::submit(double work, DoneFn on_done) {
   if (work < 0.0) throw std::invalid_argument("SharedResource: negative work");
   settle_and_reschedule();  // account elapsed progress before membership change
   if (tasks_.empty()) busy_since_ = sim_.now();
-  const TaskId id = next_id_++;
-  tasks_.emplace(id, Task{work, std::move(on_done)});
+  tasks_.emplace(next_id_++, Task{work, std::move(on_done)});
   settle_and_reschedule();
-  return id;
 }
 
 void SharedResource::settle_and_reschedule() {

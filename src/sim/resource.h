@@ -12,14 +12,14 @@
 //    why the paper's naive baseline shows high variance and can be slower than
 //    isolated execution (§II-B, Fig. 4/5a).
 //
-// Both track busy time and completed work so the harness can report
-// utilization exactly as the paper does (fraction of time the resource is in
-// use, Eq. 3).
+// Both derive from Resource, so a simulated group holds one CPU lane and one
+// network lane whichever discipline backs them, and both report the work
+// they served so the harness can report utilization exactly as the paper
+// does (fraction of time the resource is in use, Eq. 3).
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <string>
 
 #include "common/sorted_view.h"
 #include "sim/simulator.h"
@@ -29,25 +29,41 @@ namespace harmony::sim {
 
 using TaskId = std::uint64_t;
 
-// Serves queued tasks one at a time in submission order.
-class FifoResource {
+// A lane that serves submitted work: what a simulated group runs its
+// subtasks on, whichever service discipline backs it.
+class Resource {
  public:
   // Inline-storage continuation: submitting a task costs no heap allocation.
   using DoneFn = SmallFn<48>;
 
-  FifoResource(Simulator& sim, std::string name);
+  // Pending completions capture the resource's address.
+  Resource() = default;
+  Resource(const Resource&) = delete;
+  Resource& operator=(const Resource&) = delete;
+  virtual ~Resource() = default;
+
+  // Enqueues `work` units (seconds at full rate); `on_done` fires once the
+  // work has been served.
+  virtual void submit(double work, DoneFn on_done) = 0;
+
+  // Work served since construction (the utilization numerator).
+  virtual double work_served() const noexcept = 0;
+};
+
+// Serves queued tasks one at a time in submission order.
+class FifoResource final : public Resource {
+ public:
+  explicit FifoResource(Simulator& sim);
 
   // Enqueues a task whose service time is `duration` seconds once it reaches
   // the head of the queue. `on_done` fires at completion.
-  void submit(double duration, DoneFn on_done);
+  void submit(double duration, DoneFn on_done) override;
 
-  bool busy() const noexcept { return running_; }
-
-  // Total time with a task in service since construction (utilization
-  // numerator).
+  // Total time with a task in service since construction.
   double busy_time() const noexcept;
 
-  const std::string& name() const noexcept { return name_; }
+  // One task at a time at full rate: the work served is the busy time.
+  double work_served() const noexcept override { return busy_time(); }
 
  private:
   struct Pending {
@@ -58,7 +74,6 @@ class FifoResource {
   void start_next();
 
   Simulator& sim_;
-  std::string name_;
   std::deque<Pending> pending_;
   bool running_ = false;
   double busy_accum_ = 0.0;
@@ -71,21 +86,17 @@ class FifoResource {
 //     capacity / n / (1 + interference * (n - 1))
 // so total throughput degrades below capacity as soon as tasks contend —
 // the super-linear slowdown naive co-location exhibits.
-class SharedResource {
+class SharedResource final : public Resource {
  public:
-  using DoneFn = SmallFn<48>;
-
-  SharedResource(Simulator& sim, std::string name, double capacity,
-                 double interference = 0.0);
+  SharedResource(Simulator& sim, double capacity, double interference = 0.0);
 
   // Submits `work` units (e.g. core-seconds, bytes); `on_done` fires when the
   // task's work is fully served.
-  TaskId submit(double work, DoneFn on_done);
+  void submit(double work, DoneFn on_done) override;
 
-  std::size_t active() const noexcept { return tasks_.size(); }
-  double capacity() const noexcept { return capacity_; }
   double busy_time() const noexcept;
-  double work_completed() const noexcept { return work_done_; }
+  // Work served as of the last settle (a submit or a completion).
+  double work_served() const noexcept override { return work_done_; }
 
  private:
   struct Task {
@@ -99,7 +110,6 @@ class SharedResource {
   double per_task_rate() const noexcept;
 
   Simulator& sim_;
-  std::string name_;
   double capacity_;
   double interference_;
 

@@ -173,7 +173,7 @@ void Service::telemetry_tick() {
   // Refresh the level gauges so every window reflects current state even when
   // no scheduling event updated them inside the window.
   metrics.queue_depth.set(static_cast<double>(queue_.size()));
-  metrics.running_jobs.set(static_cast<double>(running_));
+  metrics.running_jobs.set(static_cast<double>(placement_.running_jobs()));
   metrics.free_machines.set(static_cast<double>(placement_.free_machines()));
   metrics.drift.set(placement_.drift());
   metrics.live_groups.set(static_cast<double>(placement_.live_group_count()));
@@ -263,8 +263,7 @@ bool Service::try_place(PendingJob& p) {
   const auto iterations =
       static_cast<double>(std::min(spec.iterations, kMaxIterations));
   const double service_time = iterations * placed->group_t_itr;
-  ++running_;
-  metrics.running_jobs.set(static_cast<double>(running_));
+  metrics.running_jobs.set(static_cast<double>(placement_.running_jobs()));
   metrics.free_machines.set(static_cast<double>(placement_.free_machines()));
   sim_.schedule_in(service_time, [this, id = p.job.id, at = p.arrival_time] {
     on_departure(id, at);
@@ -284,14 +283,13 @@ void Service::on_departure(core::JobId id, double arrival_time) {
   metrics.leaves.add();
   count_scheduling_event();
 
-  --running_;
   ++summary_.completed;
   metrics.completed.add();
   flight_instant(obs::EventKind::kDepart, id);
   const double jct = sim_.now() - arrival_time;
   jcts_.add(jct);
   metrics.jct_sec.observe(jct);
-  metrics.running_jobs.set(static_cast<double>(running_));
+  metrics.running_jobs.set(static_cast<double>(placement_.running_jobs()));
   metrics.free_machines.set(static_cast<double>(placement_.free_machines()));
 
   drain_queue();
@@ -453,7 +451,7 @@ ServiceSummary Service::run() {
   }
 
   summary_.duration_sec = config_.duration_sec;
-  summary_.running_at_end = running_;
+  summary_.running_at_end = placement_.running_jobs();
   summary_.queued_at_end = queue_.size();
   summary_.queue_delay_mean = queue_delays_.mean();
   summary_.queue_delay_p50 = queue_delays_.quantile(0.5);

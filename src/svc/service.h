@@ -192,7 +192,6 @@ class Service {
   Rng rng_;
 
   std::uint64_t next_id_ = 0;
-  std::uint64_t running_ = 0;
   std::uint64_t events_at_last_full_ = 0;
   bool ran_ = false;
 

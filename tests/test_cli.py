@@ -12,6 +12,7 @@ Registered in ctest as `test_cli` with the binary path as argv[1].
 Run directly: python3 tests/test_cli.py /path/to/harmony-sim
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -24,6 +25,12 @@ BINARY = None
 def run(*args):
     return subprocess.run([BINARY, *args], stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def strip_wall_line(stdout):
+    # The `scheduler calls ... (X ms wall)` line reads a wall clock.
+    return "".join(line for line in stdout.splitlines(keepends=True)
+                   if "scheduler calls" not in line)
 
 
 class CliTest(unittest.TestCase):
@@ -132,6 +139,39 @@ class CliTest(unittest.TestCase):
                           outs[0][1])
             self.assertIn("telemetry windows", outs[0][2])
             self.assertIn("queue-delay-p99", outs[0][2])
+
+    def test_naive_policy_keeps_error_injection(self):
+        # Both baseline presets carry --error over: the injected profile
+        # error must change a naive run just as it changes an isolated one.
+        for policy in ("isolated", "naive"):
+            args = ("--policy", policy, "--jobs", "40", "--machines", "40")
+            exact = run(*args)
+            skewed = run(*args, "--error", "0.2")
+            self.assertEqual(exact.returncode, 0, exact.stderr)
+            self.assertEqual(skewed.returncode, 0, skewed.stderr)
+            self.assertNotEqual(strip_wall_line(exact.stdout),
+                                strip_wall_line(skewed.stdout),
+                                f"--policy {policy} ignored --error 0.2")
+
+    def test_trace_snapshots_are_pinned(self):
+        # --trace prints one cluster snapshot per simulated minute to stderr.
+        # The digests were recorded before the job-state counts replaced the
+        # per-minute scan over every job. The first run covers paused jobs,
+        # pending regroups and stopping groups; the second a deep waiting
+        # backlog.
+        cases = (
+            (("--jobs", "80", "--machines", "100"), 1615,
+             "32f17cdc846792a962a48dfb32065dfc4d87bc4f146dd024a86d4b3756e365ef"),
+            (("--jobs", "400", "--machines", "40", "--arrival", "poisson:2"),
+             32127,
+             "4c4585758957fc6c54c520d0f2cdc170d391ad2b53b75e3186cb4bab366a8a43"),
+        )
+        for args, lines, digest in cases:
+            proc = run(*args, "--trace")
+            self.assertEqual(proc.returncode, 0, proc.stderr[-2000:])
+            self.assertEqual(proc.stderr.count("\n"), lines, args)
+            self.assertEqual(hashlib.sha256(proc.stderr.encode()).hexdigest(),
+                             digest, args)
 
     def test_service_sjf_policy_accepted(self):
         proc = run("--service", "--duration", "600", "--arrival-rate", "0.2",

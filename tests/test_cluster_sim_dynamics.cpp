@@ -33,24 +33,6 @@ TEST(ClusterSimDynamics, RegroupEventsHappenOnCompletions) {
   EXPECT_GT(summary.migration_overhead_sec, 0.0);
 }
 
-TEST(ClusterSimDynamics, RescheduleCooldownLimitsChurn) {
-  auto workload = subset(14);
-  ClusterSimConfig fast = ClusterSimConfig::harmony();
-  fast.machines = 24;
-  fast.reschedule_cooldown_sec = 0.0;
-  ClusterSim sim_fast(fast, workload, batch_arrivals(workload.size()));
-  const auto churny = sim_fast.run();
-
-  ClusterSimConfig slow = ClusterSimConfig::harmony();
-  slow.machines = 24;
-  slow.reschedule_cooldown_sec = 36000.0;  // effectively one reschedule
-  ClusterSim sim_slow(slow, workload, batch_arrivals(workload.size()));
-  const auto calm = sim_slow.run();
-
-  EXPECT_GE(churny.regroup_events, calm.regroup_events);
-  EXPECT_EQ(churny.jobs.size(), calm.jobs.size());  // both still finish all
-}
-
 TEST(ClusterSimDynamics, ErrorInjectionIsSystematicPerJob) {
   ClusterSimConfig config = ClusterSimConfig::harmony();
   config.machines = 20;

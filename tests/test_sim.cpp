@@ -403,7 +403,7 @@ TEST(EventQueue, RecurringSlotArmsOnceAndCountsAsPending) {
 
 TEST(FifoResource, ServesSequentially) {
   Simulator sim;
-  FifoResource r(sim, "cpu");
+  FifoResource r(sim);
   std::vector<double> done_at;
   r.submit(2.0, [&] { done_at.push_back(sim.now()); });
   r.submit(3.0, [&] { done_at.push_back(sim.now()); });
@@ -414,7 +414,7 @@ TEST(FifoResource, ServesSequentially) {
 
 TEST(FifoResource, BusyTimeExcludesIdle) {
   Simulator sim;
-  FifoResource r(sim, "cpu");
+  FifoResource r(sim);
   r.submit(2.0, [] {});
   sim.run();
   sim.schedule_at(10.0, [&] { r.submit(1.0, [] {}); });
@@ -425,7 +425,7 @@ TEST(FifoResource, BusyTimeExcludesIdle) {
 
 TEST(FifoResource, CompletionCanResubmit) {
   Simulator sim;
-  FifoResource r(sim, "cpu");
+  FifoResource r(sim);
   int rounds = 0;
   std::function<void()> again = [&] {
     if (++rounds < 3) r.submit(1.0, again);
@@ -438,7 +438,7 @@ TEST(FifoResource, CompletionCanResubmit) {
 
 TEST(SharedResource, SingleTaskRunsAtFullRate) {
   Simulator sim;
-  SharedResource r(sim, "net", 2.0);  // 2 units/sec
+  SharedResource r(sim, 2.0);  // 2 units/sec
   double done_at = -1.0;
   r.submit(4.0, [&] { done_at = sim.now(); });
   sim.run();
@@ -447,7 +447,7 @@ TEST(SharedResource, SingleTaskRunsAtFullRate) {
 
 TEST(SharedResource, TwoTasksShareCapacity) {
   Simulator sim;
-  SharedResource r(sim, "net", 1.0);
+  SharedResource r(sim, 1.0);
   std::vector<double> done_at;
   r.submit(1.0, [&] { done_at.push_back(sim.now()); });
   r.submit(1.0, [&] { done_at.push_back(sim.now()); });
@@ -460,7 +460,7 @@ TEST(SharedResource, TwoTasksShareCapacity) {
 
 TEST(SharedResource, LateArrivalSlowsFirstTask) {
   Simulator sim;
-  SharedResource r(sim, "net", 1.0);
+  SharedResource r(sim, 1.0);
   double first_done = -1.0, second_done = -1.0;
   r.submit(2.0, [&] { first_done = sim.now(); });
   sim.schedule_at(1.0, [&] { r.submit(0.5, [&] { second_done = sim.now(); }); });
@@ -474,7 +474,7 @@ TEST(SharedResource, LateArrivalSlowsFirstTask) {
 
 TEST(SharedResource, InterferencePenaltySlowsEveryone) {
   Simulator sim;
-  SharedResource r(sim, "cpu", 1.0, 0.5);  // 50% penalty per extra task
+  SharedResource r(sim, 1.0, 0.5);  // 50% penalty per extra task
   std::vector<double> done_at;
   r.submit(1.0, [&] { done_at.push_back(sim.now()); });
   r.submit(1.0, [&] { done_at.push_back(sim.now()); });
@@ -487,11 +487,11 @@ TEST(SharedResource, InterferencePenaltySlowsEveryone) {
 
 TEST(SharedResource, WorkCompletedAccounting) {
   Simulator sim;
-  SharedResource r(sim, "cpu", 1.0);
+  SharedResource r(sim, 1.0);
   r.submit(3.0, [] {});
   r.submit(1.0, [] {});
   sim.run();
-  EXPECT_NEAR(r.work_completed(), 4.0, 1e-9);
+  EXPECT_NEAR(r.work_served(), 4.0, 1e-9);
   EXPECT_NEAR(r.busy_time(), 4.0, 1e-9);  // work-conserving
 }
 
@@ -504,7 +504,7 @@ TEST(SharedResource, CompletionOrderSurvivesInsertionHistoryPerturbation) {
   // to submission order.
   auto run = [](bool churn) {
     Simulator sim;
-    SharedResource r(sim, "cpu", 1.0);
+    SharedResource r(sim, 1.0);
     if (churn)
       for (int i = 0; i < 7; ++i) r.submit(0.25 * (i + 1), [] {});
     std::vector<int> order;
@@ -524,7 +524,7 @@ TEST(SharedResource, CompletionOrderSurvivesInsertionHistoryPerturbation) {
 
 TEST(SharedResource, ZeroWorkCompletesImmediately) {
   Simulator sim;
-  SharedResource r(sim, "cpu", 1.0);
+  SharedResource r(sim, 1.0);
   bool done = false;
   r.submit(0.0, [&] { done = true; });
   sim.run();
@@ -536,7 +536,7 @@ class SharedFairnessSweep : public ::testing::TestWithParam<int> {};
 TEST_P(SharedFairnessSweep, NEqualTasksFinishTogether) {
   const int n = GetParam();
   Simulator sim;
-  SharedResource r(sim, "cpu", 1.0);
+  SharedResource r(sim, 1.0);
   std::vector<double> done_at;
   for (int i = 0; i < n; ++i) r.submit(1.0, [&] { done_at.push_back(sim.now()); });
   sim.run();

@@ -76,26 +76,22 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from lint import find_compile_commands  # noqa: E402  (shared compile-db probe)
+# Shared with tools/lint.py, which owns them: the directories whose code
+# must be bit-reproducible, the escape-comment names (lint's detlint-escape
+# hygiene rule checks them too) and the compile-db probe.
+from lint import (  # noqa: E402
+    DETERMINISTIC_DIRS,
+    DETLINT_ESCAPE_NAMES as ESCAPE_NAMES,
+    find_compile_commands,
+)
 
-# Mirrors tools/lint.py: the directories whose code must be bit-reproducible.
-DETERMINISTIC_DIRS = ("src/sim", "src/harmony", "src/exp", "src/baselines",
-                      "src/common", "src/svc")
 SOURCE_EXTS = (".h", ".cpp")
 
 RULE_NAMES = ("unordered-iteration", "pointer-order", "uninit-member",
               "unseeded-random")
 
-# Escape-comment names, one per rule family. lint.py imports this set for its
-# detlint-escape hygiene rule.
-ESCAPE_NAMES = ("sorted-iteration", "pointer-order", "uninit-member",
-                "seeded-random")
-ESCAPE_TO_RULE = {
-    "sorted-iteration": "unordered-iteration",
-    "pointer-order": "pointer-order",
-    "uninit-member": "uninit-member",
-    "seeded-random": "unseeded-random",
-}
+# One escape name per rule family, in the same order.
+ESCAPE_TO_RULE = dict(zip(ESCAPE_NAMES, RULE_NAMES))
 ESCAPE_RE = re.compile(r"detlint:\s*([A-Za-z0-9_-]+)\s*\(([^)]*)\)")
 
 UNORDERED_HEADS = {"unordered_map", "unordered_set", "unordered_multimap",

@@ -325,29 +325,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (policy == "isolated") {
-    const auto seed = config.seed;
-    const auto machines = config.machines;
-    const auto err = config.model_error_injection;
-    const auto trace = config.debug_trace;
-    const auto validate = config.validate;
-    config = exp::ClusterSimConfig::isolated();
-    config.seed = seed;
-    config.machines = machines;
-    config.model_error_injection = err;
-    config.debug_trace = trace;
-    config.validate = validate;
-  } else if (policy == "naive") {
-    const auto seed = config.seed;
-    const auto machines = config.machines;
-    const auto gseed = config.naive_grouping_seed;
-    const auto trace = config.debug_trace;
-    const auto validate = config.validate;
-    config = exp::ClusterSimConfig::naive(gseed == 0 ? 1 : gseed);
-    config.seed = seed;
-    config.machines = machines;
-    config.debug_trace = trace;
-    config.validate = validate;
+  if (policy == "isolated" || policy == "naive") {
+    // A baseline preset fixes the regime (execution model, grouping, no
+    // spill); every other value the options set carries over.
+    const std::uint64_t gseed = config.naive_grouping_seed;
+    exp::ClusterSimConfig preset = policy == "isolated"
+                                       ? exp::ClusterSimConfig::isolated()
+                                       : exp::ClusterSimConfig::naive(gseed == 0 ? 1 : gseed);
+    preset.seed = config.seed;
+    preset.machines = config.machines;
+    preset.model_error_injection = config.model_error_injection;
+    preset.debug_trace = config.debug_trace;
+    preset.validate = config.validate;
+    config = preset;
   } else if (policy != "harmony") {
     usage_error(argv[0], "unknown policy '" + policy + "'");
   }

@@ -129,16 +129,12 @@ SIGNAL_PATTERNS = [
 ]
 SIGNAL_EXEMPT_FILES = ("src/obs/flight_recorder.h", "src/obs/flight_recorder.cpp")
 
-# Canonical escape names come from tools/detlint.py (one per rule family).
-# detlint imports find_compile_commands from this module, so when *this*
-# module loads inside that import, detlint is still mid-initialization and
-# the names may not exist yet — fall back to a synced literal copy.
-try:
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from detlint import ESCAPE_NAMES as DETLINT_ESCAPE_NAMES
-except ImportError:  # pragma: no cover - circular-import fallback
-    DETLINT_ESCAPE_NAMES = ("sorted-iteration", "pointer-order",
-                            "uninit-member", "seeded-random")
+# tools/detlint.py's escape-comment names, one per rule family (in the order
+# of its RULE_NAMES). detlint imports them from here, with
+# DETERMINISTIC_DIRS and find_compile_commands; this module imports nothing
+# from detlint.
+DETLINT_ESCAPE_NAMES = ("sorted-iteration", "pointer-order", "uninit-member",
+                        "seeded-random")
 DETLINT_ESCAPE_RE = re.compile(r"//\s*detlint:\s*([A-Za-z0-9_-]+)\s*(?:\(([^)]*)\))?")
 
 NONDET_PATTERNS = [
