@@ -1,5 +1,5 @@
 // DES event-queue microbench (google-benchmark): the simulator's binary heap
-// and event arena under the access patterns the simulator produces.
+// and event slots under the access patterns the simulator produces.
 //
 //   HoldModel          steady-state pop→push cycling at a fixed queue size.
 //   EnqueueDrain       bulk schedule of n events at random times, then drain.

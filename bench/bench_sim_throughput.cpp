@@ -1,7 +1,7 @@
 // End-to-end simulator throughput (google-benchmark): full ClusterSim runs
 // under the Harmony policy at increasing scale, reporting DES throughput as
 // events/sec and simulated-seconds per wall-second. This is the headline
-// number for the DES core (event heap + event arena + SoA job state): the
+// number for the DES core (event heap + event slots + SoA job state): the
 // 100k-job row is the largest configuration it targets.
 //
 // BM_ClusterSimThroughput arrivals are poisson: batch arrivals funnel

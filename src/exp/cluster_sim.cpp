@@ -1262,7 +1262,7 @@ void ClusterSim::sample_utilization() {
                  "t=%7.0f cpu=%.2f net=%.2f free=%zu wait=%zu paused=%zu idleprof=%zu "
                  "done=%zu pend=%d%s\n",
                  sim_.now(), cpu_busy_machines / total, net_busy_machines / total, free_machines_,
-                 jobs_in(core::JobState::kWaiting), jobs_in(core::JobState::kPaused),
+                 waiting_by_submit_.size(), jobs_in(core::JobState::kPaused),
                  profiled_ungrouped_count_, jobs_in(core::JobState::kFinished),
                  pending_regroup_ ? 1 : 0, groups_desc.c_str());
   }

@@ -26,29 +26,6 @@ struct Contrib {
   return Contrib{m * sum_cpu / t_itr, m * sum_t_net / t_itr, t_itr};
 }
 
-// std::llround (halves away from zero) without the out-of-line libm call
-// that a join probe would otherwise make. Below 2^52 the fraction
-// x - trunc(x) is exact and from 2^52 up every double is an integer, so on
-// [0, 2^62) this is llround(x); anything else goes to the library.
-[[gnu::always_inline]] inline long long round_half_away(double x) {
-  if (!(x >= 0.0 && x < 0x1p62)) return std::llround(x);
-  auto whole = static_cast<long long>(x);
-  if (x - static_cast<double>(whole) >= 0.5) ++whole;
-  return whole;
-}
-
-// Balance-point DoP for aggregate work: Σ T_cpu(m) == Σ t_net at
-// m = sum_cpu_work / sum_t_net, clamped to [1, limit] (limit for pure-CPU
-// work). The machine count full Algorithm 1's allocation step converges to.
-// Evaluated on every join probe, so it is forced inline there.
-[[gnu::always_inline]] inline std::size_t balanced_dop(double sum_cpu_work, double sum_t_net,
-                                                       std::size_t limit) {
-  if (limit == 0) return 0;
-  if (sum_t_net <= 0.0) return limit;
-  const auto balance = static_cast<std::size_t>(round_half_away(sum_cpu_work / sum_t_net));
-  return std::clamp<std::size_t>(balance, 1, limit);
-}
-
 }  // namespace
 
 IncrementalScheduler::IncrementalScheduler(double drift_threshold, std::size_t total_machines)

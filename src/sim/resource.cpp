@@ -1,6 +1,6 @@
 #include "sim/resource.h"
 
-#include <cassert>
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -11,28 +11,27 @@ FifoResource::FifoResource(Simulator& sim) : sim_(sim) {}
 void FifoResource::submit(double duration, DoneFn on_done) {
   if (duration < 0.0) throw std::invalid_argument("FifoResource: negative duration");
   pending_.push_back(Pending{duration, std::move(on_done)});
-  if (!running_) start_next();
+  if (pending_.size() == 1) start_next();
 }
 
-double FifoResource::busy_time() const noexcept {
-  return busy_accum_ + (running_ ? sim_.now() - busy_since_ : 0.0);
+double FifoResource::work_served() const noexcept {
+  return busy_accum_ + (pending_.empty() ? 0.0 : sim_.now() - busy_since_);
 }
 
 void FifoResource::start_next() {
-  assert(!running_);
   if (pending_.empty()) return;
-  Pending task = std::move(pending_.front());
-  pending_.pop_front();
-  running_ = true;
   busy_since_ = sim_.now();
-  sim_.schedule_in(task.duration, [this, done = std::move(task.on_done)]() mutable {
-    busy_accum_ += sim_.now() - busy_since_;
-    running_ = false;
-    // Start the successor before the completion callback so that a callback
-    // which immediately resubmits observes consistent FIFO order.
-    start_next();
-    if (done) done();
-  });
+  sim_.schedule_in(pending_.front().duration, [this] { finish(); });
+}
+
+void FifoResource::finish() {
+  busy_accum_ += sim_.now() - busy_since_;
+  DoneFn done = std::move(pending_.front().on_done);
+  pending_.pop_front();
+  // Start the successor before the completion callback so that a callback
+  // which immediately resubmits observes consistent FIFO order.
+  start_next();
+  if (done) done();
 }
 
 SharedResource::SharedResource(Simulator& sim, double capacity, double interference)
@@ -50,8 +49,7 @@ double SharedResource::per_task_rate() const noexcept {
 void SharedResource::submit(double work, DoneFn on_done) {
   if (work < 0.0) throw std::invalid_argument("SharedResource: negative work");
   settle_and_reschedule();  // account elapsed progress before membership change
-  if (tasks_.empty()) busy_since_ = sim_.now();
-  tasks_.emplace(next_id_++, Task{work, std::move(on_done)});
+  tasks_.push_back(Task{work, std::move(on_done)});
   settle_and_reschedule();
 }
 
@@ -60,7 +58,7 @@ void SharedResource::settle_and_reschedule() {
   const double rate = per_task_rate();
   const double elapsed = now - last_settle_;
   if (elapsed > 0.0 && !tasks_.empty()) {
-    for (auto& [id, task] : tasks_) {
+    for (Task& task : tasks_) {
       const double served = std::min(task.remaining, rate * elapsed);
       task.remaining -= served;
       work_done_ += served;
@@ -76,7 +74,7 @@ void SharedResource::settle_and_reschedule() {
 
   // Next completion: the task with least remaining work at the current rate.
   double min_remaining = std::numeric_limits<double>::infinity();
-  for (const auto& [id, task] : tasks_) min_remaining = std::min(min_remaining, task.remaining);
+  for (const Task& task : tasks_) min_remaining = std::min(min_remaining, task.remaining);
   const double new_rate = per_task_rate();
   const double dt = min_remaining / new_rate;
 
@@ -86,29 +84,23 @@ void SharedResource::settle_and_reschedule() {
     const double rate = per_task_rate();
     const double elapsed = now - last_settle_;
     std::vector<DoneFn> finished;
-    for (auto it = tasks_.begin(); it != tasks_.end();) {
-      auto& task = it->second;
+    std::size_t kept = 0;
+    for (Task& task : tasks_) {
       const double served = std::min(task.remaining, rate * elapsed);
       task.remaining -= served;
       work_done_ += served;
       // Tolerance absorbs floating-point drift in the rate arithmetic.
-      if (task.remaining <= 1e-9) {
+      if (task.remaining <= 1e-9)
         finished.push_back(std::move(task.on_done));
-        it = tasks_.erase(it);
-      } else {
-        ++it;
-      }
+      else
+        tasks_[kept++] = std::move(task);
     }
+    tasks_.resize(kept);
     last_settle_ = now;
-    if (tasks_.empty()) busy_accum_ += now - busy_since_;
     settle_and_reschedule();
     for (auto& done : finished)
       if (done) done();
   });
-}
-
-double SharedResource::busy_time() const noexcept {
-  return busy_accum_ + (!tasks_.empty() ? sim_.now() - busy_since_ : 0.0);
 }
 
 }  // namespace harmony::sim

@@ -18,16 +18,13 @@
 // does (fraction of time the resource is in use, Eq. 3).
 #pragma once
 
-#include <cstdint>
 #include <deque>
+#include <vector>
 
-#include "common/sorted_view.h"
 #include "sim/simulator.h"
 #include "sim/small_fn.h"
 
 namespace harmony::sim {
-
-using TaskId = std::uint64_t;
 
 // A lane that serves submitted work: what a simulated group runs its
 // subtasks on, whichever service discipline backs it.
@@ -59,11 +56,9 @@ class FifoResource final : public Resource {
   // the head of the queue. `on_done` fires at completion.
   void submit(double duration, DoneFn on_done) override;
 
-  // Total time with a task in service since construction.
-  double busy_time() const noexcept;
-
-  // One task at a time at full rate: the work served is the busy time.
-  double work_served() const noexcept override { return busy_time(); }
+  // One task at a time at full rate: the work served is the total time with
+  // a task in service since construction.
+  double work_served() const noexcept override;
 
  private:
   struct Pending {
@@ -72,10 +67,12 @@ class FifoResource final : public Resource {
   };
 
   void start_next();
+  // The in-service task's completion event.
+  void finish();
 
   Simulator& sim_;
+  // The task in service at the front, the queued ones behind it.
   std::deque<Pending> pending_;
-  bool running_ = false;
   double busy_accum_ = 0.0;
   double busy_since_ = 0.0;
 };
@@ -94,7 +91,6 @@ class SharedResource final : public Resource {
   // task's work is fully served.
   void submit(double work, DoneFn on_done) override;
 
-  double busy_time() const noexcept;
   // Work served as of the last settle (a submit or a completion).
   double work_served() const noexcept override { return work_done_; }
 
@@ -113,17 +109,13 @@ class SharedResource final : public Resource {
   double capacity_;
   double interference_;
 
-  // Ordered by TaskId (= submission order) so the settle loop's float
-  // accumulation and the completion callbacks fire in a deterministic order
-  // regardless of hash-table bucket layout.
-  common::ordered_map<TaskId, Task> tasks_;
-  TaskId next_id_ = 1;
+  // In submission order, so the settle loop's float accumulation and the
+  // completion callbacks run in a deterministic order.
+  std::vector<Task> tasks_;
 
   double last_settle_ = 0.0;
   EventId completion_event_ = kInvalidEvent;
 
-  double busy_accum_ = 0.0;
-  double busy_since_ = 0.0;
   double work_done_ = 0.0;
 };
 

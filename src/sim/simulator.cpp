@@ -15,6 +15,13 @@ struct NodeAfter {
 
 }  // namespace
 
+Simulator::EventFn Simulator::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  ++s.gen;
+  free_.push_back(slot);
+  return std::move(s.fn);
+}
+
 void Simulator::push_node(const EventNode& n) {
   heap_.push_back(n);
   std::push_heap(heap_.begin(), heap_.end(), NodeAfter{});
@@ -33,19 +40,21 @@ void Simulator::maybe_compact() {
   // Lazy deletion leaves the cancelled node behind; sweep the orphans out
   // once they outnumber the live events (the +64 floor avoids thrashing tiny
   // queues). Pop order is unaffected — survivors keep their (time, seq) keys.
-  if (heap_.size() <= 2 * arena_.live() + 64) return;
+  if (heap_.size() <= 2 * live_events() + 64) return;
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [&](const EventNode& n) { return !arena_.is_live(n.slot, n.gen); }),
+                             [&](const EventNode& n) { return !is_live(n); }),
               heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), NodeAfter{});
 }
 
 void Simulator::cancel(EventId id) {
-  // Cancelling an already-fired or unknown id is a harmless no-op; the arena
-  // generation check rejects stale handles in O(1).
+  // Cancelling an already-fired or unknown id is a harmless no-op; the
+  // generation check rejects stale ids in O(1).
   const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (arena_.cancel(slot, gen)) maybe_compact();
+  if (slot >= slots_.size() || slots_[slot].gen != gen) return;
+  release(slot);
+  maybe_compact();
 }
 
 void Simulator::fire_recurring() {
@@ -54,7 +63,7 @@ void Simulator::fire_recurring() {
                             << " but clock is at " << now_;
   now_ = t;
   ++fired_;
-  // Disarmed while it runs, as a firing heap event has left the arena.
+  // Disarmed while it runs, as a firing heap event has left its slot.
   recurring_armed_ = false;
   if (recurring_fn_()) {
     recurring_ = EventNode{t + recurring_period_, next_seq_++, 0, 0};
@@ -71,14 +80,17 @@ bool Simulator::step() {
     // every live node is after it too.
     if (recurring_armed_ && node_before(recurring_, heap_.front())) break;
     pop_node(node);
-    if (!arena_.begin_fire(node.slot, node.gen)) continue;  // cancelled orphan
+    if (!is_live(node)) continue;  // cancelled orphan
     // Pops must be time-monotonic or causality breaks silently downstream.
     HARMONY_DCHECK(node.time >= now_)
         << "event " << node.seq << " fires at " << node.time << " but clock is at "
         << now_;
     now_ = node.time;
     ++fired_;
-    arena_.fire_and_release(node.slot);
+    // Released before the call, so a cancel of this id from inside it is a
+    // no-op, and the captures die with `fn` even when the callback throws
+    // (validator CheckErrors propagate through the event loop).
+    release(node.slot)();
     return true;
   }
   if (!recurring_armed_) return false;
@@ -94,22 +106,22 @@ void Simulator::run(std::uint64_t max_events) {
 void Simulator::validate(check::Validation& v) const {
   // Brute-force recount of queue nodes per live event, and the true minimum
   // over live pending events.
-  std::vector<std::uint8_t> node_count(arena_.slots(), 0);
+  std::vector<std::uint8_t> node_count(slots_.size(), 0);
   std::size_t live_nodes = 0;
   const EventNode* min_live = nullptr;
   for (const EventNode& n : heap_) {
-    if (!arena_.is_live(n.slot, n.gen)) continue;  // orphan of a cancelled event
+    if (!is_live(n)) continue;  // orphan of a cancelled event
     ++node_count[n.slot];
     ++live_nodes;
     if (min_live == nullptr || node_before(n, *min_live)) min_live = &n;
   }
 
-  HARMONY_VALIDATE(v, live_nodes == arena_.live())
-      << "arena holds " << arena_.live() << " live events but the queue holds nodes for "
+  HARMONY_VALIDATE(v, live_nodes == live_events())
+      << live_events() << " slots hold live events but the queue holds nodes for "
       << live_nodes << " of them";
   for (std::size_t slot = 0; slot < node_count.size(); ++slot)
     HARMONY_VALIDATE(v, node_count[slot] <= 1)
-        << "event in arena slot " << slot << " has "
+        << "event in slot " << slot << " has "
         << static_cast<unsigned>(node_count[slot]) << " queue nodes (expected exactly 1)";
   if (min_live != nullptr) {
     HARMONY_VALIDATE(v, min_live->time >= now_)

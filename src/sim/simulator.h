@@ -6,17 +6,19 @@
 // full 80-job / 100-machine day-long experiment runs in milliseconds of wall
 // time and is bit-reproducible from the RNG seeds.
 //
-// Internally an event is two pieces: the callback payload lives in an
-// EventArena slot (slab storage, no per-event heap allocation) and a 24-byte
-// EventNode in a binary min-heap carries (time, seq, arena handle). Pop order
-// is earliest time first, then scheduling order; the golden runs and the
-// randomized order test in test_sim.cpp pin it. Cancellation never touches
-// the heap: a node whose generation no longer matches its arena slot is an
-// orphan, dropped when popped or swept out when orphans pile up.
+// Internally an event is two pieces: the callback lives in a slot (a
+// SmallFn with inline storage, so no per-event heap allocation, plus a
+// generation) and a 24-byte EventNode in a binary min-heap carries (time,
+// seq, slot, generation). An event is live while its node's generation
+// matches its slot's. Pop order is earliest time first, then scheduling
+// order; the golden runs and the randomized order test in test_sim.cpp pin
+// it. Cancellation never touches the heap: it bumps the slot's generation,
+// which leaves the node an orphan, dropped when popped or swept out when
+// orphans pile up.
 //
 // Beside the heap sits one recurring slot: a periodic callback (a run's
 // utilization sampler, a service's telemetry tick) that would otherwise pay
-// a heap push, a heap pop and an arena slot on every firing. It holds one
+// a heap push, a heap pop and an event slot on every firing. It holds one
 // node, fires in the same (time, seq) order as a heap node, and re-arms
 // itself with the sequence number a self-rescheduling event would draw, so
 // it is a faster way to hold that one event, not a second queue.
@@ -29,13 +31,12 @@
 #include <vector>
 
 #include "check/check.h"
-#include "sim/event_arena.h"
 #include "sim/small_fn.h"
 
 namespace harmony::sim {
 
-// An EventId packs the arena handle: (generation << 32) | slot. Generations
-// start at 1, so 0 never names a real event.
+// An EventId packs (generation << 32) | slot. Generations start at 1, so 0
+// never names a real event.
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEvent = 0;
 
@@ -61,15 +62,23 @@ class Simulator {
   // Current simulated time in seconds.
   double now() const noexcept { return now_; }
 
-  // Schedules `cb` (any void() callable; captured state moves into the event
-  // arena) at absolute time `t` (must be >= now). Events scheduled for the
+  // Schedules `cb` (any void() callable; captured state moves into a free
+  // slot) at absolute time `t` (must be >= now). Events scheduled for the
   // same instant fire in scheduling order (stable FIFO tie-break).
   template <typename F>
   EventId schedule_at(double t, F&& cb) {
     if (t < now_) throw std::invalid_argument("Simulator: scheduling into the past");
-    const EventArena::Handle h = arena_.emplace(std::forward<F>(cb));
-    push_node(EventNode{t, next_seq_++, h.slot, h.gen});
-    return (static_cast<EventId>(h.gen) << 32) | h.slot;
+    if (free_.empty()) {
+      free_.push_back(static_cast<std::uint32_t>(slots_.size()));
+      slots_.emplace_back();
+    }
+    // The slot leaves the freelist only once the callback is in it.
+    const std::uint32_t slot = free_.back();
+    Slot& s = slots_[slot];
+    s.fn.emplace(std::forward<F>(cb));
+    free_.pop_back();
+    push_node(EventNode{t, next_seq_++, slot, s.gen});
+    return (static_cast<EventId>(s.gen) << 32) | slot;
   }
   template <typename F>
   EventId schedule_in(double dt, F&& cb) {
@@ -87,7 +96,7 @@ class Simulator {
     if (t < now_) throw std::invalid_argument("Simulator: scheduling into the past");
     if (!(period > 0.0)) throw std::invalid_argument("Simulator: recurring period must be > 0");
     if (recurring_fn_) throw std::logic_error("Simulator: the recurring slot is in use");
-    recurring_fn_ = RecurringFn(std::forward<F>(cb));
+    recurring_fn_.emplace(std::forward<F>(cb));
     recurring_ = EventNode{t, next_seq_++, 0, 0};
     recurring_period_ = period;
     recurring_armed_ = true;
@@ -114,7 +123,7 @@ class Simulator {
   // observability samples this as the event-queue depth. Inside a callback
   // the firing event itself is no longer pending.
   std::size_t pending() const noexcept {
-    return arena_.live() + (recurring_armed_ ? 1 : 0);
+    return live_events() + (recurring_armed_ ? 1 : 0);
   }
   // Queue nodes including cancelled orphans awaiting a pop or a compaction;
   // bounded at 2 * pending() + a constant (see cancel()).
@@ -135,13 +144,30 @@ class Simulator {
   void corrupt_queue_duplicate_for_test();
 
  private:
+  // Event callbacks are stored inline; one over 64 bytes is a compile error.
+  // The largest production capture is 32 bytes.
+  using EventFn = SmallFn<64>;
+  // A pending callback, or a free slot whose generation has moved past
+  // every node that names it.
+  struct Slot {
+    EventFn fn;
+    std::uint32_t gen = 1;
+  };
+
+  std::size_t live_events() const noexcept { return slots_.size() - free_.size(); }
+  bool is_live(const EventNode& n) const noexcept { return slots_[n.slot].gen == n.gen; }
+  // Ends a live event: bumps its generation, frees its slot and hands back
+  // its callback.
+  EventFn release(std::uint32_t slot);
+
   void push_node(const EventNode& n);
   bool pop_node(EventNode& out);
   void maybe_compact();
   void fire_recurring();
 
   std::vector<EventNode> heap_;  // min-heap by node_before
-  EventArena arena_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
 
   // The recurring slot: its next (time, seq) while armed (slot/gen unused),
   // its period and its callback (set from arming until it returns false).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
@@ -139,12 +138,7 @@ PendingJob Service::make_pending(core::JobId id) {
   p.seq = id;
   const std::size_t iterations = std::min(spec.iterations, kMaxIterations);
   // Isolated-run estimate at the balance-point DoP; the SJF admission key.
-  std::size_t dop = config_.machines;
-  if (profile.t_net > 0.0) {
-    dop = std::clamp<std::size_t>(
-        static_cast<std::size_t>(std::llround(profile.cpu_work / profile.t_net)), 1,
-        config_.machines);
-  }
+  const std::size_t dop = core::balanced_dop(profile.cpu_work, profile.t_net, config_.machines);
   p.expected_jct = static_cast<double>(iterations) * profile.t_itr(dop);
   return p;
 }

@@ -10,7 +10,7 @@ Three layers:
     escapes) that must come back clean, and deleting the escape comment from
     a copy of a `good/` tree turns the gate red;
   * synthetic trees materialized in a tempdir — include-closure resolution,
-    the facts cache, the step-summary table;
+    the step-summary table;
   * the checkout itself, which must stay clean.
 
 Registered in ctest as `test_detlint`. Run directly:
@@ -155,25 +155,6 @@ class SyntheticTreeTest(unittest.TestCase):
                 "}\n"})
         self.assertEqual(rc, 1, out)
         self.assertIn("[unordered-iteration]", out, out)
-
-    def test_facts_cache_round_trip(self):
-        tree = {"src/sim/r.cpp": "int f() { return rand(); }\n"}
-        with tempfile.TemporaryDirectory(prefix="detlint_selftest_") as root:
-            for rel, content in tree.items():
-                path = os.path.join(root, rel)
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                with open(path, "w", encoding="utf-8") as f:
-                    f.write(content)
-            cache = os.path.join(root, "cache.json")
-            rc1, out1 = run_detlint(root, extra_args=("--cache", cache))
-            self.assertTrue(os.path.isfile(cache), "cache file must be written")
-            rc2, out2 = run_detlint(root, extra_args=("--cache", cache))
-            self.assertEqual((rc1, rc2), (1, 1))
-            self.assertIn("(0 cache hits)", out1, out1)
-            self.assertIn("(1 cache hits)", out2, out2)
-            # Warm and cold runs must report the identical finding.
-            self.assertEqual([l for l in out1.splitlines() if "[unseeded-random]" in l],
-                             [l for l in out2.splitlines() if "[unseeded-random]" in l])
 
     def test_github_step_summary_table(self):
         with tempfile.NamedTemporaryFile("r", suffix=".md", delete=False) as f:

@@ -53,11 +53,8 @@ Escape comments carry a mandatory reason: `// detlint: <name>(<reason>)` on
 the offending line or alone on the line above. tools/lint.py's
 detlint-escape rule validates the reason is non-empty and the name is known.
 
-Per-file parse facts are cached (--cache FILE) keyed on the file's content
-hash plus the analyzer's own source hash, and parsing runs file-parallel
-(--jobs), so warm CI runs only re-lex what changed. When
-$GITHUB_STEP_SUMMARY is set, a per-rule finding-count table is appended to
-the job summary, mirroring tools/lint.py.
+When $GITHUB_STEP_SUMMARY is set, a per-rule finding-count table is
+appended to the job summary, mirroring tools/lint.py.
 
 Exit status: 0 = clean, 1 = findings, 2 = usage error.
 """
@@ -66,9 +63,7 @@ from __future__ import annotations
 
 import argparse
 import collections
-import hashlib
 import json
-import multiprocessing
 import os
 import re
 import sys
@@ -1240,56 +1235,6 @@ def evaluate(root, roots, all_facts, findings):
                              "`// detlint: uninit-member(<why>)`)")
 
 
-# --- caching / parallel drive ------------------------------------------------
-
-def self_hash():
-    with open(os.path.abspath(__file__), "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()[:16]
-
-
-def content_hash(path):
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
-def parse_with_cache(paths, cache_path, jobs):
-    cache = {}
-    if cache_path and os.path.isfile(cache_path):
-        try:
-            with open(cache_path, encoding="utf-8") as f:
-                cache = json.load(f)
-        except (OSError, ValueError):
-            cache = {}
-    version = self_hash()
-    if cache.get("__version__") != version:
-        cache = {"__version__": version}
-
-    hashes = {p: content_hash(p) for p in paths}
-    todo = [p for p in paths if cache.get(p, {}).get("hash") != hashes[p]]
-    hits = len(paths) - len(todo)
-
-    if todo:
-        if jobs > 1 and len(todo) > 4:
-            with multiprocessing.Pool(jobs) as pool:
-                parsed = pool.map(parse_file, todo)
-        else:
-            parsed = [parse_file(p) for p in todo]
-        for p, facts in zip(todo, parsed):
-            cache[p] = {"hash": hashes[p], "facts": facts}
-
-    if cache_path:
-        # Drop entries for files that vanished so the cache cannot grow
-        # without bound, then persist.
-        keep = {"__version__": version}
-        for p in paths:
-            keep[p] = cache[p]
-        tmp = cache_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(keep, f)
-        os.replace(tmp, cache_path)
-    return {p: cache[p]["facts"] for p in paths}, hits
-
-
 def gather_files(root, build_dir):
     """Analysis roots (all deterministic-dir sources) plus the project headers
     they include. The compile database contributes TU spellings when present;
@@ -1327,13 +1272,12 @@ def gather_files(root, build_dir):
     return roots, sorted(all_files)
 
 
-def write_github_summary(findings, file_count, cache_hits):
+def write_github_summary(findings, file_count):
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if not summary_path:
         return
     lines = ["### Detlint", "",
-             f"Determinism analysis over {file_count} files "
-             f"({cache_hits} cache hits).", "",
+             f"Determinism analysis over {file_count} files.", "",
              "| rule | findings |", "| --- | ---: |"]
     for rule in RULE_NAMES:
         lines.append(f"| `{rule}` | {findings.by_rule[rule]} |")
@@ -1350,9 +1294,6 @@ def main() -> int:
                              "point this at fixture trees)")
     parser.add_argument("--build-dir",
                         help="build tree holding compile_commands.json")
-    parser.add_argument("--cache", help="per-file facts cache (JSON), keyed on "
-                                        "content hash + analyzer hash")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 2)
     args = parser.parse_args()
 
     root = os.path.abspath(args.root)
@@ -1364,18 +1305,18 @@ def main() -> int:
     if not roots:
         print(f"detlint: no sources under {root} deterministic dirs")
         return 0
-    all_facts, cache_hits = parse_with_cache(all_files, args.cache, args.jobs)
+    all_facts = {p: parse_file(p) for p in all_files}
 
     findings = Findings()
     evaluate(root, roots, all_facts, findings)
 
-    print(f"detlint: {len(roots)} analysis roots, {len(all_files)} files parsed "
-          f"({cache_hits} cache hits): {len(findings.items)} finding(s)")
+    print(f"detlint: {len(roots)} analysis roots, {len(all_files)} files parsed: "
+          f"{len(findings.items)} finding(s)")
     for item in sorted(findings.items):
         print(f"  {item}")
     print("detlint: rule counts: " +
           " ".join(f"{rule}={findings.by_rule[rule]}" for rule in RULE_NAMES))
-    write_github_summary(findings, len(all_files), cache_hits)
+    write_github_summary(findings, len(all_files))
     if findings.items:
         print("detlint: FAILED")
         return 1

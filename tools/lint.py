@@ -37,13 +37,13 @@ Project rules (always run, no dependencies beyond the stdlib):
                    include src/exp or src/obs/analysis. Enforced by parsing
                    `#include "..."` lines; tools/tests are exempt (they may
                    reach any module).
-  event-payload    DES event callbacks live in the EventArena as SmallFn
-                   payloads (src/sim/small_fn.h); a std::function in the sim
-                   or exp layer reintroduces the per-event heap allocation the
-                   arena exists to remove, so naming std::function (or
-                   including <functional>) there is banned. Escape hatch for
-                   genuinely cold paths: `// lint: allow-std-function` with a
-                   justification.
+  event-payload    DES event callbacks live in the simulator's event slots
+                   as SmallFn payloads (src/sim/small_fn.h); a std::function
+                   in the sim or exp layer reintroduces the per-event heap
+                   allocation SmallFn exists to remove, so naming
+                   std::function (or including <functional>) there is
+                   banned. Escape hatch for genuinely cold paths:
+                   `// lint: allow-std-function` with a justification.
   read-only-analysis
                    src/obs/analysis is a pure interpretation layer: it derives
                    reports from trace/metrics snapshots and must never touch
@@ -110,7 +110,7 @@ ALLOW_STD_FUNCTION = "lint: allow-std-function"
 ALLOW_SIGNAL = "lint: allow-signal-handler"
 
 # Directories where event payloads are hot: std::function's type-erased heap
-# state is banned in favor of sim::SmallFn / the EventArena.
+# state is banned in favor of sim::SmallFn.
 EVENT_PAYLOAD_DIRS = ("src/sim", "src/exp")
 
 RULE_NAMES = ("nondeterminism", "naked-new", "header-hygiene", "lock-discipline",
@@ -330,7 +330,7 @@ def lint_file(root: str, path: str, findings: Findings):
                re.search(r"#\s*include\s*<functional>", line):
                 findings.add(root, path, line_no, "event-payload",
                              "std::function heap-allocates per event; use sim::SmallFn "
-                             "or an EventArena payload (or mark the line "
+                             "(or mark the line "
                              f"`// {ALLOW_STD_FUNCTION}` with a justification)")
 
         if check_locks and ALLOW_RAW_MUTEX not in raw:
