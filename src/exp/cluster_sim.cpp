@@ -66,6 +66,7 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
       free_machines_(config.machines) {
   if (arrivals_.size() != specs_.size())
     throw std::invalid_argument("ClusterSim: arrivals/workload size mismatch");
+  if (config_.machines == 0) throw std::invalid_argument("ClusterSim: zero machines");
   const std::size_t n = specs_.size();
   // Reserve exactly: jobs_ must never reallocate (event callbacks capture
   // SimJob addresses).
@@ -353,12 +354,11 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
     auto it = std::find(g.members.begin(), g.members.end(), job.spec.id);
     if (it != g.members.end()) g.members.erase(it);
     g.occ.valid = false;
-    job.last_group = &g;
     job.group = nullptr;
     set_state(job, core::JobState::kFinished);
     // A stopping group may have been waiting on exactly this job to drain.
     if (g.stopping && g.members.empty()) dissolve_group(g);
-    on_job_finished(job);
+    on_job_finished(job, &g);
     return;
   }
 
@@ -388,7 +388,7 @@ ClusterSim::GroupRun& ClusterSim::create_group(std::size_t machines) {
   if (machines > free_machines_) throw std::logic_error("create_group: not enough machines");
   free_machines_ -= machines;
 
-  GroupRun& g = groups_.emplace_back();  // deque: address stable forever
+  GroupRun& g = *groups_.emplace_back(std::make_unique<GroupRun>());
   g.id = next_group_id_++;
   g.machines = machines;
   if (config_.exec == ExecModel::kPipelined) {
@@ -400,7 +400,6 @@ ClusterSim::GroupRun& ClusterSim::create_group(std::size_t machines) {
     g.cpu = std::make_unique<sim::SharedResource>(sim_, 1.0, kContentionPenalty);
     g.net = std::make_unique<sim::SharedResource>(sim_, 1.0, kContentionPenalty);
   }
-  active_groups_.push_back(&g);
   obs::MetricsRegistry::instance().counter("sim.groups_created").add();
   if (obs::Tracer::enabled())
     obs::Tracer::instant(obs::EventKind::kGroupCreate, obs::ClockDomain::kSim,
@@ -486,7 +485,7 @@ void ClusterSim::park_job(SimJob& job, core::JobState state) {
     auto it = pending_regroup_->job_plan.find(job.spec.id);
     if (it != pending_regroup_->job_plan.end()) {
       GroupRun* target = pending_regroup_->targets[it->second];
-      if (target != nullptr && !target->dissolved && !target->stopping &&
+      if (target != nullptr && !target->stopping &&
           fits_without_spill(*target, job)) {
         settle_group_prediction(*target);
         place_job_in_group(job, *target, /*with_migration_delay=*/true);
@@ -511,8 +510,14 @@ void ClusterSim::dissolve_group(GroupRun& group) {
   free_machines_ += group.machines;
   group.machines = 0;
   group.occ.valid = false;
-  // The GroupRun object stays alive (resources may still fire no-op events);
-  // it simply no longer participates in views or utilization accounting.
+  // The group is empty, so its lanes are idle and no event refers to it; the
+  // sampler frees it. Until then it is skipped by every view, and the pending
+  // regroup must stop naming it.
+  if (pending_regroup_) {
+    std::erase(pending_regroup_->involved, &group);
+    for (GroupRun*& target : pending_regroup_->targets)
+      if (target == &group) target = nullptr;
+  }
   try_apply_pending();
 }
 
@@ -520,14 +525,13 @@ void ClusterSim::dissolve_group(GroupRun& group) {
 // Job-state / group indexes
 //
 // Every event handler used to answer "which jobs are waiting / idle / still
-// profiling?" with a full jobs_ scan and "which groups are live?" with a full
-// groups_ scan (groups_ never shrinks — dissolved groups stay for late no-op
-// events). The indexes below maintain those answers incrementally, keyed off
-// the same predicates, so the per-event cost tracks the live population
-// instead of everything ever created. The waiting and idle lists are kept in
-// the pinned (submit_time, id) order, the order every scheduling pass reads
-// them in, so reading them needs no sort; the idle list holds the scheduler's
-// view of each job, so reading it needs no gather either.
+// profiling?" with a full jobs_ scan. The indexes below maintain those
+// answers incrementally, keyed off the same predicates, so the per-event cost
+// tracks the live population instead of everything ever created. The waiting
+// and idle lists are kept in the pinned (submit_time, id) order, the order
+// every scheduling pass reads them in, so reading them needs no sort; the
+// idle list holds the scheduler's view of each job, so reading it needs no
+// gather either.
 
 void ClusterSim::update_submit_index(std::deque<core::JobId>& index, core::JobId id,
                                      bool member) {
@@ -588,8 +592,8 @@ void ClusterSim::dissolve_emptied_groups(bool skip_stopping) {
   // Indexed iteration: dissolve can re-enter through try_apply_pending and
   // append freshly created groups, which must be visited too. Nothing but
   // the sampler removes entries, so the indices stay put.
-  for (std::size_t gi = 0; gi < active_groups_.size(); ++gi) {
-    GroupRun& g = *active_groups_[gi];
+  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+    GroupRun& g = *groups_[gi];
     if (g.dissolved || (skip_stopping && g.stopping)) continue;
     if (g.members.empty()) dissolve_group(g);
   }
@@ -614,7 +618,7 @@ core::SchedJob ClusterSim::sched_view(const SimJob& job) const {
 
 ClusterSim::RunningView ClusterSim::running_view() const {
   RunningView out;
-  for (GroupRun* g : active_groups_) {
+  for (const auto& g : groups_) {
     if (g->dissolved || g->stopping) continue;
     core::RunningGroup rg;
     rg.machines = g->machines;
@@ -624,15 +628,15 @@ ClusterSim::RunningView ClusterSim::running_view() const {
     }
     if (rg.jobs.empty()) continue;
     out.groups.push_back(std::move(rg));
-    out.owners.push_back(g);
+    out.owners.push_back(g.get());
   }
   return out;
 }
 
 std::vector<ClusterSim::GroupRun*> ClusterSim::live_groups() const {
   std::vector<GroupRun*> out;
-  for (GroupRun* g : active_groups_)
-    if (!g->dissolved && !g->stopping) out.push_back(g);
+  for (const auto& g : groups_)
+    if (!g->dissolved && !g->stopping) out.push_back(g.get());
   return out;
 }
 
@@ -657,7 +661,7 @@ auto ClusterSim::call_scheduler(Call&& call) {
   return result;
 }
 
-ClusterSim::GroupRun& ClusterSim::form_planned_group(const std::vector<core::JobId>& jobs,
+ClusterSim::GroupRun* ClusterSim::form_planned_group(const std::vector<core::JobId>& jobs,
                                                      std::size_t machines) {
   GroupRun& g = create_group(machines);
   std::size_t placed = 0;
@@ -680,7 +684,7 @@ ClusterSim::GroupRun& ClusterSim::form_planned_group(const std::vector<core::Job
     record_group_prediction(g);
   }
   for (SimJob* job : refused) place_fallback_isolated(*job);
-  return g;
+  return placed == 0 ? nullptr : &g;
 }
 
 // ---------------------------------------------------------------------------
@@ -912,16 +916,14 @@ void ClusterSim::try_apply_pending() {
     }
     if (plan.machines > free_machines_) continue;
 
-    pr.targets[i] = &form_planned_group(plan.jobs, plan.machines);
+    pr.targets[i] = form_planned_group(plan.jobs, plan.machines);
     pr.resolved[i] = true;
   }
 
   // Complete once every plan is resolved and every drained group is gone.
-  bool done = true;
+  bool done = pr.involved.empty();
   for (bool r : pr.resolved)
     if (!r) done = false;
-  for (GroupRun* g : pr.involved)
-    if (!g->dissolved) done = false;
   if (done) pending_regroup_.reset();
   applying_pending_ = false;
   if (done) {
@@ -1018,7 +1020,7 @@ void ClusterSim::apply_decision(const core::ScheduleDecision& decision) {
   maybe_validate();
 }
 
-void ClusterSim::on_job_finished(SimJob& job) {
+void ClusterSim::on_job_finished(SimJob& job, const GroupRun* left) {
   switch (config_.grouping) {
     case GroupingPolicy::kIsolated: {
       // The finished job's dedicated group dissolves; queued jobs take over.
@@ -1060,7 +1062,7 @@ void ClusterSim::on_job_finished(SimJob& job) {
   // Map the finished job's former group into the view index space.
   std::size_t group_index = 0;
   for (std::size_t i = 0; i < view.owners.size(); ++i)
-    if (view.owners[i] == job.last_group) group_index = i;
+    if (view.owners[i] == left) group_index = i;
 
   const auto idle = idle_sched_jobs();
   const core::RegroupAction action = call_scheduler([&] {
@@ -1235,9 +1237,10 @@ void ClusterSim::sample_utilization() {
   double net_busy_machines = 0.0;
   std::size_t running_jobs = 0;
   std::size_t running_groups = 0;
-  // The one compaction point: no event handler is walking the list here.
-  std::erase_if(active_groups_, [](const GroupRun* g) { return g->dissolved; });
-  for (GroupRun* g : active_groups_) {
+  // The one compaction point, which frees the dissolved groups: no event
+  // handler is walking the list or holding a group here.
+  std::erase_if(groups_, [](const std::unique_ptr<GroupRun>& g) { return g->dissolved; });
+  for (const auto& g : groups_) {
     const double cpu_now = g->cpu->work_served();
     const double net_now = g->net->work_served();
     const double m = static_cast<double>(g->machines);
@@ -1255,7 +1258,7 @@ void ClusterSim::sample_utilization() {
                        core::Utilization{cpu_busy_machines / total, net_busy_machines / total});
   if (config_.debug_trace) {
     std::string groups_desc;
-    for (const GroupRun* g : active_groups_)
+    for (const auto& g : groups_)
       groups_desc += " [" + std::to_string(g->members.size()) + "j/" +
                      std::to_string(g->machines) + "m" + (g->stopping ? "!" : "") + "]";
     std::fprintf(stderr,
@@ -1304,8 +1307,8 @@ RunSummary ClusterSim::run() {
   });
   sim_.run(200'000'000ULL);
 
-  for (GroupRun& g : groups_)
-    if (!g.dissolved) settle_group_prediction(g);
+  for (const auto& g : groups_)
+    if (!g->dissolved) settle_group_prediction(*g);
   maybe_validate();
 
   double first_arrival = arrivals_.empty() ? 0.0 : arrivals_.front();
@@ -1348,27 +1351,6 @@ AlphaStats ClusterSim::alpha_stats() const {
   for (std::size_t i = 0; i < jobs_.size(); ++i)
     if (job_alpha_[i] >= 0.999 || job_model_spilled_[i] != 0) ++st.jobs_at_one;
   return st;
-}
-
-std::string ClusterSim::debug_dump() const {
-  std::string out = "t=" + std::to_string(sim_.now()) + " free=" +
-                    std::to_string(free_machines_) +
-                    " pending_regroup=" + (pending_regroup_ ? "yes" : "no") +
-                    "\n";
-  for (const SimJob& job : jobs_) {
-    out += "job " + std::to_string(job.spec.id) + " " + core::to_string(job.state) +
-           " iters=" + std::to_string(job.iterations_done) + "/" +
-           std::to_string(job.spec.iterations) +
-           " group=" + (job.group ? std::to_string(job.group->id) : "-") +
-           " arrived=" + (job.arrived ? "y" : "n") + "\n";
-  }
-  for (const GroupRun& g : groups_) {
-    if (g.dissolved) continue;
-    out += "group " + std::to_string(g.id) + " m=" + std::to_string(g.machines) +
-           " members=" + std::to_string(g.members.size()) +
-           (g.stopping ? " stopping" : "") + "\n";
-  }
-  return out;
 }
 
 bool co_location_ooms(const std::vector<WorkloadSpec>& jobs, std::size_t machines,

@@ -138,9 +138,6 @@ class ClusterSim {
   std::uint64_t events_fired() const noexcept { return sim_.events_fired(); }
   double sim_now() const noexcept { return sim_.now(); }
 
-  // One-line-per-entity dump of job and group state; debugging/ops aid.
-  std::string debug_dump() const;
-
   // Deep validators (src/check): cross-check every piece of incrementally
   // maintained state against a brute-force recomputation — machine
   // conservation across groups and the free pool, job-state indexes vs a
@@ -209,7 +206,8 @@ class ClusterSim {
   auto call_scheduler(Call&& call);
   void on_job_arrival(SimJob& job);
   void on_job_profiled(SimJob& job);
-  void on_job_finished(SimJob& job);
+  // `left` is the group the job finished in; it may already be dissolved.
+  void on_job_finished(SimJob& job, const GroupRun* left);
   void bootstrap_profiling();
   void try_schedule_isolated();
   void try_schedule_naive();
@@ -271,8 +269,9 @@ class ClusterSim {
   void apply_decision(const core::ScheduleDecision& decision);
   // Forms one planned group of `machines` machines: places each unfinished,
   // ungrouped job of `jobs` that fits, dissolves the group again if none
-  // did, and gives every refused job its no-spill fallback group.
-  GroupRun& form_planned_group(const std::vector<core::JobId>& jobs, std::size_t machines);
+  // did, and gives every refused job its no-spill fallback group. Returns
+  // the group, or null if it dissolved at once.
+  GroupRun* form_planned_group(const std::vector<core::JobId>& jobs, std::size_t machines);
   void maybe_start_profiling();
   // Work conservation: if unallocated machines and idle jobs exist, runs
   // Algorithm 1 over the idle pool for just those machines.
@@ -309,9 +308,13 @@ class ClusterSim {
   // resized afterwards, so SimJob addresses are stable for the whole run —
   // event callbacks capture SimJob* directly.
   std::vector<SimJob> jobs_;
-  // Deque for stable GroupRun addresses across create_group appends (groups_
-  // only ever grows; dissolved groups stay for late no-op events).
-  std::deque<GroupRun> groups_;
+  // Every live group plus every group dissolved since the last utilization
+  // sample, in creation order, so event-path walks cost O(live groups).
+  // Readers skip dissolved entries. Only sample_utilization erases (and so
+  // frees) them, never while an event handler walks the list by index. A
+  // group dissolves only once empty, so no lane task or pending event refers
+  // to it by then; dissolve_group clears the pending regroup's references.
+  std::vector<std::unique_ptr<GroupRun>> groups_;
   std::size_t next_group_id_ = 0;
   std::size_t free_machines_ = 0;
 
@@ -341,12 +344,6 @@ class ClusterSim {
       static_cast<std::size_t>(core::JobState::kFinished) + 1;
   std::array<std::size_t, kJobStates> jobs_in_state_{};
   std::size_t profiled_ungrouped_count_ = 0;
-  // Every group created since the last utilization sample plus every group
-  // live then, in creation order, so event-path iteration costs O(live
-  // groups), not O(groups ever created). Readers skip dissolved entries;
-  // only sample_utilization drops them, never while an event handler walks
-  // the list by index.
-  std::vector<GroupRun*> active_groups_;
 
   UtilizationTimeline timeline_;
   PredictionErrors prediction_errors_;
@@ -375,10 +372,11 @@ class ClusterSim {
   // ... and executes the other co-located jobs in the meanwhile", §IV-B4).
   struct PendingRegroup {
     core::ScheduleDecision decision;
-    std::vector<GroupRun*> targets;  // created group per plan (null until then)
-    std::vector<bool> resolved;      // created, or abandoned (no jobs left)
+    // Created group per plan; null until then, and again once it dissolves.
+    std::vector<GroupRun*> targets;
+    std::vector<bool> resolved;  // created, or abandoned (no jobs left)
     std::unordered_map<core::JobId, std::size_t> job_plan;
-    std::vector<GroupRun*> involved;  // groups being drained
+    std::vector<GroupRun*> involved;  // groups still draining
 
     // Machines still earmarked for plans that have not materialized.
     std::size_t reserved_machines() const;

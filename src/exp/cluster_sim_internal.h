@@ -63,8 +63,7 @@ struct ClusterSim::SimJob {
   double finish_time = -1.0;
 
   GroupRun* group = nullptr;
-  GroupRun* last_group = nullptr;  // group the job most recently left
-  bool in_flight = false;          // an iteration's subtasks are in the pipeline
+  bool in_flight = false;  // an iteration's subtasks are in the pipeline
   double reload_ready_at = 0.0;
   double iter_start_time = 0.0;
   // Systematic profile-error factors for Fig. 13a (1.0 = exact).

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/sorted_view.h"
@@ -40,7 +39,8 @@ check::ValidationReport ClusterSim::validate_state() const {
   // Stopping groups keep their machines until the drain completes; dissolve
   // is the only release point and zeroes the group's count.
   std::size_t held = 0;
-  for (const GroupRun& g : groups_) {
+  for (const auto& gp : groups_) {
+    const GroupRun& g = *gp;
     if (g.dissolved) {
       HARMONY_VALIDATE(v, g.machines == 0)
           << check::group(g.id) << "dissolved group still holds " << g.machines
@@ -57,7 +57,8 @@ check::ValidationReport ClusterSim::validate_state() const {
       << " (a machine is over-allocated or leaked)";
 
   // -- group <-> job membership ---------------------------------------------
-  for (const GroupRun& g : groups_) {
+  for (const auto& gp : groups_) {
+    const GroupRun& g = *gp;
     if (g.dissolved) continue;
     std::unordered_set<core::JobId> seen;
     for (core::JobId id : g.members) {
@@ -123,7 +124,8 @@ check::ValidationReport ClusterSim::validate_state() const {
   // only grow between refreshes (members leaving), so the bound holds with
   // current membership.
   if (config_.spill_enabled && !config_.fixed_alpha) {
-    for (const GroupRun& g : groups_) {
+    for (const auto& gp : groups_) {
+      const GroupRun& g = *gp;
       if (g.dissolved || g.members.empty()) continue;
       const double target = g.occ_ctl ? g.occ_ctl->alpha() : kAlphaFloorOccupancy;
       const double bound_occ = std::max(target, cluster::kGcThreshold);
@@ -148,7 +150,8 @@ check::ValidationReport ClusterSim::validate_state() const {
   // Same fold, same order, so a valid memo matches bit for bit; a mismatch
   // means a membership, machine-count or spill-state change skipped the
   // group's invalidation.
-  for (const GroupRun& g : groups_) {
+  for (const auto& gp : groups_) {
+    const GroupRun& g = *gp;
     if (!g.occ.valid) continue;
     double resident = 0.0;
     std::size_t spilling = 0;
@@ -218,32 +221,6 @@ check::ValidationReport ClusterSim::validate_state() const {
       << "profiled-ungrouped counter " << profiled_ungrouped_count_ << " != recount "
       << want_profiled_ungrouped;
 
-  // -- active-groups list ---------------------------------------------------
-  // The list may lag (the sampler drops dissolved entries) but must hold
-  // every live group exactly once and only pointers groups_ owns.
-  {
-    std::unordered_map<const GroupRun*, std::size_t> storage_count;
-    for (const GroupRun* g : active_groups_) ++storage_count[g];
-    std::unordered_set<const GroupRun*> owned;
-    for (const GroupRun& g : groups_) owned.insert(&g);
-    // Walk the list and the owning deque — both deterministic — and only
-    // *look up* the pointer-keyed map, so no failure report depends on
-    // pointer-hash iteration order.
-    for (const GroupRun* g : active_groups_)
-      HARMONY_VALIDATE(v, owned.contains(g))
-          << "active-groups cache holds a pointer groups_ does not own";
-    for (const GroupRun& g : groups_) {
-      const auto it = storage_count.find(&g);
-      const std::size_t n = it == storage_count.end() ? 0 : it->second;
-      if (n > 0)
-        HARMONY_VALIDATE(v, n == 1)
-            << check::group(g.id) << "active-groups cache lists a group " << n << " times";
-      if (!g.dissolved)
-        HARMONY_VALIDATE(v, n > 0)
-            << check::group(g.id) << "live group missing from the active-groups cache";
-    }
-  }
-
   // -- pending regroup ------------------------------------------------------
   if (pending_regroup_) {
     const PendingRegroup& pr = *pending_regroup_;
@@ -251,20 +228,30 @@ check::ValidationReport ClusterSim::validate_state() const {
     HARMONY_VALIDATE(v, pr.targets.size() == plans && pr.resolved.size() == plans)
         << "pending regroup arrays out of step with the decision (" << pr.targets.size()
         << "/" << pr.resolved.size() << " vs " << plans << " plans)";
-    for (std::size_t i = 0; i < std::min(plans, pr.targets.size()); ++i)
-      if (pr.targets[i] != nullptr)
-        HARMONY_VALIDATE(v, i < pr.resolved.size() && pr.resolved[i])
-            << check::group(pr.targets[i]->id)
-            << "materialized target group not marked resolved (plan " << i << ")";
+    // dissolve_group clears the regroup's references to a group, which the
+    // sampler frees next: a dissolved group here is a dangling pointer soon.
+    for (std::size_t i = 0; i < std::min(plans, pr.targets.size()); ++i) {
+      const GroupRun* t = pr.targets[i];
+      if (t == nullptr) continue;
+      HARMONY_VALIDATE(v, i < pr.resolved.size() && pr.resolved[i])
+          << check::group(t->id) << "materialized target group not marked resolved (plan "
+          << i << ")";
+      HARMONY_VALIDATE(v, !t->dissolved)
+          << check::group(t->id) << "dissolved group still a regroup target (plan " << i
+          << ")";
+    }
     for (const auto& [id, plan] : common::sorted_view(pr.job_plan))
       HARMONY_VALIDATE(v, plan < plans)
           << check::job(id) << "pending plan index " << plan << " out of range";
     HARMONY_VALIDATE(v, pr.reserved_machines() <= config_.machines)
         << "pending regroup reserves " << pr.reserved_machines()
         << " machines on a cluster of " << config_.machines;
-    for (const GroupRun* g : pr.involved)
-      HARMONY_VALIDATE(v, g->stopping || g->dissolved)
+    for (const GroupRun* g : pr.involved) {
+      HARMONY_VALIDATE(v, !g->dissolved)
+          << check::group(g->id) << "dissolved group still listed as draining";
+      HARMONY_VALIDATE(v, g->stopping)
           << check::group(g->id) << "group involved in a regroup is not draining";
+    }
   }
 
   // -- event heap -----------------------------------------------------------
@@ -298,9 +285,9 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
     }
     case Corruption::kOverAllocatedMachine: {
       // A group grabs a machine the free pool never released.
-      for (GroupRun& g : groups_)
-        if (!g.dissolved) {
-          ++g.machines;
+      for (const auto& g : groups_)
+        if (!g->dissolved) {
+          ++g->machines;
           return;
         }
       break;
@@ -325,19 +312,19 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
     case Corruption::kStaleOccupancyMemo: {
       // A group's memo keeps a value no fold over its members gives, as if
       // a member had left without invalidating it.
-      for (GroupRun& g : groups_)
-        if (!g.dissolved && !g.members.empty()) {
-          refresh_occupancy(g);
-          g.occ.occupancy += 0.25;
+      for (const auto& g : groups_)
+        if (!g->dissolved && !g->members.empty()) {
+          refresh_occupancy(*g);
+          g->occ.occupancy += 0.25;
           return;
         }
       break;
     }
     case Corruption::kBrokenMembership: {
       // Group forgets a member that still points at it.
-      for (GroupRun& g : groups_)
-        if (!g.dissolved && !g.members.empty()) {
-          g.members.erase(g.members.begin());
+      for (const auto& g : groups_)
+        if (!g->dissolved && !g->members.empty()) {
+          g->members.erase(g->members.begin());
           return;
         }
       break;

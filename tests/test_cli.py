@@ -75,6 +75,41 @@ class CliTest(unittest.TestCase):
     def test_service_rejects_batch_arrivals(self):
         self.assert_named_error("batch", "--service", "--arrival", "batch")
 
+    def test_malformed_numbers_are_named(self):
+        # A value that does not parse as the option's number is a usage
+        # error, not an uncaught exception.
+        self.assert_named_error("--jobs", "--jobs", "abc")
+        self.assert_named_error("--jobs", "--jobs", "12abc")
+        self.assert_named_error("--machines", "--machines", "abc")
+        self.assert_named_error("--seed", "--seed", "x")
+        self.assert_named_error("--arrival", "--arrival", "poisson:abc")
+        self.assert_named_error("--queue-cap", "--service", "--queue-cap", "x")
+
+    def test_out_of_range_numbers_are_named(self):
+        # Zero machines would sample an empty cluster for 200M minutes, an
+        # error of 2 gives negative profiles, and a non-positive mean
+        # inter-arrival time is no arrival process; both modes reject it.
+        self.assert_named_error("--machines", "--machines", "0")
+        self.assert_named_error("--machines", "--service", "--machines", "0")
+        self.assert_named_error("--error", "--error", "2")
+        self.assert_named_error("--error", "--error", "-0.1")
+        self.assert_named_error("--arrival", "--arrival", "poisson:0")
+        self.assert_named_error("--arrival", "--arrival", "poisson:-5")
+        self.assert_named_error("--arrival", "--service", "--arrival",
+                                "poisson:0")
+
+    def test_service_rejects_replay_only_options(self):
+        # The service reads none of these: accepting them would drop a
+        # requested trace, report or policy without a word.
+        with tempfile.TemporaryDirectory() as tmp:
+            for option in (("--policy", "isolated"), ("--jobs", "10"),
+                           ("--spill", "off"), ("--naive-seed", "3"),
+                           ("--error", "0.1"), ("--timeline",), ("--trace",),
+                           ("--chrome-trace", os.path.join(tmp, "t.json")),
+                           ("--report", os.path.join(tmp, "report"))):
+                self.assert_named_error(option[0], "--service", "--duration",
+                                        "600", *option)
+
     def test_service_runs_are_bit_identical(self):
         args = ("--service", "--duration", "1200", "--arrival-rate", "0.2",
                 "--machines", "80", "--seed", "5")

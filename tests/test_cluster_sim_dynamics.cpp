@@ -130,19 +130,6 @@ TEST(ClusterSimDynamics, UtilizationTimelineMonotoneTimestamps) {
   for (std::size_t i = 1; i < times.size(); ++i) EXPECT_GT(times[i], times[i - 1]);
 }
 
-TEST(ClusterSimDynamics, DebugDumpListsEverything) {
-  ClusterSimConfig config = ClusterSimConfig::harmony();
-  config.machines = 12;
-  auto workload = subset(5);
-  ClusterSim sim(config, workload, batch_arrivals(workload.size()));
-  sim.run();
-  const std::string dump = sim.debug_dump();
-  // ClusterSim renumbers jobs 0..n-1 internally.
-  for (std::size_t i = 0; i < workload.size(); ++i)
-    EXPECT_NE(dump.find("job " + std::to_string(i)), std::string::npos);
-  EXPECT_NE(dump.find("finished"), std::string::npos);
-}
-
 TEST(ClusterSimDynamics, SpillOffUsesFallbackIsolatedGroups) {
   ClusterSimConfig config = ClusterSimConfig::harmony();
   config.spill_enabled = false;

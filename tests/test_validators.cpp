@@ -148,7 +148,7 @@ TEST(SimulatorQueueCorruption, DuplicateNodeDetected) {
   s.validate(v);
   const auto report = v.report();
   ASSERT_FALSE(report.ok());
-  // Both the per-slot recount and the arena/queue live-count cross-check
+  // Both the per-slot recount and the slot/queue live-count cross-check
   // must name the double-queued event.
   EXPECT_TRUE(report.mentions("expected exactly 1")) << report.to_string();
   EXPECT_TRUE(report.mentions("the queue holds nodes for")) << report.to_string();

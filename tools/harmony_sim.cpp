@@ -7,10 +7,22 @@
 //     --machines M                      cluster size          (default 100)
 //     --arrival batch|poisson:SEC|trace:SEC   arrival process (default batch)
 //     --seed S                          simulation seed       (default 1)
+//     --spill on|off                    data spill/reload     (default on)
+//     --naive-seed S                    naive grouping shuffle seed
+//     --error F                         profile error injection in [0, 1),
+//                                       e.g. 0.1
+//     --timeline                        print the utilization timeline
+//     --trace                           per-minute cluster snapshots (stderr)
+//     --chrome-trace FILE               write a Chrome trace-event JSON file
+//     --report DIR                      run the trace analysis engine over the
+//                                       run (implies tracing) and write
+//                                       DIR/report.md + DIR/report.json,
+//                                       reconciled against the run summary
 //
 //   Service mode (open-loop continuous arrivals, incremental rescheduling,
 //   admission control; deterministic report on stdout, wall-clock throughput
-//   on stderr):
+//   on stderr). The workload-replay options above other than --machines,
+//   --arrival and --seed are rejected here:
 //     --service                         run the online service instead of a
 //                                       finite workload replay
 //     --duration SEC                    arrival horizon     (default 86400)
@@ -22,7 +34,6 @@
 //     --queue-cap N                     pending-queue capacity (default 1024)
 //     --drift F                         full-reschedule drift threshold
 //                                       (default 0.10)
-//     --spill on|off                    data spill/reload     (default on)
 //     --telemetry-out FILE              live telemetry as JSON Lines, one
 //                                       window per line (byte-deterministic)
 //     --telemetry-interval SEC          telemetry window length in sim time
@@ -34,26 +45,22 @@
 //                                       queue-delay-p99, rejection-rate,
 //                                       drift-escalation-rate,
 //                                       sched-throughput-floor
+//
+//   Either mode:
 //     --flight-recorder DIR             arm the crash flight recorder; dumps
 //                                       a Chrome trace + context bundle into
 //                                       DIR on CHECK failure, fatal signal,
 //                                       or SLO page
-//     --naive-seed S                    naive grouping shuffle seed
-//     --error F                         profile error injection, e.g. 0.1
-//     --timeline                        print the utilization timeline
 //     --validate                        deep invariant validators at every
 //                                       regroup event (diagnostics on stderr;
 //                                       stdout is byte-identical to a run
 //                                       without this flag)
-//     --trace                           per-minute cluster snapshots (stderr)
-//     --chrome-trace FILE               write a Chrome trace-event JSON file
 //     --metrics FILE                    write a metrics-registry JSON snapshot
-//     --report DIR                      run the trace analysis engine over the
-//                                       run (implies tracing) and write
-//                                       DIR/report.md + DIR/report.json,
-//                                       reconciled against the run summary
 //     --log-level debug|info|warn|error minimum log severity  (default warn)
 //     --help                            print this help and exit
+//
+//   A malformed or out-of-range number (--machines 0, --error 2,
+//   --arrival poisson:0) exits 2 with a message naming the option.
 //
 // Examples:
 //   harmony_sim                                  # the paper's main setting
@@ -61,10 +68,16 @@
 //   harmony_sim --policy naive --naive-seed 3
 //   harmony_sim --jobs 20 --machines 40 --arrival poisson:120 --timeline
 //   harmony_sim --jobs 20 --machines 40 --chrome-trace out.json --metrics m.json
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <csignal>  // lint: allow-signal-handler (flight-recorder crash hook)
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -108,9 +121,34 @@ void print_usage(std::FILE* out, const char* argv0) {
   std::exit(2);
 }
 
-double parse_suffixed(const std::string& value, const std::string& prefix) {
-  return std::stod(value.substr(prefix.size()));
+// The whole of `value` as the number `flag` takes. No digits, trailing text,
+// a value out of the type's range or a non-finite float is a usage error
+// naming the flag.
+template <typename T>
+T parse_number(const char* argv0, const std::string& flag, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (!ok) usage_error(argv0, flag + " needs a number, got '" + value + "'");
+  return out;
 }
+
+// The mean inter-arrival time of `arrival`, "poisson:SEC" or "trace:SEC",
+// which must be positive.
+double parse_arrival_mean(const char* argv0, const std::string& arrival,
+                          const std::string& prefix) {
+  const double mean = parse_number<double>(argv0, "--arrival", arrival.substr(prefix.size()));
+  if (mean <= 0.0)
+    usage_error(argv0, "--arrival " + arrival + " needs a positive mean inter-arrival time");
+  return mean;
+}
+
+// Options that only a workload replay reads; --service rejects them.
+constexpr std::array<std::string_view, 9> kReplayOnlyOptions = {
+    "--policy", "--jobs", "--spill", "--naive-seed", "--error",
+    "--timeline", "--trace", "--chrome-trace", "--report"};
 
 // Fatal-signal hook: pull the flight recorder's handle, then re-raise with
 // the default disposition so the exit status still reflects the signal. The
@@ -149,6 +187,7 @@ int main(int argc, char** argv) {
   double telemetry_interval_sec = 0.0;
   std::vector<obs::SloSpec> slos;
   std::string flight_recorder_dir;
+  std::string replay_only_given;  // replay-only options on the command line
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -156,15 +195,19 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage_error(argv[0], "missing value for " + arg);
       return argv[++i];
     };
+    if (std::find(kReplayOnlyOptions.begin(), kReplayOnlyOptions.end(), arg) !=
+        kReplayOnlyOptions.end())
+      replay_only_given += " " + arg;
     if (arg == "--help" || arg == "-h") {
       print_usage(stdout, argv[0]);
       return 0;
     } else if (arg == "--policy") {
       policy = next();
     } else if (arg == "--jobs") {
-      jobs = std::stoul(next());
+      jobs = parse_number<std::size_t>(argv[0], arg, next());
     } else if (arg == "--machines") {
-      config.machines = std::stoul(next());
+      config.machines = parse_number<std::size_t>(argv[0], arg, next());
+      if (config.machines == 0) usage_error(argv[0], "--machines must be positive");
       machines_set = true;
     } else if (arg == "--arrival") {
       arrival = next();
@@ -172,11 +215,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--service") {
       service_mode = true;
     } else if (arg == "--duration") {
-      svc_config.duration_sec = std::stod(next());
+      svc_config.duration_sec = parse_number<double>(argv[0], arg, next());
       if (svc_config.duration_sec <= 0.0)
         usage_error(argv[0], "--duration must be positive");
     } else if (arg == "--arrival-rate") {
-      const double rate = std::stod(next());
+      const double rate = parse_number<double>(argv[0], arg, next());
       if (rate <= 0.0) usage_error(argv[0], "--arrival-rate must be positive");
       svc_config.mean_interarrival_sec = 1.0 / rate;
     } else if (arg == "--admission") {
@@ -185,19 +228,21 @@ int main(int argc, char** argv) {
       if (!policy) usage_error(argv[0], "unknown admission policy '" + name + "'");
       svc_config.admission = *policy;
     } else if (arg == "--queue-cap") {
-      svc_config.queue_capacity = std::stoul(next());
+      svc_config.queue_capacity = parse_number<std::size_t>(argv[0], arg, next());
     } else if (arg == "--drift") {
-      svc_config.drift_threshold = std::stod(next());
+      svc_config.drift_threshold = parse_number<double>(argv[0], arg, next());
       if (svc_config.drift_threshold <= 0.0)
         usage_error(argv[0], "--drift must be positive");
     } else if (arg == "--seed") {
-      config.seed = std::stoull(next());
+      config.seed = parse_number<std::uint64_t>(argv[0], arg, next());
     } else if (arg == "--naive-seed") {
-      config.naive_grouping_seed = std::stoull(next());
+      config.naive_grouping_seed = parse_number<std::uint64_t>(argv[0], arg, next());
     } else if (arg == "--spill") {
       config.spill_enabled = next() == "on";
     } else if (arg == "--error") {
-      config.model_error_injection = std::stod(next());
+      config.model_error_injection = parse_number<double>(argv[0], arg, next());
+      if (config.model_error_injection < 0.0 || config.model_error_injection >= 1.0)
+        usage_error(argv[0], "--error must be in [0, 1)");
     } else if (arg == "--timeline") {
       timeline = true;
     } else if (arg == "--validate") {
@@ -209,7 +254,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--telemetry-out") {
       telemetry_out = next();
     } else if (arg == "--telemetry-interval") {
-      telemetry_interval_sec = std::stod(next());
+      telemetry_interval_sec = parse_number<double>(argv[0], arg, next());
       if (telemetry_interval_sec <= 0.0)
         usage_error(argv[0], "--telemetry-interval must be positive");
     } else if (arg == "--prom-out") {
@@ -243,6 +288,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!service_mode && (!telemetry_out.empty() || !prom_out.empty() || !slos.empty() ||
+                        telemetry_interval_sec > 0.0))
+    usage_error(argv[0],
+                "--telemetry-out/--telemetry-interval/--prom-out/--slo require --service");
+  if (service_mode && !replay_only_given.empty())
+    usage_error(argv[0], "--service does not take workload-replay options:" + replay_only_given);
+
   if (!chrome_trace_file.empty() || !report_dir.empty())
     obs::Tracer::instance().set_enabled(true);
 
@@ -253,19 +305,14 @@ int main(int argc, char** argv) {
     install_fatal_signal_handlers();
   }
 
-  if (!service_mode && (!telemetry_out.empty() || !prom_out.empty() || !slos.empty() ||
-                        telemetry_interval_sec > 0.0))
-    usage_error(argv[0],
-                "--telemetry-out/--telemetry-interval/--prom-out/--slo require --service");
-
   if (service_mode) {
     if (arrival_set) {
       if (arrival.rfind("poisson:", 0) == 0) {
         svc_config.arrival_kind = "poisson";
-        svc_config.mean_interarrival_sec = parse_suffixed(arrival, "poisson:");
+        svc_config.mean_interarrival_sec = parse_arrival_mean(argv[0], arrival, "poisson:");
       } else if (arrival.rfind("trace:", 0) == 0) {
         svc_config.arrival_kind = "trace";
-        svc_config.mean_interarrival_sec = parse_suffixed(arrival, "trace:");
+        svc_config.mean_interarrival_sec = parse_arrival_mean(argv[0], arrival, "trace:");
       } else if (arrival == "batch") {
         usage_error(argv[0],
                     "arrival process 'batch' is not open-loop; service mode "
@@ -353,11 +400,12 @@ int main(int argc, char** argv) {
   if (arrival == "batch") {
     arrivals = exp::batch_arrivals(catalog.size());
   } else if (arrival.rfind("poisson:", 0) == 0) {
-    arrivals = exp::poisson_arrivals(catalog.size(), parse_suffixed(arrival, "poisson:"),
+    arrivals = exp::poisson_arrivals(catalog.size(),
+                                     parse_arrival_mean(argv[0], arrival, "poisson:"),
                                      config.seed);
   } else if (arrival.rfind("trace:", 0) == 0) {
-    arrivals =
-        exp::trace_arrivals(catalog.size(), parse_suffixed(arrival, "trace:"), config.seed);
+    arrivals = exp::trace_arrivals(catalog.size(),
+                                   parse_arrival_mean(argv[0], arrival, "trace:"), config.seed);
   } else {
     usage_error(argv[0], "unknown arrival process '" + arrival + "'");
   }
