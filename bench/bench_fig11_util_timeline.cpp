@@ -13,9 +13,9 @@ void report(const char* label, exp::ClusterSim& sim, const exp::RunSummary& summ
   std::printf("\n-- %s (makespan %.1f h) --\n", label, summary.makespan / 3600.0);
   std::printf("time(min)\tcpu\tnet\n");
   const auto& tl = sim.timeline();
-  const std::size_t stride = std::max<std::size_t>(1, tl.times().size() / 24);
-  for (std::size_t i = 0; i < tl.times().size(); i += stride)
-    std::printf("%.0f\t%.2f\t%.2f\n", tl.times()[i] / 60.0, tl.values()[i].cpu,
+  const std::size_t stride = std::max<std::size_t>(1, tl.values().size() / 24);
+  for (std::size_t i = 0; i < tl.values().size(); i += stride)
+    std::printf("%.0f\t%.2f\t%.2f\n", tl.time_of(i) / 60.0, tl.values()[i].cpu,
                 tl.values()[i].net);
   // "Busy-period" average: until 90% of jobs have finished (the tail where
   // few jobs remain dilutes the mean, visible in the paper's plot as well).

@@ -1254,8 +1254,11 @@ void ClusterSim::sample_utilization() {
     }
   }
   const double total = static_cast<double>(config_.machines);
-  timeline_.add_sample(sim_.now(),
-                       core::Utilization{cpu_busy_machines / total, net_busy_machines / total});
+  // run() arms the sampler at one window from time 0 and the recurring slot
+  // re-arms at t + window, so firing k lands at the integer 60·k, exact.
+  HARMONY_DCHECK(sim_.now() == UtilizationTimeline::time_of(timeline_.values().size()))
+      << "utilization sample at " << sim_.now() << " is off the window grid";
+  timeline_.add(core::Utilization{cpu_busy_machines / total, net_busy_machines / total});
   if (config_.debug_trace) {
     std::string groups_desc;
     for (const auto& g : groups_)

@@ -37,8 +37,6 @@ inline constexpr std::size_t kNaiveJobsPerGroup = 3;
 inline constexpr double kAlphaFloorOccupancy = 0.85;
 // Concurrent jobs being profiled in steady state (§IV-B1).
 inline constexpr std::size_t kMaxProfilingJobs = 4;
-// Utilization sampling window: the paper's one-minute cadence (§V).
-inline constexpr double kUtilSampleWindowSec = 60.0;
 // Minimum simulated time between successive kReschedule regroups; cheap
 // kReplace repairs are always allowed (churn damping).
 inline constexpr double kRescheduleCooldownSec = 900.0;

@@ -5,23 +5,12 @@
 
 namespace harmony::exp {
 
-void UtilizationTimeline::add_sample(double time_sec, core::Utilization value) {
-  times_.push_back(time_sec);
-  values_.push_back(value);
-}
-
-core::Utilization UtilizationTimeline::average() const {
-  return average_until(times_.empty() ? 0.0 : times_.back());
-}
-
 core::Utilization UtilizationTimeline::average_until(double horizon_sec) const {
   core::Utilization acc;
   std::size_t n = 0;
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    if (times_[i] > horizon_sec) break;
-    acc.cpu += values_[i].cpu;
-    acc.net += values_[i].net;
-    ++n;
+  for (; n < values_.size() && time_of(n) <= horizon_sec; ++n) {
+    acc.cpu += values_[n].cpu;
+    acc.net += values_[n].net;
   }
   if (n == 0) return {};
   return core::Utilization{acc.cpu / static_cast<double>(n), acc.net / static_cast<double>(n)};
@@ -29,10 +18,10 @@ core::Utilization UtilizationTimeline::average_until(double horizon_sec) const {
 
 std::string UtilizationTimeline::tsv(std::size_t max_rows) const {
   std::ostringstream out;
-  if (times_.empty() || max_rows == 0) return out.str();
-  const std::size_t stride = std::max<std::size_t>(1, times_.size() / max_rows);
-  for (std::size_t i = 0; i < times_.size(); i += stride) {
-    out << times_[i] << '\t' << values_[i].cpu << '\t' << values_[i].net << '\n';
+  if (values_.empty() || max_rows == 0) return out.str();
+  const std::size_t stride = std::max<std::size_t>(1, values_.size() / max_rows);
+  for (std::size_t i = 0; i < values_.size(); i += stride) {
+    out << time_of(i) << '\t' << values_[i].cpu << '\t' << values_[i].net << '\n';
   }
   return out.str();
 }

@@ -11,16 +11,21 @@
 
 namespace harmony::exp {
 
-// Windowed utilization trace; ClusterSim samples it at 1-minute intervals
-// (the paper's cadence, kUtilSampleWindowSec).
+// Utilization sampling window: the paper's one-minute cadence (§V).
+inline constexpr double kUtilSampleWindowSec = 60.0;
+
+// Windowed utilization trace. ClusterSim appends one sample per window, the
+// first at kUtilSampleWindowSec, so sample i is at time_of(i) and no
+// timestamp is stored.
 class UtilizationTimeline {
  public:
-  void add_sample(double time_sec, core::Utilization value);
+  void add(core::Utilization value) { values_.push_back(value); }
 
-  const std::vector<double>& times() const noexcept { return times_; }
   const std::vector<core::Utilization>& values() const noexcept { return values_; }
+  static double time_of(std::size_t i) noexcept {
+    return kUtilSampleWindowSec * static_cast<double>(i + 1);
+  }
 
-  core::Utilization average() const;
   // Average restricted to [0, horizon_sec] (used to exclude the tail where
   // few jobs remain).
   core::Utilization average_until(double horizon_sec) const;
@@ -29,7 +34,6 @@ class UtilizationTimeline {
   std::string tsv(std::size_t max_rows = 60) const;
 
  private:
-  std::vector<double> times_;
   std::vector<core::Utilization> values_;
 };
 

@@ -194,11 +194,9 @@ void IncrementalScheduler::adopt(const ScheduleDecision& decision,
 }
 
 std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
-    const SchedJob& job, bool force) {
+    const SchedJob& job) {
   HARMONY_CHECK(job_group_.count(job.id) == 0)
       << check::job(job.id) << "join of an already-placed job";
-
-  const std::size_t cap = force ? 2 * kMaxJobsPerGroup : kMaxJobsPerGroup;
 
   // Option A: the best of up to kJoinProbeLimit live groups with a free
   // member slot, by modelled score delta. Every candidate is evaluated
@@ -218,7 +216,7 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
     for (std::size_t step = 0; step < slots && probed < kJoinProbeLimit;
          ++step, idx = idx + 1 == slots ? 0 : idx + 1) {
       const Group& g = groups_[idx];
-      if (!g.live || g.jobs.size() >= cap) continue;
+      if (!g.live || g.jobs.size() >= kMaxJobsPerGroup) continue;
       ++probed;
       const double sum_cpu = g.sum_cpu_work + job.profile.cpu_work;
       const double sum_net = g.sum_t_net + job.profile.t_net;
@@ -270,7 +268,7 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
   // state stuck under the floor instead shows drift > threshold and is
   // repaired by the full-reschedule escalation.
   const double chosen_score = take_existing ? best_score : new_score;
-  if (!force && chosen_score < peak_score_ * (1.0 - drift_threshold_)) {
+  if (chosen_score < peak_score_ * (1.0 - drift_threshold_)) {
     return std::nullopt;
   }
 
@@ -371,9 +369,8 @@ void IncrementalScheduler::validate(check::Validation& v) const {
     HARMONY_VALIDATE(v, !g.jobs.empty())
         << check::group(i) << "live group with no members";
     HARMONY_VALIDATE(v, g.machines >= 1) << check::group(i) << "live group w/o machines";
-    HARMONY_VALIDATE(v, g.jobs.size() <= 2 * kMaxJobsPerGroup)
-        << check::group(i) << "group width " << g.jobs.size()
-        << " exceeds 2x kMaxJobsPerGroup";
+    HARMONY_VALIDATE(v, g.jobs.size() <= kMaxJobsPerGroup)
+        << check::group(i) << "group width " << g.jobs.size() << " exceeds kMaxJobsPerGroup";
     machines += g.machines;
     jobs += g.jobs.size();
     ++nonempty;

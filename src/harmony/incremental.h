@@ -14,7 +14,7 @@
 //    same crossing full Algorithm 1 allocates to), drawing from or returning
 //    machines to the free pool — without the resize a group would stay frozen
 //    at its founder's DoP and greedy packing could never approach full
-//    Algorithm-1 quality. A probe costs O(group members) (members ≤ 2x the
+//    Algorithm-1 quality. A probe costs O(group members) (members ≤ the
 //    member cap) off cached aggregates, so a join costs
 //    O(kJoinProbeLimit x kMaxJobsPerGroup) regardless of cluster size.
 //  * leave: remove the job from its group and re-size the remainder to its
@@ -69,8 +69,8 @@ namespace harmony::core {
   return std::clamp<std::size_t>(balance, 1, limit);
 }
 
-// Groups hold at most kMaxJobsPerGroup members (scheduler.h); forced
-// re-joins after an adopt() may exceed it, never beyond 2x (validated).
+// Groups hold at most kMaxJobsPerGroup members (scheduler.h), whether joined
+// or adopted from a core::repack (validated).
 class IncrementalScheduler {
  public:
   // One live job group (exposed read-only for validators and reporting).
@@ -106,14 +106,12 @@ class IncrementalScheduler {
   };
 
   // Places one job with bounded work. Returns nullopt when no live group has
-  // a free member slot and the free pool is empty, or when every candidate
-  // placement would drag the modelled score below the drift floor
-  // (peak x (1 - drift_threshold)) without improving on the current score —
-  // the incremental analog of Algorithm 1 parking queue-tail jobs once the
-  // score stops improving. `force` bypasses both the member cap and the
-  // quality gate so adopted-state repairs cannot strand a running job. The
-  // job must not already be placed.
-  std::optional<JoinResult> join(const SchedJob& job, bool force = false);
+  // a free member slot and the free pool is empty, or when the best
+  // placement would land the modelled score below the drift floor
+  // (peak x (1 - drift_threshold)) — the incremental analog of Algorithm 1
+  // parking queue-tail jobs once the score stops improving. The job must not
+  // already be placed.
+  std::optional<JoinResult> join(const SchedJob& job);
 
   // Removes a job; emptied groups dissolve back into the free pool. Returns
   // false if the job is not placed.
@@ -124,9 +122,8 @@ class IncrementalScheduler {
   // the per-job penalty).
   double current_score() const;
   // Re-records the drift baseline at the current state. adopt() does this
-  // implicitly; callers that post-process an adopted decision (forced
-  // re-joins of prefix leftovers, queue drains) call this afterwards so
-  // drift() measures decay from the settled state, not a transient.
+  // implicitly; the service calls it when drift fires on an empty grouping,
+  // so the trigger disarms.
   void rebaseline();
   // Decay since the last rebaseline: max of the relative score drop from the
   // peak score observed since then and the net free-pool growth as a fraction

@@ -51,8 +51,7 @@ FlightRecorder& FlightRecorder::instance() {
   return *recorder;
 }
 
-void FlightRecorder::arm(const std::string& dir, std::size_t capacity,
-                         std::size_t max_dumps) {
+void FlightRecorder::arm(const std::string& dir) {
   // Create the bundle directory up front: an unwritable path should surface
   // at arm time, not be discovered during the crash we were meant to record.
   std::error_code ec;
@@ -62,10 +61,8 @@ void FlightRecorder::arm(const std::string& dir, std::size_t capacity,
   }
   common::MutexLock lock(mu_);
   dir_ = dir;
-  capacity_ = std::max<std::size_t>(capacity, 1);
-  max_dumps_ = max_dumps;
   ring_.clear();
-  ring_.reserve(capacity_);
+  ring_.reserve(kRingCapacity);
   ring_head_ = 0;
   context_.clear();
   metrics_json_.clear();
@@ -85,11 +82,11 @@ void FlightRecorder::disarm() {
 void FlightRecorder::append(const TraceEvent& event) {
   if (!armed()) return;
   common::MutexLock lock(mu_);
-  if (ring_.size() < capacity_) {
+  if (ring_.size() < kRingCapacity) {
     ring_.push_back(event);
   } else {
     ring_[ring_head_] = event;
-    ring_head_ = (ring_head_ + 1) % capacity_;
+    ring_head_ = (ring_head_ + 1) % kRingCapacity;
   }
 }
 
@@ -116,7 +113,7 @@ bool FlightRecorder::dump(const std::string& reason, const std::string& detail,
   std::string metrics;
   {
     common::MutexLock lock(mu_);
-    if (dump_index_ >= max_dumps_) return false;  // disk-fill guard
+    if (dump_index_ >= kMaxDumps) return false;  // disk-fill guard
     dir = dir_;
     index = dump_index_++;
     // Unroll the ring into insertion order: [head, end) then [0, head).

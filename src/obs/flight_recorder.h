@@ -34,12 +34,14 @@ class FlightRecorder {
   // the fatal-signal path may run during static destruction).
   static FlightRecorder& instance();
 
-  // Starts recording into a ring of `capacity` events; dumps go to `dir`
-  // (created on first dump). At most `max_dumps` bundles are written per
-  // arm() — a repeatedly-paging SLO must not fill the disk. Re-arming resets
-  // the ring and dump counter.
-  void arm(const std::string& dir, std::size_t capacity = 4096,
-           std::size_t max_dumps = 16);
+  // Events the ring keeps, and bundles written per arm(): a repeatedly
+  // paging SLO must not fill the disk.
+  static constexpr std::size_t kRingCapacity = 4096;
+  static constexpr std::uint64_t kMaxDumps = 16;
+
+  // Starts recording into a ring of kRingCapacity events; dumps go to `dir`
+  // (created on first dump). Re-arming resets the ring and dump counter.
+  void arm(const std::string& dir);
   void disarm();
   bool armed() const noexcept { return armed_.load(std::memory_order_relaxed); }
 
@@ -79,13 +81,11 @@ class FlightRecorder {
   std::atomic<bool> armed_{false};
   mutable common::Mutex mu_;
   std::string dir_ GUARDED_BY(mu_);
-  std::size_t capacity_ GUARDED_BY(mu_) = 0;
   std::vector<TraceEvent> ring_ GUARDED_BY(mu_);  // insertion order, oldest first
   std::size_t ring_head_ GUARDED_BY(mu_) = 0;     // next slot once the ring wrapped
   std::map<std::string, std::string> context_ GUARDED_BY(mu_);
   std::string metrics_json_ GUARDED_BY(mu_);
   std::uint64_t dump_index_ GUARDED_BY(mu_) = 0;
-  std::uint64_t max_dumps_ GUARDED_BY(mu_) = 16;
 };
 
 }  // namespace harmony::obs

@@ -1,11 +1,31 @@
 #include "obs/slo.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <utility>
 
 namespace harmony::obs {
+
+namespace {
+
+// Burn-rate rule: page when at least kFastBurn of the last kFastWindows AND
+// at least kSlowBurn of the last kSlowWindows windows breached, for
+// kPendingWindows consecutive windows.
+constexpr std::size_t kFastWindows = 3;
+constexpr std::size_t kSlowWindows = 12;
+constexpr double kFastBurn = 1.0;
+constexpr double kSlowBurn = 0.5;
+constexpr std::size_t kPendingWindows = 2;
+static_assert(kFastWindows <= kSlowWindows, "the breach history holds the slow window");
+static_assert(kPendingWindows >= 2, "a first burning window only goes pending");
+
+constexpr std::array<SloKind, 4> kSloKinds = {
+    SloKind::kQueueDelayP99, SloKind::kRejectionRate, SloKind::kDriftEscalationRate,
+    SloKind::kSchedThroughputFloor};
+
+}  // namespace
 
 const char* to_string(SloKind kind) noexcept {
   switch (kind) {
@@ -44,31 +64,28 @@ bool parse_slo(const std::string& arg, SloSpec& spec, std::string& error) {
   const std::string name = arg.substr(0, eq);
   const std::string value = arg.substr(eq + 1);
 
-  SloSpec out;
-  out.name = name;
-  if (name == "queue-delay-p99") {
-    out.kind = SloKind::kQueueDelayP99;
-  } else if (name == "rejection-rate") {
-    out.kind = SloKind::kRejectionRate;
-  } else if (name == "drift-escalation-rate") {
-    out.kind = SloKind::kDriftEscalationRate;
-  } else if (name == "sched-throughput-floor") {
-    out.kind = SloKind::kSchedThroughputFloor;
-    out.lower_bound = true;
-  } else {
-    error = "unknown SLO '" + name +
-            "' (known: queue-delay-p99, rejection-rate, drift-escalation-rate, "
-            "sched-throughput-floor)";
+  const auto kind = std::find_if(kSloKinds.begin(), kSloKinds.end(),
+                                 [&](SloKind k) { return name == to_string(k); });
+  if (kind == kSloKinds.end()) {
+    std::string known;
+    for (const SloKind k : kSloKinds) {
+      if (!known.empty()) known += ", ";
+      known += to_string(k);
+    }
+    error = "unknown SLO '" + name + "' (known: " + known + ")";
     return false;
   }
 
-  char* end = nullptr;
-  out.threshold = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
+  SloSpec out;
+  out.kind = *kind;
+
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out.threshold);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(out.threshold)) {
     error = "bad SLO threshold '" + value + "' for " + name;
     return false;
   }
-  spec = std::move(out);
+  spec = out;
   return true;
 }
 
@@ -95,10 +112,9 @@ double SloMonitor::window_value(const SloSpec& spec, const TelemetryWindow& w) {
   return 0.0;
 }
 
-SloMonitor::SloMonitor(SloSpec spec) : spec_(std::move(spec)) {}
+SloMonitor::SloMonitor(SloSpec spec) : spec_(spec) {}
 
 double SloMonitor::breach_fraction(std::size_t last_n) const {
-  if (last_n == 0) return 0.0;
   const std::size_t n = std::min(last_n, breaches_.size());
   if (n == 0) return 0.0;
   std::size_t breached = 0;
@@ -109,26 +125,16 @@ double SloMonitor::breach_fraction(std::size_t last_n) const {
   return static_cast<double>(breached) / static_cast<double>(last_n);
 }
 
-void SloMonitor::transition(AlertState to, const TelemetryWindow& w) {
-  AlertTransition t;
-  t.window = w.index;
-  t.time_sec = w.end_sec;
-  t.from = state_;
-  t.to = to;
-  transitions_.push_back(t);
-  state_ = to;
-}
-
 bool SloMonitor::evaluate(const TelemetryWindow& w) {
   last_value_ = window_value(spec_, w);
-  const bool breached =
-      spec_.lower_bound ? last_value_ < spec_.threshold : last_value_ > spec_.threshold;
+  const bool breached = spec_.kind == SloKind::kSchedThroughputFloor
+                            ? last_value_ < spec_.threshold
+                            : last_value_ > spec_.threshold;
   breaches_.push_back(breached);
-  while (breaches_.size() > std::max(spec_.slow_windows, spec_.fast_windows))
-    breaches_.pop_front();
+  while (breaches_.size() > kSlowWindows) breaches_.pop_front();
 
-  const bool burning = breach_fraction(spec_.fast_windows) >= spec_.fast_burn &&
-                       breach_fraction(spec_.slow_windows) >= spec_.slow_burn;
+  const bool burning = breach_fraction(kFastWindows) >= kFastBurn &&
+                       breach_fraction(kSlowWindows) >= kSlowBurn;
 
   const AlertState before = state_;
   switch (state_) {
@@ -136,29 +142,25 @@ bool SloMonitor::evaluate(const TelemetryWindow& w) {
     case AlertState::kResolved:
       if (burning) {
         burn_streak_ = 1;
-        transition(AlertState::kPending, w);
-        if (burn_streak_ >= spec_.pending_windows) {
-          transition(AlertState::kFiring, w);
-          ++pages_;
-        }
+        state_ = AlertState::kPending;
       }
       break;
     case AlertState::kPending:
       if (burning) {
-        if (++burn_streak_ >= spec_.pending_windows) {
-          transition(AlertState::kFiring, w);
+        if (++burn_streak_ >= kPendingWindows) {
+          state_ = AlertState::kFiring;
           ++pages_;
         }
       } else {
         // The burn didn't confirm: fall back to the last stable state.
         burn_streak_ = 0;
-        transition(pages_ > 0 ? AlertState::kResolved : AlertState::kInactive, w);
+        state_ = pages_ > 0 ? AlertState::kResolved : AlertState::kInactive;
       }
       break;
     case AlertState::kFiring:
       if (!burning) {
         burn_streak_ = 0;
-        transition(AlertState::kResolved, w);
+        state_ = AlertState::kResolved;
       }
       break;
   }
@@ -168,7 +170,9 @@ bool SloMonitor::evaluate(const TelemetryWindow& w) {
 std::string SloMonitor::state_json() const {
   char value[48];
   std::snprintf(value, sizeof(value), "%.17g", last_value_);
-  std::string out = "{\"name\":\"" + spec_.name + "\",\"state\":\"";
+  std::string out = "{\"name\":\"";
+  out += to_string(spec_.kind);
+  out += "\",\"state\":\"";
   out += to_string(state_);
   out += "\",\"value\":";
   out += value;

@@ -4,21 +4,19 @@
 // Each objective names a windowed signal (queue-delay p99, rejection rate,
 // drift-escalation rate, scheduling-throughput floor) and a threshold. A
 // window either breaches or not; the monitor keeps a bounded breach history
-// and pages only when both a fast window (last `fast_windows` samples, catch
-// sharp regressions quickly) and a slow window (last `slow_windows`, filter
-// one-off blips) burn past their fractions — the standard fast/slow
-// burn-rate rule from SRE error-budget alerting, here on sim time.
+// and pages only when both a fast window (the last 3 samples, catch sharp
+// regressions quickly) and a slow window (the last 12, filter one-off blips)
+// burn past their fractions — the standard fast/slow burn-rate rule from SRE
+// error-budget alerting, here on sim time (constants in slo.cpp).
 //
 // The alert state machine is fully deterministic: inactive → pending (burn
-// condition met, waiting out `pending_windows` consecutive confirmations) →
-// firing → resolved, every transition stamped with the sim time and window
-// index that caused it.
+// condition met, waiting out 2 consecutive confirmations) → firing →
+// resolved. evaluate() reports each change and state() reads the result.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <vector>
 
 #include "obs/timeseries.h"
 
@@ -33,36 +31,23 @@ enum class SloKind : std::uint8_t {
 
 const char* to_string(SloKind kind) noexcept;
 
+// An objective: a signal and its threshold. Its name is to_string(kind), and
+// only kSchedThroughputFloor is a floor (breach when value < threshold).
 struct SloSpec {
   SloKind kind = SloKind::kQueueDelayP99;
-  std::string name;         // CLI spelling, e.g. "queue-delay-p99"
   double threshold = 0.0;
-  bool lower_bound = false;  // true: breach when value < threshold
-  // Burn-rate rule: page when >= fast_burn of the last fast_windows AND
-  // >= slow_burn of the last slow_windows breached.
-  std::size_t fast_windows = 3;
-  std::size_t slow_windows = 12;
-  double fast_burn = 1.0;
-  double slow_burn = 0.5;
-  std::size_t pending_windows = 2;  // consecutive burning windows before firing
 };
 
 // Parses "name=threshold" ("queue-delay-p99=120"). Recognized names:
 // queue-delay-p99 (sec), rejection-rate (fraction), drift-escalation-rate
 // (full reschedules per sim-hour), sched-throughput-floor (events/sim-sec).
-// Returns false (and fills `error`) on unknown name or bad number.
+// The threshold is the whole text after '=' as a finite number. Returns
+// false (and fills `error`) on unknown name or bad number.
 bool parse_slo(const std::string& arg, SloSpec& spec, std::string& error);
 
 enum class AlertState : std::uint8_t { kInactive, kPending, kFiring, kResolved };
 
 const char* to_string(AlertState state) noexcept;
-
-struct AlertTransition {
-  std::uint64_t window = 0;  // telemetry window index that caused it
-  double time_sec = 0.0;     // sim time of the window close
-  AlertState from = AlertState::kInactive;
-  AlertState to = AlertState::kInactive;
-};
 
 class SloMonitor {
  public:
@@ -77,7 +62,6 @@ class SloMonitor {
   double last_value() const { return last_value_; }
   bool last_breached() const { return !breaches_.empty() && breaches_.back(); }
   std::uint64_t pages() const { return pages_; }  // inactive/resolved->firing edges
-  const std::vector<AlertTransition>& transitions() const { return transitions_; }
 
   // The objective's windowed signal value (exposed for tests).
   static double window_value(const SloSpec& spec, const TelemetryWindow& w);
@@ -87,16 +71,14 @@ class SloMonitor {
   std::string state_json() const;
 
  private:
-  void transition(AlertState to, const TelemetryWindow& w);
   double breach_fraction(std::size_t last_n) const;
 
   SloSpec spec_;
   AlertState state_ = AlertState::kInactive;
-  std::deque<bool> breaches_;  // newest at back, bounded by slow_windows
+  std::deque<bool> breaches_;  // newest at back, bounded by the slow window
   std::size_t burn_streak_ = 0;
   std::uint64_t pages_ = 0;
   double last_value_ = 0.0;
-  std::vector<AlertTransition> transitions_;
 };
 
 }  // namespace harmony::obs

@@ -113,7 +113,7 @@ MetricsSnapshot TimeSeriesEngine::filtered_snapshot() const {
   return filter(registry_.snapshot());
 }
 
-const TelemetryWindow& TimeSeriesEngine::sample(double now_sec) {
+TelemetryWindow TimeSeriesEngine::sample(double now_sec) {
   if (registry_.series_count() != resolved_registry_count_) refresh_series();
 
   TelemetryWindow w;
@@ -153,10 +153,7 @@ const TelemetryWindow& TimeSeriesEngine::sample(double now_sec) {
   }
 
   prev_time_sec_ = now_sec;
-
-  ring_.push_back(std::move(w));
-  while (ring_.size() > config_.capacity) ring_.pop_front();
-  return ring_.back();
+  return w;
 }
 
 std::string TimeSeriesEngine::to_jsonl(const TelemetryWindow& w, const std::string& extra) {

@@ -1,15 +1,15 @@
 // Time-series engine (the observability layer's live half).
 //
-// Turns cumulative MetricsRegistry state into windowed aggregates: at a
-// configurable sim-time cadence the engine reads its selected series (metric
-// pointers resolved once against the registry), diffs against the values at
-// the previous sample — a counter or histogram that ran backwards (a reset()
-// between samples) restarts, contributing its whole current value — and
-// pushes one TelemetryWindow — counter deltas and rates, gauge last-values,
-// per-window histogram count/sum/p50/p99 — onto a fixed-capacity ring.
-// Windows serialize to a byte-deterministic JSON Lines schema
-// ("harmony-telemetry-v1") and the cumulative filtered snapshot exports as
-// Prometheus text exposition.
+// Turns cumulative MetricsRegistry state into windowed aggregates: at each
+// window close the caller picks (in sim time) the engine reads its selected
+// series (metric pointers resolved once against the registry), diffs against
+// the values at the previous sample — a counter or histogram that ran
+// backwards (a reset() between samples) restarts, contributing its whole
+// current value — and returns one TelemetryWindow — counter deltas and rates,
+// gauge last-values, per-window histogram count/sum/p50/p99. The engine keeps
+// no window: the caller renders each one to a byte-deterministic JSON Lines
+// schema ("harmony-telemetry-v1") and keeps or writes the line, and the
+// cumulative filtered snapshot exports as Prometheus text exposition.
 //
 // Determinism contract: the engine is driven by the *sim* clock (the caller
 // passes window timestamps), reads only through MetricsRegistry, and filters
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,8 +28,6 @@
 namespace harmony::obs {
 
 struct TimeSeriesConfig {
-  double interval_sec = 60.0;  // window length in sim seconds
-  std::size_t capacity = 512;  // ring size; oldest windows evicted
   // Only series whose name starts with one of these prefixes are sampled.
   // Empty = sample everything.
   std::vector<std::string> include_prefixes;
@@ -39,7 +36,7 @@ struct TimeSeriesConfig {
 };
 
 struct TelemetryWindow {
-  std::uint64_t index = 0;  // monotone window number (survives ring eviction)
+  std::uint64_t index = 0;  // monotone window number
   double start_sec = 0.0;
   double end_sec = 0.0;
   std::map<std::string, std::uint64_t> counter_deltas;
@@ -62,13 +59,8 @@ class TimeSeriesEngine {
   explicit TimeSeriesEngine(TimeSeriesConfig config, const MetricsRegistry& registry);
 
   // Closes the window ending at `now_sec`: reads the selected series, diffs
-  // against the previous sample, pushes the result onto the ring, and
-  // returns a reference to it (valid until the next sample() evicts it).
-  const TelemetryWindow& sample(double now_sec);
-
-  const std::deque<TelemetryWindow>& windows() const { return ring_; }
-  std::uint64_t windows_sampled() const { return next_index_; }
-  const TimeSeriesConfig& config() const { return config_; }
+  // against the previous sample and returns the window.
+  TelemetryWindow sample(double now_sec);
 
   // One JSON object per line, keys sorted, doubles printed with %.17g:
   // {"schema":"harmony-telemetry-v1","window":N,"start":S,"end":E,
@@ -79,7 +71,7 @@ class TimeSeriesEngine {
   static std::string to_jsonl(const TelemetryWindow& w, const std::string& extra);
 
   // The registry snapshot filtered by this engine's include/exclude rules —
-  // the cumulative counterpart of the windowed ring.
+  // the cumulative counterpart of the windows.
   MetricsSnapshot filtered_snapshot() const;
 
  private:
@@ -118,7 +110,6 @@ class TimeSeriesEngine {
   std::size_t resolved_registry_count_ = 0;
   double prev_time_sec_ = 0.0;
   std::uint64_t next_index_ = 0;
-  std::deque<TelemetryWindow> ring_;
 };
 
 // Prometheus text exposition (text/plain; version=0.0.4) of a cumulative

@@ -107,7 +107,6 @@ Service::Service(ServiceConfig config, std::vector<exp::WorkloadSpec> catalog)
 
   if (config_.telemetry_interval_sec > 0.0) {
     obs::TimeSeriesConfig tc;
-    tc.interval_sec = config_.telemetry_interval_sec;
     // Only the deterministic service series: scheduler.* is perturbed by the
     // pure-observer validators (their equivalence repack is instrumented) and
     // svc.decision_latency_us is wall-fed — sampling either would break the
@@ -172,7 +171,7 @@ void Service::telemetry_tick() {
   metrics.drift.set(placement_.drift());
   metrics.live_groups.set(static_cast<double>(placement_.live_group_count()));
 
-  const obs::TelemetryWindow& w = telemetry_->sample(sim_.now());
+  const obs::TelemetryWindow w = telemetry_->sample(sim_.now());
   last_sample_sec_ = sim_.now();
   ++summary_.telemetry_windows;
 
@@ -196,7 +195,8 @@ void Service::telemetry_tick() {
           ++summary_.slo_pages;
           // A page pulls the black-box handle. The bundled metrics snapshot
           // is the previous window's (this one is still being rendered).
-          recorder.dump("slo-page:" + monitor.spec().name, monitor.state_json());
+          recorder.dump(std::string("slo-page:") + obs::to_string(monitor.spec().kind),
+                        monitor.state_json());
         }
       }
       if (!first) extra += ',';
@@ -437,7 +437,7 @@ ServiceSummary Service::run() {
     for (const obs::SloMonitor& monitor : slo_monitors_) {
       char line[192];
       std::snprintf(line, sizeof(line), "slo %-24s %-8s  pages %llu  last %.6g\n",
-                    monitor.spec().name.c_str(), obs::to_string(monitor.state()),
+                    obs::to_string(monitor.spec().kind), obs::to_string(monitor.state()),
                     static_cast<unsigned long long>(monitor.pages()),
                     monitor.last_value());
       summary_.slo_lines += line;

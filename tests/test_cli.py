@@ -110,6 +110,33 @@ class CliTest(unittest.TestCase):
                 self.assert_named_error(option[0], "--service", "--duration",
                                         "600", *option)
 
+    def test_replay_rejects_service_only_options(self):
+        # A workload replay reads none of these: accepting them would run a
+        # plain replay in place of the service the command line asked for.
+        with tempfile.TemporaryDirectory() as tmp:
+            for option in (("--duration", "5"), ("--arrival-rate", "2"),
+                           ("--admission", "sjf"), ("--queue-cap", "3"),
+                           ("--drift", "0.5"),
+                           ("--telemetry-out", os.path.join(tmp, "t.jsonl")),
+                           ("--telemetry-interval", "60"),
+                           ("--prom-out", os.path.join(tmp, "p.txt")),
+                           ("--slo", "queue-delay-p99=120")):
+                self.assert_named_error(option[0], "--jobs", "20",
+                                        "--machines", "40", *option)
+        # One error names every service-only option given.
+        proc = run("--jobs", "20", "--machines", "40", "--drift", "0.5",
+                   "--admission", "sjf", "--queue-cap", "3", "--duration", "5",
+                   "--arrival-rate", "2")
+        self.assertEqual(proc.returncode, 2, proc.stdout)
+        for option in ("--drift", "--admission", "--queue-cap", "--duration",
+                       "--arrival-rate"):
+            self.assertIn(option, proc.stderr)
+
+    def test_spill_takes_on_or_off(self):
+        self.assert_named_error("--spill", "--jobs", "20", "--machines", "40",
+                                "--spill", "yes")
+        self.assert_named_error("'On'", "--spill", "On")
+
     def test_service_runs_are_bit_identical(self):
         args = ("--service", "--duration", "1200", "--arrival-rate", "0.2",
                 "--machines", "80", "--seed", "5")
@@ -141,6 +168,13 @@ class CliTest(unittest.TestCase):
         self.assert_named_error("not-a-slo", "--service", "--slo", "not-a-slo=1")
         self.assert_named_error("'abc'",
                                 "--service", "--slo", "queue-delay-p99=abc")
+
+    def test_slo_threshold_must_be_finite(self):
+        # A NaN threshold never breaches; strtod also read " 5" and 1e999.
+        for spec in ("queue-delay-p99=nan", "queue-delay-p99=inf",
+                     "queue-delay-p99= 5", "rejection-rate=1e999"):
+            self.assert_named_error("bad SLO threshold", "--service",
+                                    "--duration", "600", "--slo", spec)
 
     def test_telemetry_flags_require_service_mode(self):
         self.assert_named_error("--telemetry-out", "--telemetry-out", "t.jsonl")
@@ -209,6 +243,24 @@ class CliTest(unittest.TestCase):
             self.assertEqual(proc.stderr.count("\n"), lines, args)
             self.assertEqual(hashlib.sha256(proc.stderr.encode()).hexdigest(),
                              digest, args)
+
+    def test_timeline_output_is_pinned(self):
+        # --timeline prints the utilization timeline that Fig. 11 plots. The
+        # digests were recorded before the timeline stopped storing its
+        # timestamps (sample i is at 60 * (i + 1) s); stdout minus the wall
+        # line must not move.
+        cases = (
+            (("--jobs", "80", "--machines", "100"), 56,
+             "b11a26596608863273ae71d276a29f27a342314dae644c8650d4962defa31fbc"),
+            (("--jobs", "400", "--machines", "40", "--arrival", "poisson:2"), 56,
+             "bd85f695837c81096430073c91608347b133f432f9b7cd771966d25bb3115e03"),
+        )
+        for args, lines, digest in cases:
+            proc = run(*args, "--timeline")
+            self.assertEqual(proc.returncode, 0, proc.stderr[-2000:])
+            out = strip_wall_line(proc.stdout)
+            self.assertEqual(out.count("\n"), lines, args)
+            self.assertEqual(hashlib.sha256(out.encode()).hexdigest(), digest, args)
 
     def test_service_sjf_policy_accepted(self):
         proc = run("--service", "--duration", "600", "--arrival-rate", "0.2",

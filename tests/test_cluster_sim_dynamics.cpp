@@ -120,16 +120,6 @@ TEST(ClusterSimDynamics, NaivePackOccupancyControlsMachines) {
   EXPECT_GE(sim_loose.group_dop_samples().mean(), sim_tight.group_dop_samples().mean());
 }
 
-TEST(ClusterSimDynamics, UtilizationTimelineMonotoneTimestamps) {
-  ClusterSimConfig config = ClusterSimConfig::harmony();
-  config.machines = 16;
-  auto workload = subset(8);
-  ClusterSim sim(config, workload, batch_arrivals(workload.size()));
-  sim.run();
-  const auto& times = sim.timeline().times();
-  for (std::size_t i = 1; i < times.size(); ++i) EXPECT_GT(times[i], times[i - 1]);
-}
-
 TEST(ClusterSimDynamics, SpillOffUsesFallbackIsolatedGroups) {
   ClusterSimConfig config = ClusterSimConfig::harmony();
   config.spill_enabled = false;

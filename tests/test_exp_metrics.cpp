@@ -17,26 +17,30 @@ std::size_t count_rows(const std::string& tsv) {
 
 TEST(UtilizationTimeline, EmptyAveragesToZero) {
   UtilizationTimeline tl;
-  EXPECT_DOUBLE_EQ(tl.average().cpu, 0.0);
-  EXPECT_DOUBLE_EQ(tl.average().net, 0.0);
+  EXPECT_DOUBLE_EQ(tl.average_until(1e9).cpu, 0.0);
+  EXPECT_DOUBLE_EQ(tl.average_until(1e9).net, 0.0);
   EXPECT_TRUE(tl.tsv().empty());
 }
 
 TEST(UtilizationTimeline, AverageIsSampleMean) {
   UtilizationTimeline tl;
-  tl.add_sample(60.0, {0.2, 0.8});
-  tl.add_sample(120.0, {0.4, 0.6});
-  tl.add_sample(180.0, {0.6, 0.4});
-  EXPECT_DOUBLE_EQ(tl.average().cpu, 0.4);
-  EXPECT_DOUBLE_EQ(tl.average().net, 0.6);
-  EXPECT_EQ(tl.times().size(), 3u);
+  tl.add({0.2, 0.8});
+  tl.add({0.4, 0.6});
+  tl.add({0.6, 0.4});
+  // Sample i closes window i + 1.
+  EXPECT_DOUBLE_EQ(tl.time_of(0), kUtilSampleWindowSec);
+  EXPECT_DOUBLE_EQ(tl.time_of(2), 3 * kUtilSampleWindowSec);
+  const auto avg = tl.average_until(tl.time_of(2));
+  EXPECT_DOUBLE_EQ(avg.cpu, 0.4);
+  EXPECT_DOUBLE_EQ(avg.net, 0.6);
+  EXPECT_EQ(tl.values().size(), 3u);
 }
 
 TEST(UtilizationTimeline, AverageUntilExcludesTail) {
   UtilizationTimeline tl;
-  tl.add_sample(60.0, {1.0, 1.0});
-  tl.add_sample(120.0, {1.0, 1.0});
-  tl.add_sample(180.0, {0.1, 0.1});  // the low-load tail
+  tl.add({1.0, 1.0});
+  tl.add({1.0, 1.0});
+  tl.add({0.1, 0.1});  // the low-load tail
   const auto head = tl.average_until(120.0);
   EXPECT_DOUBLE_EQ(head.cpu, 1.0);
   EXPECT_DOUBLE_EQ(head.net, 1.0);
@@ -46,8 +50,7 @@ TEST(UtilizationTimeline, AverageUntilExcludesTail) {
 
 TEST(UtilizationTimeline, TsvDownsamplesToRowBudget) {
   UtilizationTimeline tl;
-  for (int i = 0; i < 100; ++i)
-    tl.add_sample(60.0 * (i + 1), {0.5, 0.5});
+  for (int i = 0; i < 100; ++i) tl.add({0.5, 0.5});
   const std::string full = tl.tsv(200);
   EXPECT_EQ(count_rows(full), 100u);
   const std::string sampled = tl.tsv(10);

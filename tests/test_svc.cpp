@@ -162,7 +162,7 @@ TEST(IncrementalScheduler, QualityGateDeclinesScoreCrashingJoin) {
   // Fill a small cluster with well-matched jobs, then offer one whose solo
   // group would crater the modelled score: the gate queues it (nullopt)
   // rather than letting admission ratchet past what full Algorithm 1 would
-  // co-schedule. force=true bypasses the gate.
+  // co-schedule.
   core::IncrementalScheduler inc(kDriftThreshold, 24);
   for (core::JobId id = 0; id < 12; ++id)
     ASSERT_TRUE(inc.join(job(id, 160.0, 8.0)).has_value());
@@ -178,17 +178,15 @@ TEST(IncrementalScheduler, QualityGateDeclinesScoreCrashingJoin) {
   EXPECT_FALSE(r.has_value());
   EXPECT_GE(inc.current_score(),
             before * (1.0 - kDriftThreshold) - 1e-9);
-  const auto forced = inc.join(awkward, /*force=*/true);
-  EXPECT_TRUE(forced.has_value());
   expect_valid(inc);
 }
 
 TEST(IncrementalScheduler, DriftRisesOnDecayAndResetsOnAdopt) {
   core::IncrementalScheduler inc(kDriftThreshold, 80);
-  for (core::JobId id = 0; id < 16; ++id) inc.join(job(id, 220.0, 10.0), true);
+  for (core::JobId id = 0; id < 16; ++id) inc.join(job(id, 220.0, 10.0));
   EXPECT_GE(inc.drift(), 0.0);
 
-  // Forced churn decays the grouping; drift must eventually cross the
+  // Churn decays the grouping; drift must eventually cross the
   // threshold (the escalation trigger the service relies on).
   core::JobId next = 100;
   for (int round = 0; round < 200 && !inc.needs_full_reschedule(); ++round) {
@@ -197,7 +195,7 @@ TEST(IncrementalScheduler, DriftRisesOnDecayAndResetsOnAdopt) {
         inc.leave(id);
         break;
       }
-    inc.join(job(next++, 1500.0, 2.0), true);
+    inc.join(job(next++, 1500.0, 2.0));
   }
   EXPECT_TRUE(inc.needs_full_reschedule());
 
@@ -436,7 +434,7 @@ TEST(IncrementalScheduler, CorruptionInjectionIsDetected) {
        {Corruption::kLostMachine, Corruption::kDuplicateJob,
         Corruption::kSkewedAggregate}) {
     core::IncrementalScheduler inc(kDriftThreshold, 60);
-    for (core::JobId id = 0; id < 8; ++id) inc.join(job(id, 200.0, 8.0), true);
+    for (core::JobId id = 0; id < 8; ++id) inc.join(job(id, 200.0, 8.0));
     expect_valid(inc);
     inc.corrupt_for_test(kind);
     check::Validation v("incremental");

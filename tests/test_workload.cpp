@@ -189,27 +189,6 @@ TEST(Arrivals, TraceIsBurstierThanPoisson) {
 
 // ---------------------------------------------------------------------------
 
-TEST(Metrics, TimelineAverages) {
-  UtilizationTimeline tl;
-  tl.add_sample(60.0, {0.5, 0.3});
-  tl.add_sample(120.0, {0.7, 0.5});
-  tl.add_sample(180.0, {0.9, 0.7});
-  const auto avg = tl.average();
-  EXPECT_NEAR(avg.cpu, 0.7, 1e-12);
-  EXPECT_NEAR(avg.net, 0.5, 1e-12);
-  const auto early = tl.average_until(120.0);
-  EXPECT_NEAR(early.cpu, 0.6, 1e-12);
-}
-
-TEST(Metrics, TimelineTsv) {
-  UtilizationTimeline tl;
-  for (int i = 1; i <= 10; ++i)
-    tl.add_sample(60.0 * i, {0.1 * i, 0.05 * i});
-  const std::string tsv = tl.tsv(5);
-  EXPECT_FALSE(tsv.empty());
-  EXPECT_NE(tsv.find('\t'), std::string::npos);
-}
-
 TEST(Metrics, RunSummaryJctAndMakespan) {
   RunSummary s;
   s.jobs.push_back(JobOutcome{0, 0.0, 100.0});

@@ -22,7 +22,8 @@
 //   Service mode (open-loop continuous arrivals, incremental rescheduling,
 //   admission control; deterministic report on stdout, wall-clock throughput
 //   on stderr). The workload-replay options above other than --machines,
-//   --arrival and --seed are rejected here:
+//   --arrival and --seed are rejected here, and a workload replay rejects
+//   the options below other than --service:
 //     --service                         run the online service instead of a
 //                                       finite workload replay
 //     --duration SEC                    arrival horizon     (default 86400)
@@ -75,6 +76,7 @@
 #include <csignal>  // lint: allow-signal-handler (flight-recorder crash hook)
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -150,6 +152,15 @@ constexpr std::array<std::string_view, 9> kReplayOnlyOptions = {
     "--policy", "--jobs", "--spill", "--naive-seed", "--error",
     "--timeline", "--trace", "--chrome-trace", "--report"};
 
+// Options that only the service reads; a workload replay rejects them.
+constexpr std::array<std::string_view, 9> kServiceOnlyOptions = {
+    "--duration", "--arrival-rate", "--admission", "--queue-cap", "--drift",
+    "--telemetry-out", "--telemetry-interval", "--prom-out", "--slo"};
+
+bool listed(std::span<const std::string_view> options, const std::string& arg) {
+  return std::find(options.begin(), options.end(), arg) != options.end();
+}
+
 // Fatal-signal hook: pull the flight recorder's handle, then re-raise with
 // the default disposition so the exit status still reflects the signal. The
 // dump allocates — not strictly async-signal-safe, but the process is doomed
@@ -187,7 +198,8 @@ int main(int argc, char** argv) {
   double telemetry_interval_sec = 0.0;
   std::vector<obs::SloSpec> slos;
   std::string flight_recorder_dir;
-  std::string replay_only_given;  // replay-only options on the command line
+  std::string replay_only_given;   // replay-only options on the command line
+  std::string service_only_given;  // service-only options on the command line
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -195,9 +207,8 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage_error(argv[0], "missing value for " + arg);
       return argv[++i];
     };
-    if (std::find(kReplayOnlyOptions.begin(), kReplayOnlyOptions.end(), arg) !=
-        kReplayOnlyOptions.end())
-      replay_only_given += " " + arg;
+    if (listed(kReplayOnlyOptions, arg)) replay_only_given += " " + arg;
+    if (listed(kServiceOnlyOptions, arg)) service_only_given += " " + arg;
     if (arg == "--help" || arg == "-h") {
       print_usage(stdout, argv[0]);
       return 0;
@@ -238,7 +249,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--naive-seed") {
       config.naive_grouping_seed = parse_number<std::uint64_t>(argv[0], arg, next());
     } else if (arg == "--spill") {
-      config.spill_enabled = next() == "on";
+      const std::string value = next();
+      if (value != "on" && value != "off")
+        usage_error(argv[0], "--spill takes on or off, got '" + value + "'");
+      config.spill_enabled = value == "on";
     } else if (arg == "--error") {
       config.model_error_injection = parse_number<double>(argv[0], arg, next());
       if (config.model_error_injection < 0.0 || config.model_error_injection >= 1.0)
@@ -288,10 +302,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!service_mode && (!telemetry_out.empty() || !prom_out.empty() || !slos.empty() ||
-                        telemetry_interval_sec > 0.0))
-    usage_error(argv[0],
-                "--telemetry-out/--telemetry-interval/--prom-out/--slo require --service");
+  if (!service_mode && !service_only_given.empty())
+    usage_error(argv[0], "a workload replay does not take service options:" +
+                             service_only_given + " (add --service)");
   if (service_mode && !replay_only_given.empty())
     usage_error(argv[0], "--service does not take workload-replay options:" + replay_only_given);
 
