@@ -30,7 +30,7 @@ int main() {
     workload[0].iterations = 40;
     exp::ClusterSim sim(config, workload, exp::batch_arrivals(1));
     const auto summary = sim.run();
-    const double itr = sim.iteration_wall_samples().mean();
+    const double itr = sim.iteration_walls().mean();
     const auto profile = workload[0].profile();
     table.add_row({std::to_string(machines),
                    TextTable::format_double(100.0 * summary.avg_util.cpu, 1),

@@ -46,14 +46,7 @@ double run_with(std::optional<double> fixed_alpha, exp::AlphaStats* stats = null
   if (stats != nullptr) *stats = sim.alpha_stats();
   // Steady-state mean: skip the first half (the hill climb's settling phase;
   // fixed-α runs have no transient, so this is the conservative comparison).
-  const auto& samples = sim.iteration_wall_samples().samples();
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (std::size_t i = samples.size() / 2; i < samples.size(); ++i) {
-    sum += samples[i];
-    ++n;
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
+  return sim.second_half_iteration_walls().mean();
 }
 
 }  // namespace

@@ -1,74 +1,41 @@
-// Online statistics used by the profiler and the experiment harness.
+// Online statistics used by the scheduler and the experiment harness.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
+#include <array>
 #include <cmath>
 #include <cstddef>
-#include <deque>
 
 namespace harmony {
 
-// Exponentially-weighted moving average. The paper's profiler keeps subtask
-// times "updated using moving averages" (§IV-B1); this is that primitive.
-class MovingAverage {
- public:
-  // `alpha` is the weight of a new sample; alpha=1 keeps only the last value.
-  explicit MovingAverage(double alpha = 0.3) : alpha_(alpha) {
-    assert(alpha > 0.0 && alpha <= 1.0);
-  }
-
-  void add(double x) noexcept {
-    if (!initialized_) {
-      value_ = x;
-      initialized_ = true;
-    } else {
-      value_ += alpha_ * (x - value_);
-    }
-    ++count_;
-  }
-
-  bool initialized() const noexcept { return initialized_; }
-  double value() const noexcept { return value_; }
-  std::size_t count() const noexcept { return count_; }
-
-  void reset() noexcept {
-    initialized_ = false;
-    value_ = 0.0;
-    count_ = 0;
-  }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-  std::size_t count_ = 0;
-};
-
-// Fixed-capacity sliding-window mean; used where a bounded memory footprint
-// matters (per-subtask traces on workers).
+// Sliding-window mean over the last N samples, in a fixed ring: nothing is
+// allocated. add() folds the new sample into the sum before it subtracts the
+// evicted one.
+template <std::size_t N>
 class WindowedAverage {
- public:
-  explicit WindowedAverage(std::size_t capacity) : capacity_(capacity) { assert(capacity > 0); }
+  static_assert(N > 0);
 
-  void add(double x) {
-    window_.push_back(x);
+ public:
+  void add(double x) noexcept {
     sum_ += x;
-    if (window_.size() > capacity_) {
-      sum_ -= window_.front();
-      window_.pop_front();
+    if (size_ < N) {
+      ring_[size_++] = x;
+      return;
     }
+    sum_ -= ring_[oldest_];
+    ring_[oldest_] = x;
+    oldest_ = oldest_ + 1 == N ? 0 : oldest_ + 1;
   }
 
-  std::size_t size() const noexcept { return window_.size(); }
-  bool empty() const noexcept { return window_.empty(); }
+  std::size_t size() const noexcept { return size_; }
   double mean() const noexcept {
-    return window_.empty() ? 0.0 : sum_ / static_cast<double>(window_.size());
+    return size_ == 0 ? 0.0 : sum_ / static_cast<double>(size_);
   }
 
  private:
-  std::size_t capacity_;
-  std::deque<double> window_;
+  std::array<double, N> ring_{};
+  std::size_t size_ = 0;
+  std::size_t oldest_ = 0;  // ring slot of the oldest sample once full
   double sum_ = 0.0;
 };
 

@@ -101,7 +101,6 @@ std::vector<double> take(ArrivalStream& stream, std::size_t n) {
 std::unique_ptr<ArrivalStream> make_arrival_stream(const std::string& kind,
                                                    double mean_interarrival_sec,
                                                    std::uint64_t seed) {
-  if (kind == "batch") return std::make_unique<BatchArrivalStream>();
   if (mean_interarrival_sec <= 0.0)
     throw std::invalid_argument("arrival stream '" + kind +
                                 "' needs a positive mean inter-arrival time");

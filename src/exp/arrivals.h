@@ -44,12 +44,6 @@ class ArrivalStream {
   virtual double next() = 0;
 };
 
-// Every arrival at t = 0 (degenerate; closed-loop batch testing only).
-class BatchArrivalStream final : public ArrivalStream {
- public:
-  double next() override { return 0.0; }
-};
-
 // Memoryless open-loop arrivals. Emits exactly the sequence of
 // poisson_arrivals(n, mean, seed) for every prefix n.
 class PoissonArrivalStream final : public ArrivalStream {
@@ -96,9 +90,9 @@ class TraceArrivalStream final : public ArrivalStream {
 // First `n` arrivals of a stream, materialized (test/driver convenience).
 std::vector<double> take(ArrivalStream& stream, std::size_t n);
 
-// Factory for the process shapes the CLI exposes: "batch", "poisson", or
+// Factory for the open-loop process shapes the CLI exposes: "poisson" or
 // "trace" with the given mean inter-arrival time. Throws std::invalid_argument
-// on an unknown kind.
+// on any other kind (batch arrivals are the finite batch_arrivals() only).
 std::unique_ptr<ArrivalStream> make_arrival_stream(const std::string& kind,
                                                    double mean_interarrival_sec,
                                                    std::uint64_t seed);

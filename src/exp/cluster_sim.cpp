@@ -73,10 +73,12 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
   jobs_.reserve(n);
   job_alpha_.assign(n, 0.0);
   job_model_spilled_.assign(n, 0);
+  std::size_t total_iterations = 0;
   for (std::size_t i = 0; i < n; ++i) {
     // The seed is the draw rng_.fork() would make; the engine itself is built
     // lazily (SimJob::noise_rng).
     specs_[i].id = static_cast<core::JobId>(i);
+    total_iterations += specs_[i].iterations;
     SimJob& job = jobs_.emplace_back(specs_[i], rng_.next_u64());
     if (config_.model_error_injection > 0.0) {
       const double e = config_.model_error_injection;
@@ -84,6 +86,7 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
       job.err_net = 1.0 + rng_.uniform(-e, e);
     }
   }
+  second_half_start_ = total_iterations / 2;
   jobs_in_state_[static_cast<std::size_t>(core::JobState::kWaiting)] = n;
 }
 
@@ -326,6 +329,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
     obs::Tracer::complete(obs::EventKind::kIteration, obs::ClockDomain::kSim,
                           job.iter_start_time * kTraceUs, wall * kTraceUs, job.spec.id,
                           static_cast<std::uint32_t>(g.id));
+  if (iteration_walls_.size() >= second_half_start_) second_half_walls_.add(wall);
   iteration_walls_.add(wall);
   if (job.iters_in_group >= 2) g.actual_iteration_times.add(wall);
 
@@ -348,9 +352,8 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
 
   // Finished?
   if (job.iterations_done >= job.spec.iterations) {
-    job.finish_time = sim_.now();
     job.noise.reset();  // no subtask draws after the last iteration
-    summary_.jobs.push_back(JobOutcome{job.spec.id, arrivals_[job.spec.id], job.finish_time});
+    summary_.jobs.push_back(JobOutcome{job.spec.id, arrivals_[job.spec.id], sim_.now()});
     auto it = std::find(g.members.begin(), g.members.end(), job.spec.id);
     if (it != g.members.end()) g.members.erase(it);
     g.occ.valid = false;
@@ -926,14 +929,7 @@ void ClusterSim::try_apply_pending() {
     if (!r) done = false;
   if (done) pending_regroup_.reset();
   applying_pending_ = false;
-  if (done) {
-    // Jobs left over from the drained groups wait as paused. (Rare: only on
-    // regroup completion, so the defensive full scan is fine here.)
-    for (SimJob& job : jobs_)
-      if (job.group == nullptr && job.state == core::JobState::kRunning)
-        set_state(job, core::JobState::kPaused);
-    maybe_start_profiling();
-  }
+  if (done) maybe_start_profiling();
   // Whatever machines the pending plans do not need can serve the idle pool
   // right away (reserved machines are excluded inside).
   schedule_on_spare_machines();

@@ -125,9 +125,14 @@ class ClusterSim {
   double avg_concurrent_jobs() const;
   double avg_concurrent_groups() const;
 
-  // Wall time of every completed job iteration (includes queueing/reload
-  // stalls); §V-G reports means of these under different α regimes.
-  const SampleSet& iteration_wall_samples() const noexcept { return iteration_walls_; }
+  // Wall time of the completed job iterations (includes queueing/reload
+  // stalls), over every iteration and over the second half: the iterations
+  // from index Σ iterations / 2 on, in completion order. §V-G compares the
+  // second half's mean across α regimes.
+  const RunningStats& iteration_walls() const noexcept { return iteration_walls_; }
+  const RunningStats& second_half_iteration_walls() const noexcept {
+    return second_half_walls_;
+  }
 
   AlphaStats alpha_stats() const;
   double total_sched_seconds() const noexcept { return sched_wall_seconds_; }
@@ -356,7 +361,9 @@ class ClusterSim {
   std::size_t concurrency_windows_ = 0;
   // Every α the hill climb sets; alpha_stats() reads its mean, min and max.
   RunningStats alpha_samples_;
-  SampleSet iteration_walls_;
+  RunningStats iteration_walls_;
+  RunningStats second_half_walls_;
+  std::size_t second_half_start_ = 0;  // Σ spec.iterations / 2
   RunSummary summary_;
   double sched_wall_seconds_ = 0.0;
   std::size_t sched_invocations_ = 0;

@@ -40,6 +40,8 @@ inline constexpr std::size_t kMaxProfilingJobs = 4;
 // Minimum simulated time between successive kReschedule regroups; cheap
 // kReplace repairs are always allowed (churn damping).
 inline constexpr double kRescheduleCooldownSec = 900.0;
+// Iteration walls the α hill climb averages per observation (§IV-C).
+inline constexpr std::size_t kAlphaWindowIterations = 8;
 
 // kProfiled || kPaused: the jobs the idle view (idle_by_submit_) holds.
 inline bool idle_state(core::JobState s) noexcept {
@@ -58,7 +60,6 @@ struct ClusterSim::SimJob {
   core::JobState state = core::JobState::kWaiting;
   std::size_t iterations_done = 0;
   std::size_t iters_in_group = 0;
-  double finish_time = -1.0;
 
   GroupRun* group = nullptr;
   bool in_flight = false;  // an iteration's subtasks are in the pipeline
@@ -117,7 +118,7 @@ struct ClusterSim::GroupRun {
   // group; every member's α is the smallest ratio fitting that target, so
   // ratios stay per-job while the climb is coordinated.
   std::optional<core::AlphaController> occ_ctl;
-  WindowedAverage recent_walls{8};
+  WindowedAverage<kAlphaWindowIterations> recent_walls;
   std::size_t iters_since_alpha_update = 0;
 
   // Utilization sampling state.

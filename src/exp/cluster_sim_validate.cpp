@@ -94,12 +94,13 @@ check::ValidationReport ClusterSim::validate_state() const {
     const double alpha = job_alpha_[id];
     HARMONY_VALIDATE(v, !(j.in_flight && j.group == nullptr))
         << check::job(id) << "in-flight iteration with no group";
+    // Every write of job.group = nullptr is followed by a set_state to
+    // paused, profiled or finished, so no running job is ever left ungrouped.
+    HARMONY_VALIDATE(v, !(j.state == core::JobState::kRunning && j.group == nullptr))
+        << check::job(id) << "running job with no group";
     if (j.state == core::JobState::kFinished) {
       HARMONY_VALIDATE(v, j.group == nullptr)
           << check::job(id) << "finished job still grouped";
-      HARMONY_VALIDATE(v, j.finish_time >= arrivals_[id])
-          << check::job(id) << "finish time " << j.finish_time
-          << " precedes submit time " << arrivals_[id];
       HARMONY_VALIDATE(v, j.noise == nullptr)
           << check::job(id) << "finished job still holds its noise engine";
     }
@@ -114,6 +115,15 @@ check::ValidationReport ClusterSim::validate_state() const {
           << check::job(id) << "model spill active at alpha = " << alpha
           << " (input data must be fully spilled first)";
   }
+
+  // The run summary holds one outcome per finished job.
+  HARMONY_VALIDATE(v, summary_.jobs.size() == jobs_in(core::JobState::kFinished))
+      << "run summary holds " << summary_.jobs.size() << " outcomes for "
+      << jobs_in(core::JobState::kFinished) << " finished jobs";
+  for (const JobOutcome& o : summary_.jobs)
+    HARMONY_VALIDATE(v, o.finish_time >= o.submit_time)
+        << check::job(o.job) << "finish time " << o.finish_time << " precedes submit time "
+        << o.submit_time;
 
   // -- spill shares vs the cost model's feasibility bound -------------------
   // refresh_alpha picks the smallest α whose resident footprint fits the

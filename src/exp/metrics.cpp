@@ -8,9 +8,9 @@ namespace harmony::exp {
 core::Utilization UtilizationTimeline::average_until(double horizon_sec) const {
   core::Utilization acc;
   std::size_t n = 0;
-  for (; n < values_.size() && time_of(n) <= horizon_sec; ++n) {
-    acc.cpu += values_[n].cpu;
-    acc.net += values_[n].net;
+  for (auto it = values_.begin(); it != values_.end() && time_of(n) <= horizon_sec; ++it, ++n) {
+    acc.cpu += it->cpu;
+    acc.net += it->net;
   }
   if (n == 0) return {};
   return core::Utilization{acc.cpu / static_cast<double>(n), acc.net / static_cast<double>(n)};

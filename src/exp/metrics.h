@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -16,12 +17,13 @@ inline constexpr double kUtilSampleWindowSec = 60.0;
 
 // Windowed utilization trace. ClusterSim appends one sample per window, the
 // first at kUtilSampleWindowSec, so sample i is at time_of(i) and no
-// timestamp is stored.
+// timestamp is stored. The samples sit in a deque, which grows by fixed
+// blocks: a long run never copies the whole trace into a doubled buffer.
 class UtilizationTimeline {
  public:
   void add(core::Utilization value) { values_.push_back(value); }
 
-  const std::vector<core::Utilization>& values() const noexcept { return values_; }
+  const std::deque<core::Utilization>& values() const noexcept { return values_; }
   static double time_of(std::size_t i) noexcept {
     return kUtilSampleWindowSec * static_cast<double>(i + 1);
   }
@@ -34,7 +36,7 @@ class UtilizationTimeline {
   std::string tsv(std::size_t max_rows = 60) const;
 
  private:
-  std::vector<core::Utilization> values_;
+  std::deque<core::Utilization> values_;
 };
 
 // One completed job's outcome.

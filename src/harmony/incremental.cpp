@@ -59,8 +59,8 @@ void IncrementalScheduler::note_peak() {
 
 double IncrementalScheduler::drift() const {
   double drift = 0.0;
-  if (peak_score_ > 0.0) {
-    drift = std::max(drift, (peak_score_ - current_score()) / peak_score_);
+  if (peak_score_ != 0.0) {
+    drift = std::max(drift, (peak_score_ - current_score()) / std::abs(peak_score_));
   }
   if (free_machines_ > baseline_free_) {
     drift = std::max(drift, static_cast<double>(free_machines_ - baseline_free_) /
@@ -259,7 +259,7 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
 
   // Admission by utilization — the incremental analog of Algorithm 1's
   // growth-loop stop. A placement that would land the modelled score below
-  // the drift floor (peak x (1 - threshold)) is declined and the caller
+  // the drift floor (peak - |peak| x threshold) is declined and the caller
   // queues the job, exactly as the full scheduler parks queue-tail jobs once
   // the score stops improving. The floor is strict — no "but it improves the
   // current score" escape — or admission would ratchet: every small
@@ -268,9 +268,9 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
   // state stuck under the floor instead shows drift > threshold and is
   // repaired by the full-reschedule escalation.
   const double chosen_score = take_existing ? best_score : new_score;
-  if (chosen_score < peak_score_ * (1.0 - drift_threshold_)) {
-    return std::nullopt;
-  }
+  const double score_floor = peak_score_ >= 0.0 ? peak_score_ * (1.0 - drift_threshold_)
+                                                : peak_score_ * (1.0 + drift_threshold_);
+  if (chosen_score < score_floor) return std::nullopt;
 
   if (take_existing) {
     Group& g = groups_[best_group];

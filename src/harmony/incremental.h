@@ -27,7 +27,7 @@
 // modelled cluster score from its peak since the last rebaseline, plus the
 // fraction of machines that have drained back to the free pool. When drift()
 // exceeds the drift threshold the caller re-runs full Algorithm 1 and adopt()s
-// the result, resetting the baseline. validate_incremental_state /
+// the result, resetting the baseline. validate() and
 // validate_incremental_vs_full (harmony/validate.h) pin both the structural
 // invariants and the bounded gap to the full re-run.
 #pragma once
@@ -108,7 +108,7 @@ class IncrementalScheduler {
   // Places one job with bounded work. Returns nullopt when no live group has
   // a free member slot and the free pool is empty, or when the best
   // placement would land the modelled score below the drift floor
-  // (peak x (1 - drift_threshold)) — the incremental analog of Algorithm 1
+  // (peak - |peak| x drift_threshold) — the incremental analog of Algorithm 1
   // parking queue-tail jobs once the score stops improving. The job must not
   // already be placed.
   std::optional<JoinResult> join(const SchedJob& job);
@@ -125,9 +125,10 @@ class IncrementalScheduler {
   // implicitly; the service calls it when drift fires on an empty grouping,
   // so the trigger disarms.
   void rebaseline();
-  // Decay since the last rebaseline: max of the relative score drop from the
-  // peak score observed since then and the net free-pool growth as a fraction
-  // of the cluster. Live from construction — a cold-started service that
+  // Decay since the last rebaseline: max of the score drop from the peak
+  // score observed since then, relative to |peak|, and the net free-pool
+  // growth as a fraction of the cluster. The per-job penalty can drive the
+  // peak below zero under overload; a drop from it still counts. Live from construction — a cold-started service that
   // greedily packs joins without ever adopting a full decision still sees its
   // decay and escalates (the peak tracks the best grouping ever held, so a
   // slide from it registers even with no adopt()-quality baseline to cite).

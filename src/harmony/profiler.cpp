@@ -10,13 +10,15 @@ void Profiler::record(JobId job, std::size_t machines, double t_cpu, double t_ne
   if (t_cpu < 0.0 || t_net < 0.0) throw std::invalid_argument("Profiler: negative time");
   if (job >= entries_.size()) entries_.resize(job + std::size_t{1});
   Entry& e = entries_[job];
-  e.cpu_work.add(t_cpu * static_cast<double>(machines));
-  e.t_net.add(t_net);
+  const double cpu_work = t_cpu * static_cast<double>(machines);
+  if (e.samples == 0) {
+    e.cpu_work = cpu_work;
+    e.t_net = t_net;
+  } else {
+    e.cpu_work += kProfileEmaAlpha * (cpu_work - e.cpu_work);
+    e.t_net += kProfileEmaAlpha * (t_net - e.t_net);
+  }
   ++e.samples;
-}
-
-void Profiler::forget(JobId job) {
-  if (job < entries_.size()) entries_[job] = Entry{};
 }
 
 }  // namespace harmony::core

@@ -12,7 +12,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/stats.h"
 #include "harmony/job.h"
 
 namespace harmony::core {
@@ -30,8 +29,8 @@ class Profiler {
   // grows to the largest id recorded; kNoJob is rejected.
   void record(JobId job, std::size_t machines, double t_cpu, double t_net);
 
-  // Ids never recorded (or forgotten, or past the largest recorded id) read
-  // as having no profile.
+  // Ids never recorded (or past the largest recorded id) read as having no
+  // profile.
   bool has_profile(JobId job) const { return sample_count(job) > 0; }
   // Ready once kProfileMinSamples iterations have been folded in.
   bool is_profiled(JobId job) const { return sample_count(job) >= kProfileMinSamples; }
@@ -40,18 +39,19 @@ class Profiler {
   std::optional<JobProfile> profile(JobId job) const {
     if (!has_profile(job)) return std::nullopt;
     const Entry& e = entries_[job];
-    return JobProfile{e.cpu_work.value(), e.t_net.value()};
+    return JobProfile{e.cpu_work, e.t_net};
   }
 
   std::size_t sample_count(JobId job) const {
     return job < entries_.size() ? entries_[job].samples : 0;
   }
-  void forget(JobId job);
 
  private:
+  // The two moving averages: the first sample sets each value, and each later
+  // sample x moves it by kProfileEmaAlpha * (x - value).
   struct Entry {
-    MovingAverage cpu_work{kProfileEmaAlpha};
-    MovingAverage t_net{kProfileEmaAlpha};
+    double cpu_work = 0.0;
+    double t_net = 0.0;
     std::size_t samples = 0;
   };
 

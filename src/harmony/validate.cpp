@@ -43,10 +43,6 @@ void validate_decision(const ScheduleDecision& decision, std::span<const SchedJo
         << " missing from the decision";
 }
 
-void validate_incremental_state(const IncrementalScheduler& inc, check::Validation& v) {
-  inc.validate(v);
-}
-
 void validate_incremental_vs_full(const IncrementalScheduler& inc, double slack,
                                   check::Validation& v) {
   const std::vector<SchedJob> pool = inc.pool();

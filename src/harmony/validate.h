@@ -23,12 +23,6 @@ namespace harmony::core {
 void validate_decision(const ScheduleDecision& decision, std::span<const SchedJob> pool,
                        std::size_t machines, check::Validation& v);
 
-// Structural invariants of an IncrementalScheduler (machine conservation,
-// membership index consistency, cached aggregates vs a from-scratch
-// recompute). Thin forwarding wrapper so every deep validator is reachable
-// from one header.
-void validate_incremental_state(const IncrementalScheduler& inc, check::Validation& v);
-
 // Incremental-vs-full-reschedule equivalence: re-runs full Algorithm 1
 // (repack()) over the incremental state's own job pool and machine budget and
 // checks that the modelled score of the locally-repaired grouping stays

@@ -223,7 +223,7 @@ void Service::maybe_validate() {
 
 check::ValidationReport Service::validate_state() const {
   check::Validation v("svc.service");
-  core::validate_incremental_state(placement_, v);
+  placement_.validate(v);
   core::validate_incremental_vs_full(placement_, validator_slack(config_.drift_threshold), v);
   HARMONY_VALIDATE(v, queue_.size() <= queue_.capacity())
       << "pending queue holds " << queue_.size() << " jobs over a capacity of "

@@ -65,6 +65,25 @@ TEST(ClusterSim, UtilizationWithinBounds) {
   }
 }
 
+TEST(ClusterSim, IterationWallsSplitAtHalfTheIterations) {
+  // §V-G compares the mean wall of the second half of all iterations, in
+  // completion order: the split is at Σ iterations / 2.
+  ClusterSimConfig config = ClusterSimConfig::harmony();
+  config.machines = 24;
+  auto workload = small_workload(12);
+  std::size_t total = 0;
+  for (const auto& s : workload) total += s.iterations;
+  ClusterSim sim(config, workload, batch_arrivals(workload.size()));
+  sim.run();
+  const RunningStats& all = sim.iteration_walls();
+  const RunningStats& second_half = sim.second_half_iteration_walls();
+  EXPECT_EQ(all.size(), total);
+  EXPECT_EQ(second_half.size(), total - total / 2);
+  EXPECT_GT(second_half.min(), 0.0);
+  EXPECT_GE(second_half.min(), all.min());
+  EXPECT_LE(second_half.max(), all.max());
+}
+
 TEST(ClusterSim, HarmonyBeatsIsolatedOnJctAndMakespan) {
   const auto harmony = run_policy(ClusterSimConfig::harmony(), 16, 24);
   const auto isolated = run_policy(ClusterSimConfig::isolated(), 16, 24);

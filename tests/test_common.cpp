@@ -15,46 +15,20 @@
 namespace harmony {
 namespace {
 
-TEST(MovingAverage, FirstSampleSetsValue) {
-  MovingAverage ma(0.5);
-  EXPECT_FALSE(ma.initialized());
-  ma.add(10.0);
-  EXPECT_TRUE(ma.initialized());
-  EXPECT_DOUBLE_EQ(ma.value(), 10.0);
-}
-
-TEST(MovingAverage, ExponentialUpdate) {
-  MovingAverage ma(0.5);
-  ma.add(10.0);
-  ma.add(20.0);
-  EXPECT_DOUBLE_EQ(ma.value(), 15.0);
-  ma.add(15.0);
-  EXPECT_DOUBLE_EQ(ma.value(), 15.0);
-}
-
-TEST(MovingAverage, ConvergesToConstantStream) {
-  MovingAverage ma(0.3);
-  ma.add(100.0);
-  for (int i = 0; i < 60; ++i) ma.add(7.0);
-  EXPECT_NEAR(ma.value(), 7.0, 1e-5);
-}
-
-TEST(MovingAverage, ResetClears) {
-  MovingAverage ma(0.3);
-  ma.add(5.0);
-  ma.reset();
-  EXPECT_FALSE(ma.initialized());
-  EXPECT_EQ(ma.count(), 0u);
-}
-
 TEST(WindowedAverage, SlidesWindow) {
-  WindowedAverage wa(3);
+  WindowedAverage<3> wa;
+  EXPECT_EQ(wa.mean(), 0.0);
   wa.add(1.0);
   wa.add(2.0);
   wa.add(3.0);
   EXPECT_DOUBLE_EQ(wa.mean(), 2.0);
   wa.add(10.0);  // evicts 1.0
   EXPECT_DOUBLE_EQ(wa.mean(), 5.0);
+  EXPECT_EQ(wa.size(), 3u);
+  wa.add(20.0);  // evicts 2.0
+  wa.add(30.0);  // evicts 3.0
+  wa.add(40.0);  // evicts 10.0: the ring has wrapped
+  EXPECT_DOUBLE_EQ(wa.mean(), 30.0);
   EXPECT_EQ(wa.size(), 3u);
 }
 

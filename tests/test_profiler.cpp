@@ -44,6 +44,11 @@ TEST(Profiler, MovingAverageTracksDrift) {
   ASSERT_TRUE(prof.has_value());
   // 10 + kProfileEmaAlpha * (20 - 10).
   EXPECT_DOUBLE_EQ(prof->cpu_work, 13.0);
+  EXPECT_DOUBLE_EQ(prof->t_net, 1.0);
+  // A constant stream pulls both averages to it.
+  for (int i = 0; i < 60; ++i) p.record(2, 1, 7.0, 4.0);
+  EXPECT_NEAR(p.profile(2)->cpu_work, 7.0, 1e-5);
+  EXPECT_NEAR(p.profile(2)->t_net, 4.0, 1e-5);
 }
 
 TEST(Profiler, IsProfiledAfterMinSamples) {
@@ -57,13 +62,6 @@ TEST(Profiler, IsProfiledAfterMinSamples) {
   p.record(3, 2, 1.0, 1.0);
   EXPECT_TRUE(p.is_profiled(3));
   EXPECT_EQ(p.sample_count(3), 3u);
-}
-
-TEST(Profiler, ForgetErases) {
-  Profiler p;
-  p.record(4, 1, 1.0, 1.0);
-  p.forget(4);
-  EXPECT_FALSE(p.has_profile(4));
 }
 
 TEST(Profiler, RejectsBadInputs) {
@@ -101,22 +99,6 @@ TEST(Profiler, HighIdLeavesLowerIdsEmpty) {
   ASSERT_TRUE(p.profile(50).has_value());
   EXPECT_DOUBLE_EQ(p.profile(50)->cpu_work, 6.0);
   EXPECT_EQ(p.sample_count(50), 1u);
-}
-
-TEST(Profiler, ForgetThenRecordRestartsMovingAverage) {
-  Profiler p;
-  p.record(1, 1, 10.0, 1.0);
-  p.record(1, 1, 20.0, 1.0);
-  ASSERT_DOUBLE_EQ(p.profile(1)->cpu_work, 13.0);
-  p.forget(1);
-  EXPECT_EQ(p.sample_count(1), 0u);
-  // The first sample after forget() is the whole estimate, not a blend with
-  // the forgotten 13.0.
-  p.record(1, 1, 40.0, 4.0);
-  ASSERT_TRUE(p.profile(1).has_value());
-  EXPECT_DOUBLE_EQ(p.profile(1)->cpu_work, 40.0);
-  EXPECT_DOUBLE_EQ(p.profile(1)->t_net, 4.0);
-  EXPECT_EQ(p.sample_count(1), 1u);
 }
 
 TEST(Profiler, TracksMultipleJobsIndependently) {

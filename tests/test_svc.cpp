@@ -111,7 +111,7 @@ constexpr double kDriftThreshold = 0.10;
 
 void expect_valid(const core::IncrementalScheduler& inc) {
   check::Validation v("incremental");
-  core::validate_incremental_state(inc, v);
+  inc.validate(v);
   EXPECT_TRUE(v.ok()) << v.report().to_string();
 }
 
@@ -204,6 +204,49 @@ TEST(IncrementalScheduler, DriftRisesOnDecayAndResetsOnAdopt) {
   inc.adopt(core::repack(pool, inc.total_machines()), pool);
   EXPECT_LT(inc.drift(), kDriftThreshold);
   EXPECT_EQ(inc.running_jobs(), pool.size());
+  expect_valid(inc);
+}
+
+TEST(IncrementalScheduler, NegativePeakScoreGatesAndDriftsTheRightWayRound) {
+  // Overload: 100 full 6-job groups, each on twice its balance-point DoP, so
+  // the per-job penalty (5 extra jobs per group) outweighs utilization and
+  // the adopted peak score is negative.
+  constexpr std::size_t kGroups = 100;
+  constexpr std::size_t kGroupMachines = 20;
+  core::IncrementalScheduler inc(kDriftThreshold, kGroups * kGroupMachines + 100);
+  std::vector<core::SchedJob> pool;
+  core::ScheduleDecision decision;
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    core::GroupPlan plan;
+    plan.machines = kGroupMachines;
+    for (std::size_t k = 0; k < core::kMaxJobsPerGroup; ++k) {
+      const auto id = static_cast<core::JobId>(pool.size());
+      pool.push_back(job(id, 10.0, 1.0));
+      plan.jobs.push_back(id);
+    }
+    decision.groups.push_back(plan);
+  }
+  inc.adopt(decision, pool);
+  const double peak = inc.current_score();
+  ASSERT_LT(peak, 0.0);
+  EXPECT_EQ(inc.drift(), 0.0);
+
+  // A compute-only newcomer opens a group on the free pool at full CPU
+  // utilization: the score rises, yet stays below 0.9 x peak. It beats the
+  // peak, so it must be admitted.
+  ASSERT_TRUE(inc.join(job(10000, 10.0, 0.0)).has_value());
+  const double raised = inc.current_score();
+  EXPECT_GT(raised, peak);
+  EXPECT_LT(raised, peak * (1.0 - kDriftThreshold));
+  EXPECT_EQ(inc.drift(), 0.0);
+
+  // Its departure returns the machines and drops the score below the new
+  // peak: drift() must read that drop relative to |peak|.
+  ASSERT_TRUE(inc.leave(10000));
+  const double dropped = inc.current_score();
+  EXPECT_LT(dropped, raised);
+  EXPECT_GT(inc.drift(), 0.0);
+  EXPECT_DOUBLE_EQ(inc.drift(), (raised - dropped) / -raised);
   expect_valid(inc);
 }
 
@@ -438,7 +481,7 @@ TEST(IncrementalScheduler, CorruptionInjectionIsDetected) {
     expect_valid(inc);
     inc.corrupt_for_test(kind);
     check::Validation v("incremental");
-    core::validate_incremental_state(inc, v);
+    inc.validate(v);
     EXPECT_FALSE(v.ok()) << "corruption kind " << static_cast<int>(kind)
                          << " went undetected";
   }
