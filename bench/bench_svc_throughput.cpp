@@ -9,6 +9,9 @@
 // exists to make. It reports each class's rate per wall-second and its p99
 // wall time.
 //
+// BM_IncrementalJoin times one IncrementalScheduler join and leave apart
+// from the service loop: the join probes a window of 64 candidate groups.
+//
 // BM_ServiceThroughput is the shedding stress case: arrivals over-subscribe
 // the cluster, the admission queue stays full, and most events are
 // rejections (95,691 of 103,936 in the 10k row), so its events/sec mostly
@@ -17,15 +20,82 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
+#include "common/rng.h"
 #include "exp/workload.h"
+#include "harmony/incremental.h"
 #include "obs/slo.h"
 #include "svc/service.h"
 
 using namespace harmony;
 
 namespace {
+
+// A grouping like the service's steady state: 70 slots of 1-5 members on
+// 10,000 machines, each group at its balance point, adopted from a built
+// decision. As in the service's probe windows, 82% of groups hold one member
+// and the mean is about 1.2. Profiles are drawn as Service::make_pending
+// draws them (the catalog profile with 10% lognormal jitter on both terms).
+// Each iteration joins the next of 256 seeded arrivals and, when the join
+// places it, removes it again, so the grouping stays near its start.
+void BM_IncrementalJoin(benchmark::State& state) {
+  constexpr std::size_t kMachines = 10000;
+  constexpr std::size_t kSlots = 70;
+  const auto catalog = exp::make_catalog();
+  Rng rng(1);
+  core::JobId next_id = 0;
+  const auto draw = [&] {
+    core::JobProfile profile = catalog[next_id % catalog.size()].profile();
+    profile.cpu_work *= rng.lognormal_noise(0.10);
+    profile.t_net *= rng.lognormal_noise(0.10);
+    return core::SchedJob{next_id++, profile};
+  };
+
+  std::vector<core::SchedJob> pool;
+  core::ScheduleDecision decision;
+  std::size_t free = kMachines;
+  for (std::size_t s = 0; s < kSlots; ++s) {
+    core::GroupPlan plan;
+    double sum_cpu_work = 0.0;
+    double sum_t_net = 0.0;
+    const double u = rng.uniform(0.0, 1.0);
+    const int members = u < 0.82 ? 1 : u < 0.96 ? 2 : u < 0.98 ? 3 : u < 0.99 ? 4 : 5;
+    for (int k = 0; k < members; ++k) {
+      const core::SchedJob j = draw();
+      pool.push_back(j);
+      plan.jobs.push_back(j.id);
+      sum_cpu_work += j.profile.cpu_work;
+      sum_t_net += j.profile.t_net;
+    }
+    plan.machines = core::balanced_dop(sum_cpu_work, sum_t_net, free - (kSlots - s - 1));
+    free -= plan.machines;
+    decision.groups.push_back(std::move(plan));
+  }
+  core::IncrementalScheduler inc(0.10, kMachines);
+  inc.adopt(decision, pool);
+
+  std::vector<core::SchedJob> arrivals;
+  for (int i = 0; i < 256; ++i) arrivals.push_back(draw());
+  std::size_t next = 0;
+  std::int64_t placed = 0;
+  for (auto _ : state) {
+    const core::SchedJob& job = arrivals[next];
+    next = next + 1 == arrivals.size() ? 0 : next + 1;
+    const auto result = inc.join(job);
+    benchmark::DoNotOptimize(result);
+    if (result) {
+      inc.leave(job.id);
+      ++placed;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["placed_pct"] =
+      100.0 * static_cast<double>(placed) / static_cast<double>(state.iterations());
+  state.counters["free_machines"] = static_cast<double>(inc.free_machines());
+  state.SetLabel("70 slots / 10000 machines");
+}
 
 void BM_ServiceSteady(benchmark::State& state) {
   const auto catalog = exp::make_catalog();
@@ -134,6 +204,8 @@ void BM_ServiceThroughputTelemetry(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_ServiceSteady)->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_IncrementalJoin);
 
 BENCHMARK(BM_ServiceThroughput)
     ->Args({1000, 2})

@@ -1,9 +1,12 @@
 #include "harmony/incremental.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
 
-#include "common/sorted_view.h"
+#include "obs/metrics.h"
 
 namespace harmony::core {
 
@@ -26,6 +29,118 @@ struct Contrib {
   return Contrib{m * sum_cpu / t_itr, m * sum_t_net / t_itr, t_itr};
 }
 
+// Two doubles in one 16-byte vector (GCC/Clang vector extensions; SSE2, the
+// x86-64 baseline, divides both lanes in one instruction), and the lane masks
+// its comparisons yield: all ones where true, zero where false.
+typedef double F64x2 __attribute__((vector_size(16)));
+using I64x2 = decltype(F64x2{} < F64x2{});
+
+[[gnu::always_inline]] inline F64x2 splat(double x) { return F64x2{x, x}; }
+
+// mask ? a : b per lane, in mask arithmetic.
+[[gnu::always_inline]] inline F64x2 select(I64x2 mask, F64x2 a, F64x2 b) {
+  return std::bit_cast<F64x2>((mask & std::bit_cast<I64x2>(a)) |
+                              (~mask & std::bit_cast<I64x2>(b)));
+}
+
+// std::max(a, b) per lane: a < b ? b : a, so a tie or a NaN keeps `a`.
+[[gnu::always_inline]] inline F64x2 lane_max(F64x2 a, F64x2 b) { return select(a < b, b, a); }
+
+// What every probe of one join shares: the cluster accumulators, the free
+// pool and score_scalar's per-job penalty for one more job.
+struct ProbeBase {
+  double acc_cpu = 0.0;
+  double acc_net = 0.0;
+  double alloc_machines = 0.0;
+  std::size_t free_machines = 0;
+  double penalty = 0.0;
+};
+
+// max(max_itr, T_itr) over the members past the first, for one lane.
+double rest_max_itr(const std::vector<SchedJob>& members, double dop, double max_itr) {
+  for (std::size_t k = 1; k < members.size(); ++k)
+    max_itr = std::max(max_itr, members[k].profile.cpu_work / dop + members[k].profile.t_net);
+  return max_itr;
+}
+
+// A join probe of two candidate groups at once, lane 0 for g0 and lane 1 for
+// g1: `job` joins the group, which is re-sized to the combined balance
+// point. Each lane runs the scalar operations in their scalar order, and the
+// scalar domain guards become selects, so no lane divides by zero or
+// converts a NaN or an out-of-range double. A probe is two passes with a
+// per-lane fold of the members past the first between them.
+struct PairProbe {
+  const IncrementalScheduler::Group& g0;
+  const IncrementalScheduler::Group& g1;
+  const JobProfile& job;
+  const ProbeBase& base;
+
+  F64x2 sum_cpu() const { return F64x2{g0.sum_cpu_work, g1.sum_cpu_work} + splat(job.cpu_work); }
+  F64x2 sum_net() const { return F64x2{g0.sum_t_net, g1.sum_t_net} + splat(job.t_net); }
+
+  // balanced_dop (round_half_away as truncation plus the half step), and the
+  // max T_itr at that DoP over the joining job and the first member.
+  [[gnu::always_inline]] void balance(F64x2& dop, F64x2& max_itr) const {
+    const F64x2 one = splat(1.0);
+    const F64x2 sum_cpu = this->sum_cpu();
+    const F64x2 sum_net = this->sum_net();
+    // A live group holds a machine, so the limit is at least 1.
+    const F64x2 limit = F64x2{static_cast<double>(g0.machines + base.free_machines),
+                              static_cast<double>(g1.machines + base.free_machines)};
+    // Σt_net ≤ 0 gives the limit: it divides by NaN instead, never by
+    // zero. So does a NaN or a quotient ≥ limit (std::min(limit, x) keeps
+    // `limit` for NaN), and a quotient ≤ -0.5, which llround takes below zero
+    // and the size_t cast wraps past the limit.
+    const F64x2 quotient = sum_cpu / select(sum_net > splat(0.0), sum_net,
+                                            splat(std::numeric_limits<double>::quiet_NaN()));
+    F64x2 x = select(quotient < limit, quotient, limit);
+    x = select(x > splat(-0.5), x, limit);
+    // round_half_away: truncation, then the x - whole ≥ 0.5 step. Adding and
+    // taking away 2^52 rounds x ∈ [0, 2^52) to an integer, and stepping down
+    // where that rounded up truncates it; from 2^52 up x is already whole.
+    // For x ∈ (-0.5, 0) the result stays below 1, and the clamp gives 1.
+    const F64x2 big = splat(0x1p52);
+    const F64x2 nearest = (x + big) - big;
+    const F64x2 whole =
+        select(x < big, nearest - select(nearest > x, one, splat(0.0)), x);
+    const F64x2 rounded = whole + select(x - whole >= splat(0.5), one, splat(0.0));
+    dop = select(rounded < one, one, rounded);
+
+    const JobProfile& first0 = g0.jobs.front().profile;
+    const JobProfile& first1 = g1.jobs.front().profile;
+    max_itr = lane_max(splat(job.cpu_work) / dop + splat(job.t_net),
+                       F64x2{first0.cpu_work, first1.cpu_work} / dop +
+                           F64x2{first0.t_net, first1.t_net});
+  }
+
+  // contributions over the members' max T_itr, then score_with over
+  // score_scalar: the modelled cluster score after the join.
+  [[gnu::always_inline]] F64x2 score(F64x2 dop, F64x2 max_itr) const {
+    const F64x2 zero = splat(0.0);
+    const F64x2 one = splat(1.0);
+    const F64x2 sum_cpu = this->sum_cpu();
+    const F64x2 sum_net = this->sum_net();
+    // t_itr ≤ 0 gives zero contributions.
+    const F64x2 sum_cpu_at_dop = sum_cpu / dop;
+    const F64x2 t_itr = lane_max(lane_max(sum_cpu_at_dop, sum_net), max_itr);
+    const I64x2 idle = t_itr <= zero;
+    const F64x2 divisor = select(idle, one, t_itr);
+    const F64x2 cpu = select(idle, zero, dop * sum_cpu_at_dop / divisor);
+    const F64x2 net = select(idle, zero, dop * sum_net / divisor);
+    // No allocated machines gives a zero score.
+    const F64x2 machines =
+        F64x2{static_cast<double>(g0.machines), static_cast<double>(g1.machines)};
+    const F64x2 acc_cpu = splat(base.acc_cpu) - F64x2{g0.cpu_contrib, g1.cpu_contrib} + cpu;
+    const F64x2 acc_net = splat(base.acc_net) - F64x2{g0.net_contrib, g1.net_contrib} + net;
+    const F64x2 alloc = splat(base.alloc_machines) + dop - machines;
+    const I64x2 unallocated = alloc <= zero;
+    const F64x2 alloc_divisor = select(unallocated, one, alloc);
+    const F64x2 util = splat(kCpuWeight) * (acc_cpu / alloc_divisor) +
+                       splat(1.0 - kCpuWeight) * (acc_net / alloc_divisor);
+    return select(unallocated, zero, util - splat(base.penalty));
+  }
+};
+
 }  // namespace
 
 IncrementalScheduler::IncrementalScheduler(double drift_threshold, std::size_t total_machines)
@@ -45,7 +160,7 @@ double IncrementalScheduler::score_with(double acc_cpu, double acc_net,
 }
 
 double IncrementalScheduler::current_score() const {
-  return score_with(acc_cpu_, acc_net_, alloc_machines_, total_jobs_, nonempty_groups_);
+  return score_with(acc_cpu_, acc_net_, alloc_machines_, placed_.size(), nonempty_groups_);
 }
 
 void IncrementalScheduler::rebaseline() {
@@ -98,14 +213,12 @@ void IncrementalScheduler::rebuild_accumulators() {
   acc_cpu_ = 0.0;
   acc_net_ = 0.0;
   alloc_machines_ = 0.0;
-  total_jobs_ = 0;
   nonempty_groups_ = 0;
   for (Group& g : groups_) {
     if (!g.live) continue;
     acc_cpu_ += g.cpu_contrib;
     acc_net_ += g.net_contrib;
     alloc_machines_ += static_cast<double>(g.machines);
-    total_jobs_ += g.jobs.size();
     ++nonempty_groups_;
   }
 }
@@ -140,7 +253,7 @@ void IncrementalScheduler::adopt(const ScheduleDecision& decision,
                                  std::span<const SchedJob> pool) {
   // The decision is the authoritative grouping: it fills slots 0..k-1 in plan
   // order, exactly as a freshly built scheduler would, but the slots, their
-  // member storage and the job index's entries are reused from the previous
+  // member storage and the index's storage are reused from the previous
   // grouping.
   HARMONY_CHECK(std::adjacent_find(pool.begin(), pool.end(),
                                    [](const SchedJob& a, const SchedJob& b) {
@@ -152,8 +265,13 @@ void IncrementalScheduler::adopt(const ScheduleDecision& decision,
   free_machines_ = total_machines_;
   acc_cpu_ = acc_net_ = 0.0;
 
+  // The index is the pool in its own order: each planned job takes its slot
+  // at its pool position, and the jobs the decision drops are erased after.
+  constexpr std::uint32_t kUnplaced = UINT32_MAX;
+  placed_.resize(pool.size());
+  for (std::size_t k = 0; k < pool.size(); ++k) placed_[k] = Placed{pool[k], kUnplaced};
+
   std::size_t slot = 0;
-  std::size_t placed = 0;
   for (const GroupPlan& plan : decision.groups) {
     if (plan.jobs.empty() || plan.machines == 0) continue;
     HARMONY_CHECK(plan.machines <= free_machines_)
@@ -172,30 +290,23 @@ void IncrementalScheduler::adopt(const ScheduleDecision& decision,
       HARMONY_CHECK(it != pool.end() && it->id == id)
           << check::job(id) << "decision places a job missing from the pool";
       g.jobs.push_back(*it);
-      job_group_.insert_or_assign(id, static_cast<std::uint32_t>(slot));
-      ++placed;
+      placed_[static_cast<std::size_t>(it - pool.begin())].slot =
+          static_cast<std::uint32_t>(slot);
     }
     free_machines_ -= plan.machines;
     refresh_group(g);
     ++slot;
   }
   groups_.resize(slot);
-  // Every placed id now maps to its new slot, most by overwriting their old
-  // entry. Any further entries belong to jobs the decision dropped, so the
-  // index is rebuilt from the slots.
-  if (job_group_.size() != placed) {
-    job_group_.clear();
-    for (std::size_t s = 0; s < groups_.size(); ++s)
-      for (const SchedJob& j : groups_[s].jobs)
-        job_group_[j.id] = static_cast<std::uint32_t>(s);
-  }
+  std::erase_if(placed_, [](const Placed& p) { return p.slot == kUnplaced; });
   rebuild_accumulators();
   rebaseline();
 }
 
 std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
     const SchedJob& job) {
-  HARMONY_CHECK(job_group_.count(job.id) == 0)
+  const auto at = find_placed(job.id);
+  HARMONY_CHECK(at == placed_.end() || at->job.id != job.id)
       << check::job(job.id) << "join of an already-placed job";
 
   // Option A: the best of up to kJoinProbeLimit live groups with a free
@@ -207,33 +318,58 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
   // covers the whole cluster over time.
   // The cursor stays inside [0, slots) (see validate()), so stepping the
   // slot index with a wrap visits (cursor_ + step) % slots without a divide.
+  static obs::Counter& join_probes =
+      obs::MetricsRegistry::instance().counter("incremental.join_probes");
   const std::size_t slots = groups_.size();
   std::size_t best_group = slots;
   double best_score = 0.0;
   if (slots > 0) {
+    // Scratch for one probe window. Every entry is written before it is
+    // read, so none is zero-filled first.
+    std::array<std::size_t, kJoinProbeLimit> candidates;
+    // Positions in `candidates` of the groups with more than one member.
+    std::array<std::uint8_t, kJoinProbeLimit> crowded;
     std::size_t probed = 0;
+    std::size_t crowded_count = 0;
     std::size_t idx = cursor_;
     for (std::size_t step = 0; step < slots && probed < kJoinProbeLimit;
          ++step, idx = idx + 1 == slots ? 0 : idx + 1) {
       const Group& g = groups_[idx];
       if (!g.live || g.jobs.size() >= kMaxJobsPerGroup) continue;
-      ++probed;
-      const double sum_cpu = g.sum_cpu_work + job.profile.cpu_work;
-      const double sum_net = g.sum_t_net + job.profile.t_net;
-      const std::size_t dop = balanced_dop(sum_cpu, sum_net, g.machines + free_machines_);
-      double max_itr = job.profile.t_itr(dop);
-      for (const SchedJob& j : g.jobs) max_itr = std::max(max_itr, j.profile.t_itr(dop));
-      const Contrib c = contributions(sum_cpu, sum_net, max_itr, dop);
-      const double score = score_with(
-          acc_cpu_ - g.cpu_contrib + c.cpu, acc_net_ - g.net_contrib + c.net,
-          alloc_machines_ + static_cast<double>(dop) - static_cast<double>(g.machines),
-          total_jobs_ + 1, nonempty_groups_);
+      crowded[crowded_count] = static_cast<std::uint8_t>(probed);
+      crowded_count += g.jobs.size() > 1;
+      candidates[probed++] = idx;
+    }
+    cursor_ = cursor_ + 1 == slots ? 0 : cursor_ + 1;
+    join_probes.add(probed);
+
+    // Candidates are probed two at a time; an odd count's spare lane probes
+    // the last candidate again. The winner is then picked in probe order.
+    const ProbeBase base{acc_cpu_, acc_net_, alloc_machines_, free_machines_,
+                         PerfModel::job_penalty(placed_.size() + 1, nonempty_groups_)};
+    if (probed % 2 == 1) candidates[probed] = candidates[probed - 1];
+    const std::size_t pairs = (probed + 1) / 2;
+    const auto pair_probe = [&](std::size_t p) {
+      return PairProbe{groups_[candidates[2 * p]], groups_[candidates[2 * p + 1]], job.profile,
+                       base};
+    };
+    std::array<F64x2, kJoinProbeLimit / 2> dop;
+    std::array<F64x2, kJoinProbeLimit / 2> max_itr;
+    for (std::size_t p = 0; p < pairs; ++p) pair_probe(p).balance(dop[p], max_itr[p]);
+    for (std::size_t k = 0; k < crowded_count; ++k) {
+      const std::size_t i = crowded[k];
+      max_itr[i / 2][i % 2] = rest_max_itr(groups_[candidates[i]].jobs, dop[i / 2][i % 2],
+                                           max_itr[i / 2][i % 2]);
+    }
+    std::array<F64x2, kJoinProbeLimit / 2> scores;
+    for (std::size_t p = 0; p < pairs; ++p) scores[p] = pair_probe(p).score(dop[p], max_itr[p]);
+    for (std::size_t i = 0; i < probed; ++i) {
+      const double score = scores[i / 2][i % 2];
       if (best_group == slots || score > best_score) {
-        best_group = idx;
+        best_group = candidates[i];
         best_score = score;
       }
     }
-    cursor_ = cursor_ + 1 == slots ? 0 : cursor_ + 1;
   }
 
   // Option B: open a fresh group at the job's balance-point DoP.
@@ -246,7 +382,7 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
                                     job.profile.t_itr(new_dop), new_dop);
     new_score = score_with(acc_cpu_ + c.cpu, acc_net_ + c.net,
                            alloc_machines_ + static_cast<double>(new_dop),
-                           total_jobs_ + 1, nonempty_groups_ + 1);
+                           placed_.size() + 1, nonempty_groups_ + 1);
     new_t_itr = c.t_itr;
   }
 
@@ -275,8 +411,7 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
   if (take_existing) {
     Group& g = groups_[best_group];
     g.jobs.push_back(job);
-    job_group_[job.id] = static_cast<std::uint32_t>(best_group);
-    ++total_jobs_;
+    placed_.insert(at, Placed{job, static_cast<std::uint32_t>(best_group)});
     refresh_group(g);
     resize_to_balance(g);
     maybe_rebuild();
@@ -293,8 +428,7 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
   free_machines_ -= new_dop;
   alloc_machines_ += static_cast<double>(new_dop);
   ++nonempty_groups_;
-  ++total_jobs_;
-  job_group_[job.id] = static_cast<std::uint32_t>(slot);
+  placed_.insert(at, Placed{job, static_cast<std::uint32_t>(slot)});
   refresh_group(g);
   maybe_rebuild();
   note_peak();
@@ -302,18 +436,17 @@ std::optional<IncrementalScheduler::JoinResult> IncrementalScheduler::join(
 }
 
 bool IncrementalScheduler::leave(JobId id) {
-  const auto it = job_group_.find(id);
-  if (it == job_group_.end()) return false;
-  Group& g = groups_[it->second];
-  const std::size_t slot = it->second;
-  job_group_.erase(it);
+  const auto it = find_placed(id);
+  if (it == placed_.end() || it->job.id != id) return false;
+  const std::size_t slot = it->slot;
+  Group& g = groups_[slot];
+  placed_.erase(it);
 
   const auto member = std::find_if(g.jobs.begin(), g.jobs.end(),
                                    [id](const SchedJob& j) { return j.id == id; });
   HARMONY_CHECK(member != g.jobs.end())
       << check::job(id) << check::group(slot) << "index points at a group without the job";
   g.jobs.erase(member);
-  --total_jobs_;
 
   if (g.jobs.empty()) {
     acc_cpu_ -= g.cpu_contrib;
@@ -334,19 +467,14 @@ bool IncrementalScheduler::leave(JobId id) {
   note_peak();
   // A fully drained cluster has no grouping left to preserve: drop the stale
   // peak so the quality gate cannot decline the next cold-start joins.
-  if (total_jobs_ == 0) rebaseline();
+  if (placed_.empty()) rebaseline();
   return true;
 }
 
 std::vector<SchedJob> IncrementalScheduler::pool() const {
   std::vector<SchedJob> out;
-  out.reserve(total_jobs_);
-  for (const Group& g : groups_) {
-    if (!g.live) continue;
-    out.insert(out.end(), g.jobs.begin(), g.jobs.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SchedJob& a, const SchedJob& b) { return a.id < b.id; });
+  out.reserve(placed_.size());
+  for (const Placed& p : placed_) out.push_back(p.job);
   return out;
 }
 
@@ -357,7 +485,6 @@ void IncrementalScheduler::validate(check::Validation& v) const {
   double acc_cpu = 0.0;
   double acc_net = 0.0;
   double alloc = 0.0;
-  std::unordered_map<JobId, std::size_t> seen;
 
   for (std::size_t i = 0; i < groups_.size(); ++i) {
     const Group& g = groups_[i];
@@ -380,11 +507,6 @@ void IncrementalScheduler::validate(check::Validation& v) const {
     double sum_t_net = 0.0;
     double max_t_itr = 0.0;
     for (const SchedJob& j : g.jobs) {
-      ++seen[j.id];
-      const auto idx = job_group_.find(j.id);
-      HARMONY_VALIDATE(v, idx != job_group_.end() && idx->second == i)
-          << check::job(j.id) << check::group(i)
-          << "member not indexed back to its group";
       sum_cpu_work += j.profile.cpu_work;
       sum_t_net += j.profile.t_net;
       max_t_itr = std::max(max_t_itr, j.profile.t_itr(g.machines));
@@ -407,13 +529,29 @@ void IncrementalScheduler::validate(check::Validation& v) const {
   HARMONY_VALIDATE(v, machines == total_machines_)
       << "machine conservation: groups + free pool = " << machines << ", cluster has "
       << total_machines_;
-  HARMONY_VALIDATE(v, jobs == total_jobs_ && jobs == job_group_.size())
-      << "job accounting: " << jobs << " members, " << total_jobs_ << " counted, "
-      << job_group_.size() << " indexed";
-  for (const auto& [id, count] : common::sorted_view(seen)) {
-    HARMONY_VALIDATE(v, count == 1)
-        << check::job(id) << "job appears in " << count << " member lists";
+  // The index: ids strictly increasing, and each entry's slot holds that job
+  // with a bit-equal profile. Distinct entries then name distinct members, so
+  // equal counts make the index and the member lists one set, each job once.
+  const auto same_job = [](const SchedJob& a, const SchedJob& b) {
+    return a.id == b.id &&
+           std::bit_cast<std::uint64_t>(a.profile.cpu_work) ==
+               std::bit_cast<std::uint64_t>(b.profile.cpu_work) &&
+           std::bit_cast<std::uint64_t>(a.profile.t_net) ==
+               std::bit_cast<std::uint64_t>(b.profile.t_net);
+  };
+  for (std::size_t k = 0; k < placed_.size(); ++k) {
+    const Placed& p = placed_[k];
+    HARMONY_VALIDATE(v, k == 0 || placed_[k - 1].job.id < p.job.id)
+        << check::job(p.job.id) << "index out of id order after job " << placed_[k - 1].job.id;
+    const bool held =
+        p.slot < groups_.size() &&
+        std::any_of(groups_[p.slot].jobs.begin(), groups_[p.slot].jobs.end(),
+                    [&](const SchedJob& member) { return same_job(member, p.job); });
+    HARMONY_VALIDATE(v, held) << check::job(p.job.id) << check::group(p.slot)
+                              << "indexed job not held by its group";
   }
+  HARMONY_VALIDATE(v, jobs == placed_.size())
+      << "job accounting: " << jobs << " members, " << placed_.size() << " indexed";
   HARMONY_VALIDATE(v, nonempty == nonempty_groups_)
       << "group count: " << nonempty << " live vs " << nonempty_groups_ << " counted";
   const auto near = [](double a, double b) {

@@ -14,9 +14,13 @@
 //    same crossing full Algorithm 1 allocates to), drawing from or returning
 //    machines to the free pool — without the resize a group would stay frozen
 //    at its founder's DoP and greedy packing could never approach full
-//    Algorithm-1 quality. A probe costs O(group members) (members ≤ the
-//    member cap) off cached aggregates, so a join costs
-//    O(kJoinProbeLimit x kMaxJobsPerGroup) regardless of cluster size.
+//    Algorithm-1 quality. A probe reads the group's cached aggregates and
+//    its members' profiles (members ≤ the member cap), so a join costs
+//    O(kJoinProbeLimit x kMaxJobsPerGroup) regardless of cluster size. A
+//    probe is about eight dependent divisions, so join scores its candidates
+//    two at a time in a 16-byte vector (SSE2's packed divide on x86-64); each
+//    lane runs the scalar expression's IEEE operations in order, so every
+//    score is bit-identical to scoring that group alone.
 //  * leave: remove the job from its group and re-size the remainder to its
 //    balance point (bounded the same way); an emptied group dissolves and its
 //    machines return to the free pool.
@@ -37,7 +41,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "check/check.h"
@@ -137,16 +140,20 @@ class IncrementalScheduler {
 
   std::size_t total_machines() const noexcept { return total_machines_; }
   std::size_t free_machines() const noexcept { return free_machines_; }
-  std::size_t running_jobs() const noexcept { return total_jobs_; }
+  std::size_t running_jobs() const noexcept { return placed_.size(); }
   std::size_t live_group_count() const noexcept { return nonempty_groups_; }
   const std::vector<Group>& groups() const noexcept { return groups_; }
-  bool contains(JobId id) const { return job_group_.count(id) != 0; }
+  bool contains(JobId id) const {
+    const auto it = find_placed(id);
+    return it != placed_.end() && it->job.id == id;
+  }
 
   // Modelled iteration time of a live group (Eq. 1 off the cached sums).
   double group_iteration_time(std::size_t group) const;
 
   // All placed jobs in id order — the queue order a full Algorithm-1 re-run
-  // expects (service ids are assigned in arrival order).
+  // expects (service ids are assigned in arrival order). A copy of the
+  // index's jobs, which it keeps in that order.
   std::vector<SchedJob> pool() const;
 
   // Deep validator: recomputes every cached aggregate and the accumulators
@@ -163,6 +170,16 @@ class IncrementalScheduler {
   void corrupt_for_test(Corruption kind);
 
  private:
+  // One placed job and the slot of the group that holds it.
+  struct Placed {
+    SchedJob job;
+    std::uint32_t slot = 0;
+  };
+  // The first index entry whose id is not below `id`.
+  std::vector<Placed>::const_iterator find_placed(JobId id) const {
+    return std::lower_bound(placed_.begin(), placed_.end(), id,
+                            [](const Placed& p, JobId want) { return p.job.id < want; });
+  }
   // Recomputes a group's aggregates + contributions from its member list and
   // swaps the new contributions into the cluster accumulators.
   void refresh_group(Group& g);
@@ -190,7 +207,9 @@ class IncrementalScheduler {
 
   std::vector<Group> groups_;             // slots; dead ones on the free list
   std::vector<std::size_t> free_slots_;
-  std::unordered_map<JobId, std::uint32_t> job_group_;
+  // Every placed job in strictly increasing id order. Service ids arrive in
+  // order, so most joins append.
+  std::vector<Placed> placed_;
   std::size_t cursor_ = 0;  // rotating probe start for join()
 
   // Cluster-utilization accumulators over live groups (PerfModel::
@@ -198,7 +217,6 @@ class IncrementalScheduler {
   double acc_cpu_ = 0.0;
   double acc_net_ = 0.0;
   double alloc_machines_ = 0.0;
-  std::size_t total_jobs_ = 0;
   std::size_t nonempty_groups_ = 0;
   std::uint64_t mutations_ = 0;
 

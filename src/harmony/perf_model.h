@@ -84,9 +84,14 @@ class PerfModel {
   static double score_scalar(const Utilization& u, std::size_t total_jobs,
                              std::size_t total_groups) noexcept {
     const double util = kCpuWeight * u.cpu + (1.0 - kCpuWeight) * u.net;
+    return util - job_penalty(total_jobs, total_groups);
+  }
+  // The score's small-group preference term: kPerJobPenalty per job beyond
+  // one per group.
+  static double job_penalty(std::size_t total_jobs, std::size_t total_groups) noexcept {
     const double extra_jobs =
         total_jobs > total_groups ? static_cast<double>(total_jobs - total_groups) : 0.0;
-    return util - kPerJobPenalty * extra_jobs;
+    return kPerJobPenalty * extra_jobs;
   }
 };
 

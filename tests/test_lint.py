@@ -289,6 +289,30 @@ class LintSelfTest(unittest.TestCase):
         self.assert_clean(
             {"src/sim/doc.cpp": "// replaces std::function in the hot path\nint x;\n"})
 
+    # --- simd-portability -------------------------------------------------
+
+    def test_intrinsics_header_banned_in_src(self):
+        self.assert_finding(
+            {"src/harmony/kernel.cpp": "#include <immintrin.h>\nint x;\n"},
+            "simd-portability", "vector extensions")
+
+    def test_every_isa_header_banned_in_src(self):
+        for header in ("x86intrin.h", "emmintrin.h", "arm_neon.h"):
+            self.assert_finding(
+                {"src/common/fast.h": HEADER + f"#include <{header}>\n"},
+                "simd-portability", header)
+
+    def test_intrinsics_headers_fine_in_tests_and_bench(self):
+        self.assert_clean(
+            {"tests/test_kernel.cpp": "#include <immintrin.h>\nint x;\n",
+             "bench/bench_kernel.cpp": "#include <arm_neon.h>\nint y;\n"})
+
+    def test_vector_extensions_and_commented_include_pass(self):
+        self.assert_clean(
+            {"src/harmony/kernel.cpp":
+             "// not <immintrin.h>: GCC/Clang vector extensions\n"
+             "typedef double F64x2 __attribute__((vector_size(16)));\n"})
+
     # --- reporting --------------------------------------------------------
 
     def test_rule_counts_line(self):

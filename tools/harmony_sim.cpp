@@ -80,6 +80,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -427,7 +428,7 @@ int main(int argc, char** argv) {
               catalog.size(), config.machines, arrival.c_str(),
               config.spill_enabled ? "on" : "off");
 
-  exp::ClusterSim sim(config, catalog, arrivals);
+  exp::ClusterSim sim(config, std::move(catalog), std::move(arrivals));
   const auto summary = sim.run();
 
   // stderr, so --validate leaves stdout byte-identical (golden determinism).

@@ -51,6 +51,13 @@ Project rules (always run, no dependencies beyond the stdlib):
                    MetricsRegistry singletons (or their mutators) from
                    analysis code is banned, so running an analysis can never
                    perturb the measurement it analyzes.
+  simd-portability Vector code in src/ stays on GCC/Clang vector extensions
+                   (`__attribute__((vector_size(N)))`), which both compilers
+                   lower for whatever ISA the build targets, so there is no
+                   per-ISA fork to keep in step. An #include of an ISA
+                   intrinsics header (<immintrin.h>, <x86intrin.h>,
+                   <arm_neon.h>, any <...intrin.h>) under src/ is a finding.
+                   tests/ and bench/ may include them.
   detlint-escape   Hygiene for tools/detlint.py escape comments: every
                    `// detlint: <name>(<reason>)` in the deterministic
                    directories must use a known escape name (the canonical
@@ -115,7 +122,10 @@ EVENT_PAYLOAD_DIRS = ("src/sim", "src/exp")
 
 RULE_NAMES = ("nondeterminism", "naked-new", "header-hygiene", "lock-discipline",
               "layering", "read-only-analysis", "event-payload", "detlint-escape",
-              "signal-handling")
+              "signal-handling", "simd-portability")
+
+# ISA intrinsics headers: <immintrin.h>, <x86intrin.h>, <arm_neon.h>, ...
+INTRINSICS_INCLUDE_RE = re.compile(r"#\s*include\s*<(\w*intrin\.h|arm_neon\.h)>")
 
 # Signal handling is process-global state: one stray handler can shadow the
 # flight recorder's crash hook or swallow a CI-visible abort. The APIs are
@@ -363,6 +373,13 @@ def lint_file(root: str, path: str, findings: Findings):
                                      f"forbidden dependency {file_module} -> {dep_module}; "
                                      "the module DAG (ALLOWED_DEPS in tools/lint.py) "
                                      "does not have this edge")
+
+        if in_src:
+            m = INTRINSICS_INCLUDE_RE.search(code)
+            if m:
+                findings.add(root, path, line_no, "simd-portability",
+                             f"<{m.group(1)}> ties src/ to one ISA; write vector code "
+                             "with GCC/Clang vector extensions (vector_size)")
 
         if analysis_dir and analysis_banned.search(code):
             findings.add(root, path, line_no, "read-only-analysis",
