@@ -57,6 +57,7 @@ class RunningStats {
   double mean() const noexcept {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
+  double sum() const noexcept { return sum_; }
   double min() const noexcept { return min_; }  // 0 when empty, like SampleSet
   double max() const noexcept { return max_; }
 

@@ -6,6 +6,28 @@
 
 namespace harmony::exp {
 
+namespace {
+
+// The trace burst model: geometric burst sizes with this mean, each job of a
+// burst within kBurstSpreadSec of the burst's base, Pareto(kParetoAlpha) gaps
+// between bases.
+constexpr double kBurstMean = 4.0;
+constexpr double kBurstSpreadSec = 5.0;
+constexpr double kParetoAlpha = 1.5;
+// The trace stream reads a smaller mean as this one. Bases advance by about
+// kBurstMean × mean per burst while each burst spreads over kBurstSpreadSec,
+// so the lookahead grows as the mean shrinks: a process that draws 80
+// arrivals peaks at 11 MB at this floor and at 259 MB at 1e-12 s.
+constexpr double kMinTraceMeanSec = 1e-9;
+
+double positive_mean(double mean_interarrival_sec) {
+  if (!(mean_interarrival_sec > 0.0))
+    throw std::invalid_argument("an arrival stream needs a positive mean inter-arrival time");
+  return mean_interarrival_sec;
+}
+
+}  // namespace
+
 std::vector<double> batch_arrivals(std::size_t n) { return std::vector<double>(n, 0.0); }
 
 std::vector<double> poisson_arrivals(std::size_t n, double mean_interarrival_sec,
@@ -18,69 +40,48 @@ std::vector<double> poisson_arrivals(std::size_t n, double mean_interarrival_sec
 std::vector<double> trace_arrivals(std::size_t n, double mean_interarrival_sec,
                                    std::uint64_t seed) {
   if (mean_interarrival_sec <= 0.0) return batch_arrivals(n);
-  Rng rng(seed);
-  std::vector<double> arrivals;
-  arrivals.reserve(n);
-
-  // Bursts: geometric size (mean ~4), jobs inside a burst land within a few
-  // seconds; gaps between bursts are Pareto (alpha = 1.5) scaled to preserve
-  // the requested mean inter-arrival time overall.
-  const double burst_mean = 4.0;
-  const double gap_mean = mean_interarrival_sec * burst_mean;
-  const double pareto_alpha = 1.5;
-  const double pareto_xm = gap_mean * (pareto_alpha - 1.0) / pareto_alpha;
-
-  double t = 0.0;
-  while (arrivals.size() < n) {
-    std::size_t burst = 1;
-    while (rng.bernoulli(1.0 - 1.0 / burst_mean)) ++burst;
-    for (std::size_t k = 0; k < burst && arrivals.size() < n; ++k) {
-      arrivals.push_back(t + rng.uniform(0.0, 5.0));
-    }
-    const double u = rng.uniform(1e-9, 1.0);
-    t += pareto_xm / std::pow(u, 1.0 / pareto_alpha);
-  }
-  std::sort(arrivals.begin(), arrivals.end());
-  // Normalize so the first job arrives at t = 0.
-  const double t0 = arrivals.front();
-  for (double& a : arrivals) a -= t0;
-  return arrivals;
+  TraceArrivalStream stream(mean_interarrival_sec, seed);
+  return take(stream, n);
 }
 
 // ---------------------------------------------------------------------------
 // Streams.
 
+PoissonArrivalStream::PoissonArrivalStream(double mean_interarrival_sec, std::uint64_t seed)
+    : mean_(positive_mean(mean_interarrival_sec)), rng_(seed) {}
+
 double PoissonArrivalStream::next() {
-  if (mean_ <= 0.0) return 0.0;
   const double t = t_;
   t_ += rng_.exponential(mean_);
   return t;
 }
 
+// The mean gap between burst bases is kBurstMean times the mean
+// inter-arrival time, and a Pareto(alpha) gap with scale xm has mean
+// xm * alpha / (alpha - 1).
 TraceArrivalStream::TraceArrivalStream(double mean_interarrival_sec, std::uint64_t seed)
     : rng_(seed),
-      burst_mean_(4.0),
-      pareto_alpha_(1.5),
-      pareto_xm_(std::max(mean_interarrival_sec, 1e-9) * burst_mean_ *
-                 (pareto_alpha_ - 1.0) / pareto_alpha_) {}
+      pareto_xm_(std::max(positive_mean(mean_interarrival_sec), kMinTraceMeanSec) * kBurstMean *
+                 (kParetoAlpha - 1.0) / kParetoAlpha) {}
 
 void TraceArrivalStream::generate_burst() {
-  // Same per-burst draw order as trace_arrivals: burst size (bernoulli
-  // chain), one uniform offset per job, then the Pareto gap to the next base.
+  // Burst size (a bernoulli chain), one uniform offset per job, then the
+  // Pareto gap to the next base.
   std::size_t burst = 1;
-  while (rng_.bernoulli(1.0 - 1.0 / burst_mean_)) ++burst;
+  while (rng_.bernoulli(1.0 - 1.0 / kBurstMean)) ++burst;
   for (std::size_t k = 0; k < burst; ++k) {
-    buffer_.push(next_base_ + rng_.uniform(0.0, 5.0));
+    buffer_.push(next_base_ + rng_.uniform(0.0, kBurstSpreadSec));
   }
   const double u = rng_.uniform(1e-9, 1.0);
-  next_base_ += pareto_xm_ / std::pow(u, 1.0 / pareto_alpha_);
+  next_base_ += pareto_xm_ / std::pow(u, 1.0 / kParetoAlpha);
 }
 
 double TraceArrivalStream::next() {
-  // Arrivals of a burst based at b lie in [b, b + 5], and bases only grow, so
-  // the smallest buffered time is final once it is <= the next ungenerated
-  // base. Generating whole bursts (never truncating one) keeps the emitted
-  // sequence independent of how many arrivals the caller consumes.
+  // Arrivals of a burst based at b lie in [b, b + kBurstSpreadSec], and
+  // bases only grow, so the smallest buffered time is final once it is <=
+  // the next ungenerated base. Generating whole bursts (never truncating one)
+  // keeps the emitted sequence independent of how many arrivals the caller
+  // consumes.
   while (buffer_.empty() || buffer_.top() > next_base_) generate_burst();
   const double raw = buffer_.top();
   buffer_.pop();
@@ -101,9 +102,6 @@ std::vector<double> take(ArrivalStream& stream, std::size_t n) {
 std::unique_ptr<ArrivalStream> make_arrival_stream(const std::string& kind,
                                                    double mean_interarrival_sec,
                                                    std::uint64_t seed) {
-  if (mean_interarrival_sec <= 0.0)
-    throw std::invalid_argument("arrival stream '" + kind +
-                                "' needs a positive mean inter-arrival time");
   if (kind == "poisson")
     return std::make_unique<PoissonArrivalStream>(mean_interarrival_sec, seed);
   if (kind == "trace")

@@ -1,7 +1,7 @@
-// Job arrival processes: finite vectors for the §V-D sensitivity study, and
-// unbounded streams for the online service mode (src/svc), which feeds an
-// open-loop arrival process into the scheduler for as long as the service
-// runs.
+// Job arrival processes. Each is defined once, as an unbounded stream: the
+// online service mode (src/svc) feeds one into the scheduler for as long as
+// it runs, and the finite vectors of a workload replay (the §V-D sensitivity
+// study) are prefixes of the same streams.
 #pragma once
 
 #include <cstdint>
@@ -17,18 +17,19 @@ namespace harmony::exp {
 // All jobs at t = 0 (the main §V-C experiment).
 std::vector<double> batch_arrivals(std::size_t n);
 
-// Poisson process: exponential inter-arrival times with the given mean (sec).
+// The first n arrivals of PoissonArrivalStream(mean, seed); a mean <= 0 gives
+// batch_arrivals(n).
 std::vector<double> poisson_arrivals(std::size_t n, double mean_interarrival_sec,
                                      std::uint64_t seed);
 
-// Google-cluster-trace-shaped arrivals: bursts of geometrically-many jobs
-// separated by heavy-tailed (Pareto) gaps — "more diverse pattern of arrivals
-// and job arrival spikes" than Poisson.
+// The first n arrivals of TraceArrivalStream(mean, seed); a mean <= 0 gives
+// batch_arrivals(n).
 std::vector<double> trace_arrivals(std::size_t n, double mean_interarrival_sec,
                                    std::uint64_t seed);
 
 // ---------------------------------------------------------------------------
-// Streaming generators (online service mode).
+// Streams: the service mode's arrival processes, and the source of the
+// vectors above.
 //
 // An ArrivalStream yields an unbounded, non-decreasing sequence of absolute
 // arrival times. Streams are deterministic in their seed: the k-th value a
@@ -44,12 +45,11 @@ class ArrivalStream {
   virtual double next() = 0;
 };
 
-// Memoryless open-loop arrivals. Emits exactly the sequence of
-// poisson_arrivals(n, mean, seed) for every prefix n.
+// Memoryless open-loop arrivals: exponential inter-arrival times with the
+// given mean. Throws std::invalid_argument unless the mean is positive.
 class PoissonArrivalStream final : public ArrivalStream {
  public:
-  PoissonArrivalStream(double mean_interarrival_sec, std::uint64_t seed)
-      : mean_(mean_interarrival_sec), rng_(seed) {}
+  PoissonArrivalStream(double mean_interarrival_sec, std::uint64_t seed);
 
   double next() override;
 
@@ -59,14 +59,15 @@ class PoissonArrivalStream final : public ArrivalStream {
   double t_ = 0.0;
 };
 
-// Streaming variant of trace_arrivals: geometric bursts (mean ~4 jobs inside
-// a few seconds) separated by Pareto gaps scaled to preserve the requested
-// mean inter-arrival time. Because bursts overlap when a Pareto gap is
-// shorter than the burst spread, emission merges a lookahead buffer: a
-// buffered arrival is only released once every still-ungenerated burst is
-// guaranteed to start after it. Draw-for-draw this differs from the finite
-// trace_arrivals() at its truncation boundary (the vector version stops
-// mid-burst at n), so the two are pinned by separate determinism tests.
+// Google-cluster-trace-shaped arrivals: bursts of geometrically many jobs
+// (mean 4) landing within a few seconds, separated by heavy-tailed (Pareto)
+// gaps scaled to preserve the requested mean inter-arrival time — "more
+// diverse pattern of arrivals and job arrival spikes" than Poisson. Because
+// bursts overlap when a Pareto gap is shorter than the burst spread, emission
+// merges a lookahead buffer: a buffered arrival is only released once every
+// still-ungenerated burst is guaranteed to start after it, so a mean below
+// 1e-9 s, which would buffer bursts without bound, is read as 1e-9 s. Throws
+// std::invalid_argument unless the mean is positive.
 class TraceArrivalStream final : public ArrivalStream {
  public:
   TraceArrivalStream(double mean_interarrival_sec, std::uint64_t seed);
@@ -77,8 +78,6 @@ class TraceArrivalStream final : public ArrivalStream {
   void generate_burst();
 
   Rng rng_;
-  double burst_mean_;
-  double pareto_alpha_;
   double pareto_xm_;
   double next_base_ = 0.0;  // start time of the next ungenerated burst
   // Min-heap of generated-but-unreleased arrival times.
@@ -87,12 +86,13 @@ class TraceArrivalStream final : public ArrivalStream {
   double t0_ = 0.0;  // first raw arrival; subtracted so emission starts at 0
 };
 
-// First `n` arrivals of a stream, materialized (test/driver convenience).
+// First `n` arrivals of a stream, materialized.
 std::vector<double> take(ArrivalStream& stream, std::size_t n);
 
 // Factory for the open-loop process shapes the CLI exposes: "poisson" or
-// "trace" with the given mean inter-arrival time. Throws std::invalid_argument
-// on any other kind (batch arrivals are the finite batch_arrivals() only).
+// "trace" with the given positive mean inter-arrival time. Throws
+// std::invalid_argument on any other kind (batch arrivals are the finite
+// batch_arrivals() only) or mean.
 std::unique_ptr<ArrivalStream> make_arrival_stream(const std::string& kind,
                                                    double mean_interarrival_sec,
                                                    std::uint64_t seed);

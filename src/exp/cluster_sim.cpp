@@ -981,13 +981,12 @@ void ClusterSim::on_job_profiled(SimJob& job) {
 
 void ClusterSim::run_initial_harmony_schedule() {
   initial_schedule_done_ = true;
-  // Pool: everything profiled so far, queue order.
-  const auto idle = idle_sched_jobs();
-  std::vector<core::SchedJob> pool(idle.begin(), idle.end());
-  // Jobs still running in bootstrap groups are also schedulable. Profiled
-  // ones are idle, so already in the pool; running ones never are.
-  for (const SimJob& job : jobs_)
-    if (job.state == core::JobState::kRunning) pool.push_back(sched_view(job));
+  // Pool: everything profiled so far, queue order. Before this first pass a
+  // job runs only as kProfiling in a bootstrap group, so no job is kRunning
+  // and the idle view is the whole pool.
+  HARMONY_DCHECK(jobs_in(core::JobState::kRunning) == 0)
+      << jobs_in(core::JobState::kRunning) << " jobs run before the first Algorithm 1 pass";
+  const auto pool = idle_sched_jobs();
   if (pool.empty()) return;
 
   core::ScheduleDecision decision =
@@ -1277,17 +1276,6 @@ void ClusterSim::sample_utilization() {
   static obs::HistogramMetric& queue_depth =
       obs::MetricsRegistry::instance().histogram("sim.event_queue_depth", 0.0, 4096.0, 64);
   queue_depth.observe(static_cast<double>(sim_.pending()));
-  // Level gauges (deterministic: sim state at sim-clock sampling points).
-  // They reach the end-of-run registry snapshot (--metrics, --report) only:
-  // no telemetry engine samples sim.* (the service's engine keeps svc.*
-  // alone, and harmony-sim takes telemetry flags only with --service).
-  static obs::Gauge& jobs_running = obs::MetricsRegistry::instance().gauge("sim.jobs_running");
-  static obs::Gauge& groups_live = obs::MetricsRegistry::instance().gauge("sim.groups_live");
-  static obs::Gauge& free_machines =
-      obs::MetricsRegistry::instance().gauge("sim.free_machines");
-  jobs_running.set(static_cast<double>(running_jobs));
-  groups_live.set(static_cast<double>(running_groups));
-  free_machines.set(static_cast<double>(free_machines_));
 }
 
 // ---------------------------------------------------------------------------

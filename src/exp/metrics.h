@@ -48,7 +48,6 @@ struct JobOutcome {
 };
 
 struct RunSummary {
-  std::string label;
   std::vector<JobOutcome> jobs;
   double makespan = 0.0;
   core::Utilization avg_util;

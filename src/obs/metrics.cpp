@@ -15,35 +15,27 @@ HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
 void HistogramMetric::observe(double x) {
   common::MutexLock lock(mu_);
   hist_.add(x);
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
+  moments_.add(x);
 }
 
 std::size_t HistogramMetric::count() const {
   common::MutexLock lock(mu_);
-  return count_;
+  return moments_.size();
 }
 
 double HistogramMetric::sum() const {
   common::MutexLock lock(mu_);
-  return sum_;
+  return moments_.sum();
 }
 
 double HistogramMetric::min() const {
   common::MutexLock lock(mu_);
-  return min_;
+  return moments_.min();
 }
 
 double HistogramMetric::max() const {
   common::MutexLock lock(mu_);
-  return max_;
+  return moments_.max();
 }
 
 Histogram HistogramMetric::histogram() const {
@@ -53,11 +45,11 @@ Histogram HistogramMetric::histogram() const {
 
 double HistogramMetric::percentile(double q) const {
   common::MutexLock lock(mu_);
-  if (count_ == 0) return 0.0;
+  if (moments_.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   // Rank in [0, count]; walk the bins until the cumulative mass covers it,
   // then interpolate linearly inside the covering bin.
-  const double target = q * static_cast<double>(count_);
+  const double target = q * static_cast<double>(moments_.size());
   double cumulative = 0.0;
   const auto& counts = hist_.bins();
   for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -66,11 +58,11 @@ double HistogramMetric::percentile(double q) const {
       const double frac = std::clamp((target - cumulative) / c, 0.0, 1.0);
       const double lo = hist_.bin_lo(i);
       const double hi = hist_.bin_hi(i);
-      return std::clamp(lo + frac * (hi - lo), min_, max_);
+      return std::clamp(lo + frac * (hi - lo), moments_.min(), moments_.max());
     }
     cumulative += c;
   }
-  return max_;
+  return moments_.max();
 }
 
 MetricsSnapshot::HistogramState HistogramMetric::state() const {
@@ -79,18 +71,15 @@ MetricsSnapshot::HistogramState HistogramMetric::state() const {
   s.lo = lo_;
   s.hi = hi_;
   s.bins = hist_.bins();
-  s.count = count_;
-  s.sum = sum_;
+  s.count = moments_.size();
+  s.sum = moments_.sum();
   return s;
 }
 
 void HistogramMetric::reset() {
   common::MutexLock lock(mu_);
   hist_ = Histogram(lo_, hi_, bins_);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
+  moments_ = RunningStats{};
 }
 
 MetricsRegistry& MetricsRegistry::instance() {

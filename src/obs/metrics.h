@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/stats.h"
 #include "common/sync.h"
 
 namespace harmony::obs {
@@ -94,10 +95,7 @@ class HistogramMetric {
   std::size_t bins_;
   mutable common::Mutex mu_;
   Histogram hist_ GUARDED_BY(mu_);
-  std::size_t count_ GUARDED_BY(mu_) = 0;
-  double sum_ GUARDED_BY(mu_) = 0.0;
-  double min_ GUARDED_BY(mu_) = 0.0;
-  double max_ GUARDED_BY(mu_) = 0.0;
+  RunningStats moments_ GUARDED_BY(mu_);
 };
 
 class MetricsRegistry {

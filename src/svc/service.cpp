@@ -160,16 +160,18 @@ void Service::flight_instant(obs::EventKind kind, core::JobId id) {
   recorder.append(e);
 }
 
-void Service::telemetry_tick() {
+void Service::set_level_gauges() {
   auto& metrics = SvcMetrics::instance();
-  metrics.telemetry_ticks.add();
-  // Refresh the level gauges so every window reflects current state even when
-  // no scheduling event updated them inside the window.
   metrics.queue_depth.set(static_cast<double>(queue_.size()));
   metrics.running_jobs.set(static_cast<double>(placement_.running_jobs()));
   metrics.free_machines.set(static_cast<double>(placement_.free_machines()));
   metrics.drift.set(placement_.drift());
   metrics.live_groups.set(static_cast<double>(placement_.live_group_count()));
+}
+
+void Service::telemetry_tick() {
+  SvcMetrics::instance().telemetry_ticks.add();
+  set_level_gauges();
 
   const obs::TelemetryWindow w = telemetry_->sample(sim_.now());
   last_sample_sec_ = sim_.now();
@@ -257,8 +259,6 @@ bool Service::try_place(PendingJob& p) {
   const auto iterations =
       static_cast<double>(std::min(spec.iterations, kMaxIterations));
   const double service_time = iterations * placed->group_t_itr;
-  metrics.running_jobs.set(static_cast<double>(placement_.running_jobs()));
-  metrics.free_machines.set(static_cast<double>(placement_.free_machines()));
   sim_.schedule_in(service_time, [this, id = p.job.id, at = p.arrival_time] {
     on_departure(id, at);
   });
@@ -283,12 +283,9 @@ void Service::on_departure(core::JobId id, double arrival_time) {
   const double jct = sim_.now() - arrival_time;
   jcts_.add(jct);
   metrics.jct_sec.observe(jct);
-  metrics.running_jobs.set(static_cast<double>(placement_.running_jobs()));
-  metrics.free_machines.set(static_cast<double>(placement_.free_machines()));
 
   drain_queue();
   maybe_full_reschedule();
-  metrics.queue_depth.set(static_cast<double>(queue_.size()));
 }
 
 void Service::drain_queue() {
@@ -369,7 +366,6 @@ void Service::on_arrival() {
     }
   }
   maybe_full_reschedule();
-  metrics.queue_depth.set(static_cast<double>(queue_.size()));
 
   const double t = stream_->next();
   if (t <= config_.duration_sec) {
@@ -416,6 +412,7 @@ ServiceSummary Service::run() {
   }
   sim_.run();
   summary_.wall_seconds = wall_seconds_since(wall0);
+  set_level_gauges();
 
   if (telemetry_) {
     // One final window covering the drain tail past the arrival horizon

@@ -180,6 +180,10 @@ class Service {
   void maybe_validate();
   // Closes one telemetry window at the current sim time and evaluates SLOs.
   void telemetry_tick();
+  // Writes the svc.* level gauges from the current state. Their readers are
+  // the telemetry windows and the end-of-run registry, so the ticks and the
+  // end of run() write them, not every event.
+  void set_level_gauges();
   // Sim-stamped instant into the flight recorder's ring (no-op when disarmed).
   void flight_instant(obs::EventKind kind, core::JobId id);
 

@@ -1,12 +1,13 @@
 // Arrival processes (src/exp/arrivals): finite vectors and the unbounded
 // streams that feed the online service mode. Pins seeded determinism, the
-// poisson vector/stream prefix equivalence, and the empirical rates of both
-// stochastic generators.
+// vector/stream prefix equivalence of both processes, and the empirical rates
+// of both stochastic generators.
 #include "exp/arrivals.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -72,6 +73,26 @@ TEST(TraceArrivals, VectorDeterministicAndBursty) {
   EXPECT_GT(tight_gaps, a.size() / 4);
 }
 
+TEST(TraceArrivals, StreamMatchesVectorForEveryPrefix) {
+  // trace_arrivals(n) is the first n values of the stream for every n, so a
+  // replay of n jobs sees the arrivals the service's stream starts with. A
+  // vector that stopped mid-burst at n would differ from the stream in its
+  // last few values.
+  for (std::uint64_t seed : {1u, 3u}) {
+    for (std::size_t n : {1u, 7u, 80u, 400u, 4000u}) {
+      const auto vec = trace_arrivals(n, 120.0, seed);
+      TraceArrivalStream stream(120.0, seed);
+      const auto prefix = take(stream, n);
+      ASSERT_EQ(vec.size(), n);
+      const auto first_diff =
+          static_cast<std::size_t>(std::mismatch(vec.begin(), vec.end(), prefix.begin()).first -
+                                   vec.begin());
+      EXPECT_EQ(first_diff, n) << "seed " << seed << ", n " << n << ": value " << first_diff
+                               << " differs";
+    }
+  }
+}
+
 TEST(TraceArrivals, StreamDeterministicMonotonicFromZero) {
   TraceArrivalStream s1(45.0, 11), s2(45.0, 11);
   const auto a = take(s1, 2000);
@@ -116,6 +137,14 @@ TEST(MakeArrivalStream, FactoryKindsAndErrors) {
   EXPECT_THROW(make_arrival_stream("uniform", 1.0, 1), std::invalid_argument);
   // Batch arrivals are not an open-loop stream.
   EXPECT_THROW(make_arrival_stream("batch", 1.0, 1), std::invalid_argument);
+}
+
+TEST(ArrivalStreams, NonPositiveMeanThrows) {
+  // Only the vector wrappers read a mean <= 0 as batch arrivals.
+  EXPECT_THROW(PoissonArrivalStream(0.0, 1), std::invalid_argument);
+  EXPECT_THROW(TraceArrivalStream(-5.0, 1), std::invalid_argument);
+  EXPECT_THROW(make_arrival_stream("trace", 0.0, 1), std::invalid_argument);
+  EXPECT_EQ(trace_arrivals(3, 0.0, 1), batch_arrivals(3));
 }
 
 }  // namespace

@@ -138,14 +138,24 @@ T parse_number(const char* argv0, const std::string& flag, const std::string& va
   return out;
 }
 
-// The mean inter-arrival time of `arrival`, "poisson:SEC" or "trace:SEC",
-// which must be positive.
-double parse_arrival_mean(const char* argv0, const std::string& arrival,
-                          const std::string& prefix) {
-  const double mean = parse_number<double>(argv0, "--arrival", arrival.substr(prefix.size()));
+// An --arrival value: "batch", or "poisson:SEC" / "trace:SEC" with a positive
+// mean inter-arrival time SEC.
+struct Arrival {
+  std::string text = "batch";  // as given, for the run header
+  std::string kind = "batch";  // batch, poisson or trace
+  double mean_sec = 0.0;
+};
+
+Arrival parse_arrival(const char* argv0, const std::string& text) {
+  if (text == "batch") return Arrival{};
+  const std::size_t colon = text.find(':');
+  const std::string kind = text.substr(0, colon);
+  if (colon == std::string::npos || (kind != "poisson" && kind != "trace"))
+    usage_error(argv0, "unknown arrival process '" + text + "'");
+  const double mean = parse_number<double>(argv0, "--arrival", text.substr(colon + 1));
   if (mean <= 0.0)
-    usage_error(argv0, "--arrival " + arrival + " needs a positive mean inter-arrival time");
-  return mean;
+    usage_error(argv0, "--arrival " + text + " needs a positive mean inter-arrival time");
+  return Arrival{text, kind, mean};
 }
 
 // Options that only a workload replay reads; --service rejects them.
@@ -183,7 +193,7 @@ void install_fatal_signal_handlers() {
 int main(int argc, char** argv) {
   exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
   std::string policy = "harmony";
-  std::string arrival = "batch";
+  Arrival arrival;
   bool arrival_set = false;
   std::string chrome_trace_file;
   std::string metrics_file;
@@ -222,7 +232,7 @@ int main(int argc, char** argv) {
       if (config.machines == 0) usage_error(argv[0], "--machines must be positive");
       machines_set = true;
     } else if (arg == "--arrival") {
-      arrival = next();
+      arrival = parse_arrival(argv[0], next());
       arrival_set = true;
     } else if (arg == "--service") {
       service_mode = true;
@@ -321,19 +331,12 @@ int main(int argc, char** argv) {
 
   if (service_mode) {
     if (arrival_set) {
-      if (arrival.rfind("poisson:", 0) == 0) {
-        svc_config.arrival_kind = "poisson";
-        svc_config.mean_interarrival_sec = parse_arrival_mean(argv[0], arrival, "poisson:");
-      } else if (arrival.rfind("trace:", 0) == 0) {
-        svc_config.arrival_kind = "trace";
-        svc_config.mean_interarrival_sec = parse_arrival_mean(argv[0], arrival, "trace:");
-      } else if (arrival == "batch") {
+      if (arrival.kind == "batch")
         usage_error(argv[0],
                     "arrival process 'batch' is not open-loop; service mode "
                     "needs poisson:SEC or trace:SEC");
-      } else {
-        usage_error(argv[0], "unknown arrival process '" + arrival + "'");
-      }
+      svc_config.arrival_kind = arrival.kind;
+      svc_config.mean_interarrival_sec = arrival.mean_sec;
     }
     if (machines_set) svc_config.machines = config.machines;
     svc_config.seed = config.seed;
@@ -410,22 +413,16 @@ int main(int argc, char** argv) {
     catalog.push_back(extra);
   }
 
-  std::vector<double> arrivals;
-  if (arrival == "batch") {
-    arrivals = exp::batch_arrivals(catalog.size());
-  } else if (arrival.rfind("poisson:", 0) == 0) {
-    arrivals = exp::poisson_arrivals(catalog.size(),
-                                     parse_arrival_mean(argv[0], arrival, "poisson:"),
-                                     config.seed);
-  } else if (arrival.rfind("trace:", 0) == 0) {
-    arrivals = exp::trace_arrivals(catalog.size(),
-                                   parse_arrival_mean(argv[0], arrival, "trace:"), config.seed);
-  } else {
-    usage_error(argv[0], "unknown arrival process '" + arrival + "'");
-  }
+  // A replay of n jobs takes the first n arrivals of the stream the service
+  // would draw.
+  std::vector<double> arrivals =
+      arrival.kind == "batch"
+          ? exp::batch_arrivals(catalog.size())
+          : exp::take(*exp::make_arrival_stream(arrival.kind, arrival.mean_sec, config.seed),
+                      catalog.size());
 
   std::printf("policy=%s jobs=%zu machines=%zu arrival=%s spill=%s\n", policy.c_str(),
-              catalog.size(), config.machines, arrival.c_str(),
+              catalog.size(), config.machines, arrival.text.c_str(),
               config.spill_enabled ? "on" : "off");
 
   exp::ClusterSim sim(config, std::move(catalog), std::move(arrivals));
